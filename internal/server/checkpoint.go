@@ -37,37 +37,40 @@ import (
 // ckptMagic brands checkpoint files; a version bump changes the string.
 var ckptMagic = []byte("PACCKPT1")
 
+// ckptHead is the envelope header length: magic, payload length, digest.
+var ckptHead = len(ckptMagic) + 8 + sha256.Size
+
 // errCkptCorrupt marks a checkpoint file that fails the envelope check.
 var errCkptCorrupt = errors.New("server: corrupt checkpoint file")
 
 // encodeCheckpointFile wraps the gob stream in the checksummed envelope.
+// The header is reserved up front and filled in once the payload is
+// encoded after it, so the file is built in one buffer with no copy.
 func encodeCheckpointFile(ck *sim.Checkpoint) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := sim.EncodeCheckpoint(&payload, ck); err != nil {
+	buf := bytes.NewBuffer(make([]byte, ckptHead))
+	if err := sim.EncodeCheckpoint(buf, ck); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(ckptMagic)+8+sha256.Size+payload.Len())
-	buf = append(buf, ckptMagic...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(payload.Len()))
-	sum := sha256.Sum256(payload.Bytes())
-	buf = append(buf, sum[:]...)
-	buf = append(buf, payload.Bytes()...)
-	return buf, nil
+	blob := buf.Bytes()
+	copy(blob, ckptMagic)
+	binary.BigEndian.PutUint64(blob[len(ckptMagic):], uint64(len(blob)-ckptHead))
+	sum := sha256.Sum256(blob[ckptHead:])
+	copy(blob[len(ckptMagic)+8:], sum[:])
+	return blob, nil
 }
 
 // decodeCheckpointFile validates the envelope and decodes the payload.
 func decodeCheckpointFile(blob []byte) (*sim.Checkpoint, error) {
-	head := len(ckptMagic) + 8 + sha256.Size
-	if len(blob) < head || !bytes.Equal(blob[:len(ckptMagic)], ckptMagic) {
+	if len(blob) < ckptHead || !bytes.Equal(blob[:len(ckptMagic)], ckptMagic) {
 		return nil, errCkptCorrupt
 	}
 	n := binary.BigEndian.Uint64(blob[len(ckptMagic) : len(ckptMagic)+8])
-	payload := blob[head:]
+	payload := blob[ckptHead:]
 	if uint64(len(payload)) != n {
 		return nil, errCkptCorrupt
 	}
 	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], blob[len(ckptMagic)+8:head]) {
+	if !bytes.Equal(sum[:], blob[len(ckptMagic)+8:ckptHead]) {
 		return nil, errCkptCorrupt
 	}
 	ck, err := sim.DecodeCheckpoint(bytes.NewReader(payload))

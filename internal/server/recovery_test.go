@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -349,6 +352,37 @@ func TestCheckpointEnvelopeRoundtrip(t *testing.T) {
 		if _, err := decodeCheckpointFile(blob[:n]); err == nil {
 			t.Errorf("decode accepted a %d-byte truncation", n)
 		}
+	}
+}
+
+// TestCheckpointEnvelopeLayout pins the on-disk bytes of one encoded
+// checkpoint: PACCKPT1 ‖ big-endian payload length ‖ SHA-256 of the
+// payload ‖ the gob payload exactly as sim.EncodeCheckpoint writes it.
+func TestCheckpointEnvelopeLayout(t *testing.T) {
+	cfg := sim.DefaultConfig("GS", coalesce.ModePAC)
+	cfg.AccessesPerCore = 50
+	cfg.Scale = 0.02
+	r, err := sim.NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := r.Checkpoint()
+	var payload bytes.Buffer
+	if err := sim.EncodeCheckpoint(&payload, ck); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("PACCKPT1"), make([]byte, 8)...)
+	binary.BigEndian.PutUint64(want[8:], uint64(payload.Len()))
+	sum := sha256.Sum256(payload.Bytes())
+	want = append(want, sum[:]...)
+	want = append(want, payload.Bytes()...)
+
+	got, err := encodeCheckpointFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("envelope bytes differ from magic‖len‖sha256‖gob: got %d bytes, want %d", len(got), len(want))
 	}
 }
 

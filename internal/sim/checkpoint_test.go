@@ -166,10 +166,10 @@ func TestCheckpointResumeMultiprocessVirtualized(t *testing.T) {
 }
 
 // TestCheckpointResumeWarmScratch resumes onto a warm Scratch holding a
-// parked machine from a completed run of the same shape: the restore
-// then lands on a trace-replaying machine (traceOK), exercising the
-// index-replay path instead of generator fast-forward. Both must give
-// the same answer.
+// parked machine from two completed runs of the same shape (the second
+// records its trace): the restore then lands on a trace-replaying
+// machine (traceOK), exercising the index-replay path instead of
+// generator fast-forward. Both must give the same answer.
 func TestCheckpointResumeWarmScratch(t *testing.T) {
 	cfg := smallConfig("GS", coalesce.ModePAC)
 	cfg.AccessesPerCore = 1_200
@@ -180,7 +180,11 @@ func TestCheckpointResumeWarmScratch(t *testing.T) {
 	sc := NewScratch()
 	warm := cfg
 	warm.Scratch = sc
-	run(t, warm) // park a traced machine
+	run(t, warm) // park a machine
+	run(t, warm) // reuse it once, recording its trace
+	if len(sc.machs) != 1 || !sc.machs[0].traceOK {
+		t.Fatal("no trace-replaying machine parked before resume")
+	}
 
 	got := resumeRun(t, warm, ck)
 	assertSameResult(t, "warm-scratch", got, base)

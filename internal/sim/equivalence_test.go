@@ -140,32 +140,98 @@ func TestSpecializedDriverSelected(t *testing.T) {
 // shared Scratch runs the same configuration repeatedly — alternating the
 // event kernel and the reference stepper, so a parked machine crosses
 // drivers — and every warm Result must be byte-identical to the cold
-// first run (modulo SkippedCycles, which is driver accounting). The first
-// warm run resets a parked machine; the second replays the recorded
-// trace; both paths are covered for every mode.
+// baseline (modulo SkippedCycles, which is driver accounting). The first
+// run on the Scratch builds cold, the second resets the parked machine
+// and records its trace, later ones replay it. Two schedules start on
+// opposite drivers, so every phase runs under both drivers in every mode.
 func TestWarmScratchByteIdentity(t *testing.T) {
 	for _, mode := range allModes {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			base := smallConfig("GS", mode)
 			base.AccessesPerCore = 1_500
-			cold := run(t, base)
+			c := *run(t, base)
+			c.SkippedCycles = 0
 
-			sc := NewScratch()
-			for i, ref := range []bool{false, true, false, true} {
-				cfg := base
-				cfg.Scratch = sc
-				cfg.ReferenceStepper = ref
-				warm := run(t, cfg)
-				w := *warm
-				w.SkippedCycles = 0
-				c := *cold
-				c.SkippedCycles = 0
-				if !reflect.DeepEqual(&w, &c) {
-					t.Fatalf("warm run %d (ref=%v) diverges from cold run\nwarm: %+v\ncold: %+v", i, ref, w, c)
+			for _, first := range []bool{false, true} {
+				sc := NewScratch()
+				for i, phase := range []string{"cold", "record", "replay", "replay"} {
+					cfg := base
+					cfg.Scratch = sc
+					cfg.ReferenceStepper = first != (i%2 == 1)
+					w := *run(t, cfg)
+					w.SkippedCycles = 0
+					if !reflect.DeepEqual(&w, &c) {
+						t.Fatalf("run %d (%s, ref=%v) diverges from cold run\nwarm: %+v\ncold: %+v",
+							i, phase, cfg.ReferenceStepper, w, c)
+					}
 				}
 			}
 		})
+	}
+}
+
+// TestColdRunsNeverRecord pins when workload record-replay engages on a
+// shared Scratch: the cold build never records, the parked machine's
+// first reuse records into exactly sized traces, and only its second
+// reuse replays without generators. Every run must match a run on a
+// private Scratch, in every mode under both drivers.
+func TestColdRunsNeverRecord(t *testing.T) {
+	for _, mode := range allModes {
+		for _, ref := range []bool{false, true} {
+			mode, ref := mode, ref
+			t.Run(fmt.Sprintf("%v/ref=%v", mode, ref), func(t *testing.T) {
+				cfg := smallConfig("GS", mode)
+				cfg.AccessesPerCore = 1_000
+				cfg.ReferenceStepper = ref
+				cold := run(t, cfg)
+
+				sc := NewScratch()
+				cfg.Scratch = sc
+				parked := func(phase string) *machine {
+					t.Helper()
+					if len(sc.machs) != 1 {
+						t.Fatalf("after %s run: %d parked machines, want 1", phase, len(sc.machs))
+					}
+					return sc.machs[0]
+				}
+
+				if got := run(t, cfg); !reflect.DeepEqual(got, cold) {
+					t.Fatalf("cold-build run diverges from private-Scratch run\ngot:  %+v\nwant: %+v", got, cold)
+				}
+				if m := parked("cold-build"); m.recording || m.trace != nil || m.traceOK {
+					t.Fatalf("cold build recorded: recording=%v trace=%v traceOK=%v", m.recording, m.trace != nil, m.traceOK)
+				}
+
+				if got := run(t, cfg); !reflect.DeepEqual(got, cold) {
+					t.Fatalf("recording run diverges from private-Scratch run\ngot:  %+v\nwant: %+v", got, cold)
+				}
+				m := parked("recording")
+				if !m.traceOK || m.recording {
+					t.Fatalf("first reuse left traceOK=%v recording=%v, want a complete trace", m.traceOK, m.recording)
+				}
+				for i, tr := range m.trace {
+					if len(tr) != cfg.AccessesPerCore || cap(tr) != cfg.AccessesPerCore {
+						t.Errorf("core %d trace len/cap = %d/%d, want exactly %d", i, len(tr), cap(tr), cfg.AccessesPerCore)
+					}
+				}
+
+				r, err := NewRunner(cfg)
+				if err != nil {
+					t.Fatalf("NewRunner: %v", err)
+				}
+				if !r.machWarm || r.m.gens != nil {
+					t.Fatalf("third run does not replay: warm=%v gens=%v", r.machWarm, r.m.gens != nil)
+				}
+				got, err := r.Run()
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if !reflect.DeepEqual(got, cold) {
+					t.Fatalf("replay run diverges from private-Scratch run\ngot:  %+v\nwant: %+v", got, cold)
+				}
+			})
+		}
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 )
 
 // traceBudget caps the total number of workload accesses a machine may
-// record for replay (16 bytes each, so the cap bounds the trace cache at
-// 16 MiB per Scratch). A machine whose recording would exceed the budget
-// abandons it and rebuilds its generators on every reuse instead; the
-// budget bounds memory only, never results.
+// record for replay (16 bytes each, so the cap bounds one machine's trace
+// at 16 MiB). A machine whose recording would exceed the budget never
+// records and rebuilds its generators on every reuse instead; the budget
+// bounds memory only, never results.
 const traceBudget = 1 << 20
 
 // machine is the constructed component graph of one simulation
@@ -56,20 +56,18 @@ type machine struct {
 	// safe.
 	benchNames []string
 
-	// Record-replay trace cache: the machine's first run records each
+	// Record-replay trace cache: the machine's first reuse records each
 	// core's access stream (trace[coreIdx]); once a completed run has
 	// captured every stream in full, later runs replay by index instead
 	// of re-running the generators — which also removes generator
-	// reconstruction from reset. recording is live until the first
-	// complete capture; a run that would blow traceBudget abandons
-	// recording for the machine's lifetime.
+	// reconstruction from reset. Cold runs never record: most machines
+	// are never taken back, and a trace nobody replays is pure cost.
 	trace     [][]workload.Access
-	traceLen  int
 	traceOK   bool
 	recording bool
 
-	// traceSkipped marks a machine whose record-replay was abandoned for
-	// exceeding traceBudget (at build pre-check or mid-recording);
+	// traceSkipped marks a machine whose record-replay was skipped for
+	// exceeding traceBudget (checked at its first reuse);
 	// traceSkipNoted latches after the first terminal telemetry event has
 	// counted it, so each machine reports the degradation exactly once.
 	traceSkipped   bool
@@ -173,11 +171,8 @@ func buildGenerators(cfg *Config) ([]workload.Generator, error) {
 
 // buildMachine constructs the component graph for a normalized config.
 // Reusable buffers come from scratch; the machine then owns them until it
-// is discarded (a parked machine keeps them across runs). shared reports
-// whether the Scratch is caller-supplied: only then can a parked machine
-// ever be taken back, so only then is the run worth the per-access cost
-// of recording a replay trace.
-func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
+// is discarded (a parked machine keeps them across runs).
+func buildMachine(cfg Config, scratch *Scratch) (*machine, error) {
 	// The stored config exists to rebuild generators and to answer
 	// machineReusable; holding the first run's hooks, sinks or Scratch
 	// would pin them (and their captures) for the machine's lifetime.
@@ -257,18 +252,6 @@ func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 
 	m.cacheable = callerGens == nil && !cfg.Faults.Enabled()
 	m.shape = shapeKeyOf(&m.cfg)
-	if m.cacheable && shared {
-		if total := int64(len(m.cores)) * int64(cfg.AccessesPerCore); total <= traceBudget {
-			m.recording = true
-			m.trace = make([][]workload.Access, len(m.cores))
-		} else {
-			// No silent caps: warm reuse of this machine will re-run the
-			// generators every time instead of replaying. Say so once.
-			m.traceSkipped = true
-			log.Printf("sim: workload record-replay skipped for shape %s: %d accesses exceed budget %d; warm runs re-generate",
-				m.shape, total, traceBudget)
-		}
-	}
 	return m, nil
 }
 
@@ -277,7 +260,9 @@ func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 // their grown storage; the ID counter rewinds; core state is rebuilt in
 // place reusing its buffers. With a complete trace recording the workload
 // generators are not needed at all; without one they are rebuilt (the
-// previous run consumed them and generators have no rewind operation).
+// previous run consumed them and generators have no rewind operation) and
+// the run records: a machine taken back once is likely taken back again,
+// so its second run captures the trace its third and later runs replay.
 func (m *machine) reset() error {
 	m.nextID = 0
 	m.hier.Reset()
@@ -312,14 +297,29 @@ func (m *machine) reset() error {
 		return fmt.Errorf("sim: rebuilding generators for cached machine: %w", err)
 	}
 	m.gens = gens
-	if m.recording {
-		// The previous recording was cut short (aborted run, though
-		// aborted runs are not parked today); start over cleanly.
-		for i := range m.trace {
-			m.trace[i] = m.trace[i][:0]
-		}
-		m.traceLen = 0
+	if m.traceSkipped {
+		return nil
 	}
+	if m.trace == nil {
+		if total := int64(len(m.cores)) * int64(m.cfg.AccessesPerCore); total > traceBudget {
+			// No silent caps: warm reuse of this machine will re-run the
+			// generators every time instead of replaying. Say so once.
+			m.traceSkipped = true
+			log.Printf("sim: workload record-replay skipped for shape %s: %d accesses exceed budget %d; warm runs re-generate",
+				m.shape, total, traceBudget)
+			return nil
+		}
+		// Exact per-core capacity: every core issues AccessesPerCore
+		// accesses, so recording never grows a slice.
+		m.trace = make([][]workload.Access, len(m.cores))
+		for i := range m.trace {
+			m.trace[i] = make([]workload.Access, 0, m.cfg.AccessesPerCore)
+		}
+	}
+	for i := range m.trace {
+		m.trace[i] = m.trace[i][:0]
+	}
+	m.recording = true
 	return nil
 }
 
@@ -335,22 +335,9 @@ func (r *Runner) nextAccess(c *coreState, coreIdx int) workload.Access {
 	}
 	a := m.gens[c.proc].Next(c.localIdx)
 	if m.recording {
-		if m.traceLen >= traceBudget {
-			// Over budget (possible only when a smaller config grew into
-			// this machine's slot — buildMachine pre-checks the total):
-			// drop the partial capture for good, and say so (no silent
-			// caps — warm runs degrade to generator re-runs from here).
-			m.recording = false
-			m.trace = nil
-			m.traceLen = 0
-			m.traceSkipped = true
-			m.traceSkipNoted = false
-			log.Printf("sim: workload record-replay abandoned mid-run for shape %s: recording exceeded budget %d; warm runs re-generate",
-				m.shape, traceBudget)
-		} else {
-			m.trace[coreIdx] = append(m.trace[coreIdx], a)
-			m.traceLen++
-		}
+		// Within the exact capacity reset reserved: reuse requires an
+		// identical shape, so the budget pre-check bounds every capture.
+		m.trace[coreIdx] = append(m.trace[coreIdx], a)
 	}
 	return a
 }

@@ -363,7 +363,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	m, ok := r.scratch.takeMachine(&cfg)
 	if !ok {
 		var err error
-		m, err = buildMachine(cfg, r.scratch, cfg.Scratch != nil)
+		m, err = buildMachine(cfg, r.scratch)
 		if err != nil {
 			return nil, err
 		}

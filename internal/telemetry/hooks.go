@@ -91,9 +91,10 @@ type Event struct {
 	// from the Scratch machine cache (LRU overflow); terminal events.
 	MachineEvictions int64
 	// ReplaySkips is 1 on the first terminal event after a machine's
-	// workload record-replay was abandoned for exceeding the recording
-	// budget (the cache silently degrading to generator re-runs is a
-	// capped behaviour, and caps are never silent).
+	// workload record-replay was skipped for exceeding the recording
+	// budget, which is checked when the machine is first reused (the
+	// cache silently degrading to generator re-runs is a capped
+	// behaviour, and caps are never silent).
 	ReplaySkips int64
 }
 
@@ -154,7 +155,11 @@ const (
 	MetricMachineHits    = "pac_machine_cache_hits_total"
 	MetricMachineMisses  = "pac_machine_cache_misses_total"
 	MetricMachineEvicted = "pac_machine_cache_evictions_total"
-	MetricReplaySkips    = "pac_replay_budget_skips_total"
+	// MetricReplaySkips counts machines, not runs: a parked machine
+	// checks the record-replay budget on its first reuse (cold runs
+	// never record), and one over budget is counted once and re-runs
+	// its generators on every later reuse.
+	MetricReplaySkips = "pac_replay_budget_skips_total"
 )
 
 // InstrumentedHooks builds hooks whose observer translates events into
