@@ -196,22 +196,30 @@ func (s *Session) Result(ctx context.Context, bench string, mode coalesce.Mode) 
 	return s.resultCtx(ctx, bench, mode, varDefault)
 }
 
-// Memoized reports whether the benchmark/mode combination has a
-// successfully completed result in the memo (in-flight runs report
-// false).
-func (s *Session) Memoized(bench string, mode coalesce.Mode) bool {
+// Lookup returns the memoised result of the benchmark/mode combination
+// when it has completed successfully, and never blocks: an absent,
+// in-flight or failed entry reports false, so a caller can neither start
+// nor join a simulation through it. A hit counts as a memo hit, exactly
+// as Result answering it would; a miss counts nothing, leaving the memo
+// miss to the Result call that resolves it.
+func (s *Session) Lookup(bench string, mode coalesce.Mode) (*sim.Result, bool) {
 	s.mu.Lock()
 	e, ok := s.sims[simKey{bench, mode, varDefault}]
+	hooks := s.hooks
 	s.mu.Unlock()
 	if !ok {
-		return false
+		return nil, false
 	}
 	select {
 	case <-e.done:
-		return e.err == nil
 	default:
-		return false
+		return nil, false
 	}
+	if e.err != nil {
+		return nil, false
+	}
+	s.noteMemo(hooks, true, bench, mode.String())
+	return e.val, true
 }
 
 // Seed installs an already-completed result into the memo — the durable

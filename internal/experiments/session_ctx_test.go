@@ -74,8 +74,8 @@ func TestResultCancelledWhenLastWaiterLeaves(t *testing.T) {
 		t.Errorf("KindSimCancelled fired %d times, want 1", cancelled)
 	}
 	mu.Unlock()
-	if s.Memoized("STREAM", coalesce.ModePAC) {
-		t.Error("Memoized reports true for an aborted run")
+	if _, ok := s.Lookup("STREAM", coalesce.ModePAC); ok {
+		t.Error("Lookup hits an aborted run")
 	}
 	if s.Completed() != 0 {
 		t.Errorf("Completed() = %d after an aborted run, want 0", s.Completed())
@@ -141,7 +141,7 @@ func TestResultRerunsAfterCancellation(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("fresh run after cancellation: res=%v err=%v", res, err)
 	}
-	if !s.Memoized("STREAM", coalesce.ModePAC) {
+	if _, ok := s.Lookup("STREAM", coalesce.ModePAC); !ok {
 		t.Error("successful re-run not memoised")
 	}
 }

@@ -667,8 +667,10 @@ func (g *Gateway) forward(ctx context.Context, b *backend, method, path, query s
 	return g.cfg.Client.Do(req)
 }
 
-// relay copies a backend response to the client, streaming (with
-// flushes) so SSE survives the hop.
+// relay copies a backend response to the client. Event streams are
+// flushed after every read so SSE survives the hop live; any other body
+// is copied whole before the server flushes it, so a small JSON reply
+// leaves in as few writes as the response buffer allows.
 func (g *Gateway) relay(w http.ResponseWriter, res proxyResult) {
 	defer res.resp.Body.Close()
 	h := w.Header()
@@ -681,23 +683,35 @@ func (g *Gateway) relay(w http.ResponseWriter, res proxyResult) {
 	}
 	h.Set("X-Pac-Backend", res.backend.name)
 	w.WriteHeader(res.resp.StatusCode)
-	flushCopy(w, res.resp.Body)
+	stream := strings.HasPrefix(res.resp.Header.Get("Content-Type"), "text/event-stream")
+	relayCopy(w, res.resp.Body, stream)
 }
 
-// flushCopy streams src to dst, flushing after every read so event
-// streams are delivered live.
-func flushCopy(dst http.ResponseWriter, src io.Reader) {
+// relayBufs recycles relay copy buffers across responses.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// relayCopy streams src to dst through a pooled buffer. With flush set
+// the headers are flushed at once and every read after them.
+func relayCopy(dst http.ResponseWriter, src io.Reader, flush bool) {
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
 	f, _ := dst.(http.Flusher)
-	buf := make([]byte, 32<<10)
+	if !flush || f == nil {
+		io.CopyBuffer(dst, src, *bp)
+		return
+	}
+	f.Flush() // the status line and headers go out before the first event
+	buf := *bp
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			if f != nil {
-				f.Flush()
-			}
+			f.Flush()
 		}
 		if err != nil {
 			return

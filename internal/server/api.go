@@ -17,6 +17,7 @@ import (
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/report"
+	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/telemetry"
 	"github.com/pacsim/pac/internal/workload"
 )
@@ -278,64 +279,61 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	run, payload, meta, err := s.buildSimulateRun(req, peerList(s.cfg.Peers, r.Header.Get(PeersHeader)))
+	sj, err := s.buildSimulateRun(req, peerList(s.cfg.Peers, r.Header.Get(PeersHeader)))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := s.jobs.submit("simulate", payload, meta, run)
+	// A memo or local-store hit is answered here, registered as a job that
+	// is already done; only a miss pays for a queue slot, a worker handoff
+	// and the journal.
+	var job *Job
+	if res, ok := sj.local(true); ok {
+		job, err = s.jobs.completed("simulate", sj.payload, sj.meta, res)
+	} else {
+		job, err = s.jobs.submit("simulate", sj.payload, sj.meta, sj.run)
+	}
 	if !s.submitted(w, job, err) {
 		return
 	}
 	s.respondSimulate(w, r, job)
 }
 
-// buildSimulateRun resolves a simulate request into its job closure plus
-// the canonical WAL payload (the request's JSON encoding — resolution
-// against the base options is deterministic, so replaying the payload
-// after a crash reproduces the original job exactly) and the job's
-// scheduling meta (machine-shape affinity key, bench/mode pprof
-// labels). The HTTP handler and the boot replay share this one path.
-func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (func(ctx context.Context) (any, error), []byte, jobMeta, error) {
+// simulateJob is one resolved simulate request.
+type simulateJob struct {
+	// payload is the canonical WAL payload: the request's JSON encoding.
+	// Resolution against the base options is deterministic, so replaying
+	// it after a crash reproduces the original job exactly.
+	payload []byte
+	// meta is the job's scheduling meta (machine-shape affinity key,
+	// bench/mode pprof labels).
+	meta jobMeta
+	// local answers from this node alone — the session memo, then the
+	// local store — and never simulates or blocks. With resident set it
+	// reads the store only for a key the store holds, so the handler's
+	// probe leaves a miss to be counted once, by the job that resolves it.
+	local func(resident bool) (SimulateResult, bool)
+	// run is the job closure: local, then fleet peers, then a fresh
+	// simulation.
+	run func(ctx context.Context) (any, error)
+}
+
+// buildSimulateRun resolves a simulate request — validation, session,
+// SimKey, payload and affinity meta, each exactly once — into its
+// resolution chain. The HTTP handler and the boot replay share this one
+// path.
+func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulateJob, error) {
 	opts, bench, mode, err := s.validate(req)
 	if err != nil {
-		return nil, nil, jobMeta{}, err
+		return simulateJob{}, err
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, nil, jobMeta{}, err
+		return simulateJob{}, err
 	}
 	sess, optsKey := s.pool.session(opts)
 	hash := configHash(optsKey, bench, mode)
-	// Affinity is the machine-shape key, not the SimKey: two requests
-	// with different options can still share a shape, and fault-plan
-	// requests (shape "") opt out — they bypass the machine cache anyway.
-	meta := jobMeta{affinity: sess.Shape(bench, mode), bench: bench, mode: mode.String()}
-	run := func(ctx context.Context) (any, error) {
-		// Resolve the cache source cheapest-first: session memo, local
-		// durable store, fleet peers, then a fresh simulation. Disk and
-		// peer hits are seeded into the memo, so sess.Result below is a
-		// pure lookup for every source except a true miss. Concurrent
-		// misses for the same key still share one run: Seed is a no-op
-		// against an in-flight entry and Result joins it. This layering
-		// also makes WAL replay effectively exactly-once: a job that
-		// finished between its terminal record being lost and the crash
-		// re-runs as a memo/disk hit, not a second simulation.
-		source := CacheMemo
-		if !sess.Memoized(bench, mode) {
-			source = CacheMiss
-			if e, ok := s.storeLookup(hash, optsKey, bench, mode); ok {
-				sess.Seed(bench, mode, e.Result)
-				source = CacheDisk
-			} else if e, ok := s.peerLookup(ctx, peers, hash, optsKey, bench, mode); ok {
-				sess.Seed(bench, mode, e.Result)
-				source = CachePeer
-			}
-		}
-		res, err := sess.Result(ctx, bench, mode)
-		if err != nil {
-			return nil, err
-		}
+	answer := func(source string, res *sim.Result) SimulateResult {
 		s.storeWrite(hash, optsKey, bench, mode, opts, res)
 		return SimulateResult{
 			Benchmark:  bench,
@@ -344,15 +342,62 @@ func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (func(ctx
 			Cached:     source != CacheMiss,
 			Cache:      source,
 			Result:     res,
-		}, nil
+		}
 	}
-	return run, payload, meta, nil
+	// Resolve the cache source cheapest-first: session memo, local
+	// durable store, fleet peers, then a fresh simulation. Disk and peer
+	// hits are seeded into the memo, so the next request for the key is a
+	// memo hit. Concurrent misses for the same key still share one run:
+	// Seed is a no-op against an in-flight entry and Result joins it. This
+	// layering also makes WAL replay effectively exactly-once: a job that
+	// finished between its terminal record being lost and the crash
+	// re-runs as a memo/disk hit, not a second simulation.
+	local := func(resident bool) (SimulateResult, bool) {
+		if res, ok := sess.Lookup(bench, mode); ok {
+			return answer(CacheMemo, res), true
+		}
+		if resident && (s.store == nil || !s.store.Has(hash)) {
+			return SimulateResult{}, false
+		}
+		e, ok := s.storeLookup(hash, optsKey, bench, mode)
+		if !ok {
+			return SimulateResult{}, false
+		}
+		sess.Seed(bench, mode, e.Result)
+		// The seeded entry answers as a memo hit, as it would for the next
+		// request; only an in-flight run holding the slot defeats it.
+		res, ok := sess.Lookup(bench, mode)
+		if !ok {
+			res = e.Result
+		}
+		return answer(CacheDisk, res), true
+	}
+	run := func(ctx context.Context) (any, error) {
+		if res, ok := local(false); ok {
+			return res, nil
+		}
+		source := CacheMiss
+		if e, ok := s.peerLookup(ctx, peers, hash, optsKey, bench, mode); ok {
+			sess.Seed(bench, mode, e.Result)
+			source = CachePeer
+		}
+		res, err := sess.Result(ctx, bench, mode)
+		if err != nil {
+			return nil, err
+		}
+		return answer(source, res), nil
+	}
+	// Affinity is the machine-shape key, not the SimKey: two requests
+	// with different options can still share a shape, and fault-plan
+	// requests (shape "") opt out — they bypass the machine cache anyway.
+	meta := jobMeta{affinity: sess.Shape(bench, mode), bench: bench, mode: mode.String()}
+	return simulateJob{payload: payload, meta: meta, local: local, run: run}, nil
 }
 
 // respondSimulate is respondJob plus the X-Pac-Cache header: when the
-// job completed inside the wait window, the cache source recorded in its
-// result is surfaced for operators (and propagated verbatim by the
-// gateway's relay).
+// job completed inside the wait window, the cache source recorded on it
+// is surfaced for operators (and propagated verbatim by the gateway's
+// relay).
 func (s *Server) respondSimulate(w http.ResponseWriter, r *http.Request, job *Job) {
 	wait, err := waitWindow(r, s.cfg.RequestTimeout)
 	if err != nil {
@@ -360,30 +405,14 @@ func (s *Server) respondSimulate(w http.ResponseWriter, r *http.Request, job *Jo
 		return
 	}
 	if wait > 0 && s.await(r.Context(), job, wait) {
-		view := job.view(true)
-		if src := cacheSource(view.Result); src != "" {
+		if src := job.cacheSource(); src != "" {
 			w.Header().Set(CacheHeader, src)
 		}
-		writeJSON(w, http.StatusOK, view)
+		writeJSON(w, http.StatusOK, job.view(true))
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID())
 	writeJSON(w, http.StatusAccepted, job.view(false))
-}
-
-// cacheSource extracts the "cache" field from a terminal simulate
-// result; empty when the job failed or carries no such field.
-func cacheSource(raw json.RawMessage) string {
-	if len(raw) == 0 {
-		return ""
-	}
-	var probe struct {
-		Cache string `json:"cache"`
-	}
-	if json.Unmarshal(raw, &probe) != nil {
-		return ""
-	}
-	return probe.Cache
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, _ *http.Request) {

@@ -87,10 +87,14 @@ type Job struct {
 	clientCancel chan struct{}
 	cancelOnce   sync.Once
 
-	mu       sync.Mutex
-	status   Status
-	err      string
-	result   json.RawMessage
+	mu     sync.Mutex
+	status Status
+	err    string
+	result json.RawMessage
+	// source is the cache source a simulate job was answered from
+	// (memo|disk|peer|miss), recorded when it finishes done; empty for
+	// other kinds and for jobs that did not succeed.
+	source   string
 	progress []string
 	dropped  int // progress lines evicted by the retention cap
 	subs     []chan progressEvent
@@ -200,9 +204,18 @@ func (j *Job) subscribe(after int) (<-chan progressEvent, func()) {
 	}
 }
 
+// cacheSource returns the cache source recorded when the job finished
+// (see Job.source).
+func (j *Job) cacheSource() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.source
+}
+
 // finish moves the job to a terminal state, closing done and every
-// subscriber channel.
-func (j *Job) finish(status Status, result json.RawMessage, err error) {
+// subscriber channel. source is the cache source of a done simulate job
+// ("" otherwise).
+func (j *Job) finish(status Status, result json.RawMessage, source string, err error) {
 	j.mu.Lock()
 	if j.status.terminal() {
 		j.mu.Unlock()
@@ -210,6 +223,7 @@ func (j *Job) finish(status Status, result json.RawMessage, err error) {
 	}
 	j.status = status
 	j.result = result
+	j.source = source
 	if err != nil {
 		j.err = err.Error()
 	}
@@ -294,9 +308,11 @@ type jobManager struct {
 	// backoff between attempts.
 	maxRetries int
 	retryBase  time.Duration
-	// wal, when set, journals every accepted job before it is exposed
-	// and records each lifecycle transition, so a crashed daemon's boot
-	// replay can re-enqueue unfinished work under its original IDs.
+	// wal, when set, journals every job submit accepts before it is
+	// exposed and records each lifecycle transition, so a crashed
+	// daemon's boot replay can re-enqueue unfinished work under its
+	// original IDs. Jobs registered by completed are done at acceptance
+	// and never touch it.
 	wal *wal.Log
 
 	baseCtx    context.Context
@@ -359,10 +375,13 @@ func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetr
 	return m
 }
 
-// submit enqueues a job; errBusy when the queue is full, errDraining
-// after drain started. payload is the canonical request body journaled
-// to the WAL (and surfaced on orphaned-job views); nil is fine for
-// unjournaled managers. meta tags the job for affinity batching and
+// submit enqueues a job that still has work to do; errBusy when the
+// queue is full, errDraining after drain started. With a journal the
+// submit record is fsynced before the job is acknowledged, so a crash
+// after the acknowledgement replays it; a job already done at acceptance
+// goes through completed instead. payload is the canonical request body
+// journaled to the WAL (and surfaced on orphaned-job views); nil is fine
+// for unjournaled managers. meta tags the job for affinity batching and
 // pprof attribution (the zero value opts out of both).
 func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(ctx context.Context) (any, error)) (*Job, error) {
 	m.mu.Lock()
@@ -370,15 +389,8 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 		m.mu.Unlock()
 		return nil, errDraining
 	}
-	m.nextID++
-	// Fleet daemons prefix their node name so job IDs are unique across
-	// a gateway's whole backend set, making gateway job lookups exact.
-	id := fmt.Sprintf("j%06d", m.nextID)
-	if m.node != "" {
-		id = m.node + "-" + id
-	}
 	j := &Job{
-		id:           id,
+		id:           m.newIDLocked(),
 		kind:         kind,
 		node:         m.node,
 		meta:         meta,
@@ -398,24 +410,89 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 		return nil, errBusy
 	}
 	if m.wal != nil {
-		if err := m.wal.Submit(id, kind, payload); err != nil {
+		if err := m.wal.Submit(j.id, kind, payload); err != nil {
 			// The job is already on the queue; poison it so the worker
 			// skips it on pickup, and refuse the submission — a job the
 			// journal cannot make durable is never acknowledged.
 			m.mu.Unlock()
-			j.finish(StatusFailed, nil, err)
+			j.finish(StatusFailed, nil, "", err)
 			m.reg.Counter("pac_wal_journal_errors_total",
 				"WAL appends that failed.").Inc()
 			return nil, fmt.Errorf("server: journaling job: %w", err)
 		}
 	}
+	m.addLocked(j)
+	m.mu.Unlock()
+	m.noteSubmitted(kind)
+	m.noteDepth()
+	return j, nil
+}
+
+// completed registers a job that is already done at acceptance: a
+// simulate answered from the session memo or the local store. It shares
+// submit's ID counter and jobs table, so job lookups and /events work as
+// for any finished job, and it counts as submitted and finished. It
+// takes no queue slot and writes no WAL record: the journal recovers
+// accepted work that has not finished, and this job finished before it
+// was acknowledged. errDraining after drain started.
+func (m *jobManager) completed(kind string, payload []byte, meta jobMeta, result SimulateResult) (*Job, error) {
+	raw, err := json.Marshal(result)
+	if err != nil {
+		return nil, err
+	}
+	now := time.Now()
+	done := make(chan struct{})
+	close(done)
+	j := &Job{
+		kind:     kind,
+		node:     m.node,
+		meta:     meta,
+		payload:  payload,
+		status:   StatusDone,
+		result:   raw,
+		source:   result.Cache,
+		done:     done,
+		attempts: 1,
+		created:  now,
+		started:  now,
+		finished: now,
+	}
+	m.mu.Lock()
+	if !m.accepting {
+		m.mu.Unlock()
+		return nil, errDraining
+	}
+	j.id = m.newIDLocked()
+	m.addLocked(j)
+	m.mu.Unlock()
+	m.noteSubmitted(kind)
+	m.countFinished(kind, StatusDone)
+	return j, nil
+}
+
+// newIDLocked takes the next job ID. Fleet daemons prefix their node
+// name so job IDs are unique across a gateway's whole backend set,
+// making gateway job lookups exact.
+func (m *jobManager) newIDLocked() string {
+	m.nextID++
+	id := fmt.Sprintf("j%06d", m.nextID)
+	if m.node != "" {
+		id = m.node + "-" + id
+	}
+	return id
+}
+
+// addLocked enters an accepted job into the jobs table.
+func (m *jobManager) addLocked(j *Job) {
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.evictLocked()
-	m.mu.Unlock()
-	m.reg.Counter("pac_jobs_submitted_total", "Jobs accepted into the queue.", "kind", kind).Inc()
-	m.noteDepth()
-	return j, nil
+}
+
+// noteSubmitted counts one accepted job.
+func (m *jobManager) noteSubmitted(kind string) {
+	m.reg.Counter("pac_jobs_submitted_total",
+		"Jobs accepted, queued or answered already done.", "kind", kind).Inc()
 }
 
 // resubmit re-enqueues a journaled job under its original ID during
@@ -530,7 +607,7 @@ func (m *jobManager) cancelJob(j *Job) {
 	case j.status == StatusQueued:
 		// Finish directly; the worker skips terminal jobs on pickup.
 		j.mu.Unlock()
-		j.finish(StatusCancelled, nil, context.Canceled)
+		j.finish(StatusCancelled, nil, "", context.Canceled)
 		m.noteFinished(j, StatusCancelled)
 		m.noteDepth()
 		return
@@ -760,13 +837,17 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 
 	var status Status
 	var payload json.RawMessage
+	var source string
 	switch {
 	case err == nil:
 		status = StatusDone
+		if sr, ok := result.(SimulateResult); ok {
+			source = sr.Cache
+		}
 		if result != nil {
 			if payload, err = json.Marshal(result); err != nil {
 				status = StatusFailed
-				payload = nil
+				payload, source = nil, ""
 			}
 		}
 	case j.abortedByClient() || m.baseCtx.Err() != nil || isCancelled(err):
@@ -774,7 +855,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 	default:
 		status = StatusFailed
 	}
-	j.finish(status, payload, err)
+	j.finish(status, payload, source, err)
 	m.noteFinished(j, status)
 }
 
@@ -836,8 +917,13 @@ func (m *jobManager) noteFinished(j *Job, status Status) {
 			m.journal(m.wal.Cancel, j.id)
 		}
 	}
+	m.countFinished(j.kind, status)
+}
+
+// countFinished counts one job reaching a terminal status.
+func (m *jobManager) countFinished(kind string, status Status) {
 	m.reg.Counter("pac_jobs_finished_total", "Jobs finished, by kind and status.",
-		"kind", j.kind, "status", string(status)).Inc()
+		"kind", kind, "status", string(status)).Inc()
 }
 
 // walRunning adapts wal.Running to the journal helper's signature.

@@ -286,8 +286,10 @@ func (s *Server) replayWAL(recovered []wal.Job) {
 		switch rj.Kind {
 		case "simulate":
 			var req SimulateRequest
+			var sj simulateJob
 			if err = json.Unmarshal(rj.Payload, &req); err == nil {
-				run, _, meta, err = s.buildSimulateRun(req, s.cfg.Peers)
+				sj, err = s.buildSimulateRun(req, s.cfg.Peers)
+				run, meta = sj.run, sj.meta
 			}
 		case "experiment":
 			var req experimentRequest

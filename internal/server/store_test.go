@@ -27,14 +27,27 @@ func openTestStore(t *testing.T, dir string, reg *telemetry.Registry) *store.Sto
 // result payload plus the X-Pac-Cache header.
 func simulateOK(t *testing.T, srv *Server, req SimulateRequest) (map[string]any, string) {
 	t.Helper()
+	job, src := simulateJobOK(t, srv, req)
+	return job["result"].(map[string]any), src
+}
+
+// simulateJobOK posts one synchronous simulate and returns the terminal
+// job view and the X-Pac-Cache header, checking the header matches the
+// body's result.cache.
+func simulateJobOK(t *testing.T, srv *Server, req SimulateRequest) (map[string]any, string) {
+	t.Helper()
 	code, hdr, job := do(t, srv.Handler(), "POST", "/v1/simulate?wait=30s", req)
 	if code != http.StatusOK {
-		t.Fatalf("simulate = %d %v", code, job)
+		t.Fatalf("simulate %+v = %d %v", req, code, job)
 	}
 	if job["status"] != string(StatusDone) {
 		t.Fatalf("status = %v, error = %v", job["status"], job["error"])
 	}
-	return job["result"].(map[string]any), hdr.Get(CacheHeader)
+	src := hdr.Get(CacheHeader)
+	if got := job["result"].(map[string]any)["cache"]; got != src {
+		t.Fatalf("%s header %q, body result.cache %v", CacheHeader, src, got)
+	}
+	return job, src
 }
 
 // TestStoreDiskHitAcrossRestart is the tentpole acceptance at the server

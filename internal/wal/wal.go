@@ -1,7 +1,7 @@
 // Package wal is pacd's write-ahead job journal: the durability layer
-// that makes accepted work survive a crash. Every accepted job is
-// journaled — canonical request payload included — before it is
-// acknowledged, then followed through its lifecycle with state records
+// that makes accepted work survive a crash. Every job not already
+// finished at acceptance is journaled — canonical request payload
+// included — before it is acknowledged, then followed through its lifecycle with state records
 // (submitted → running → one terminal state). On boot the journal is
 // replayed and the surviving non-terminal jobs are handed back to the
 // server, which re-enqueues them under their original IDs; together
