@@ -127,14 +127,15 @@ examples:
 	$(GO) run ./examples/prefetchdemo
 
 # Short fuzzing passes over the binary-format parser, the coalescing
-# pipeline, the gateway's consistent-hash ring, and the two durability
-# journal parsers (job WAL, store index).
+# pipeline, the gateway's consistent-hash ring, the two durability
+# journal parsers (job WAL, store index) and the store's entry envelope.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 30s
 	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
+	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 30s
 
 # The CI-sized fuzz pass: ~30s total across every target, on top of the
 # always-on seed-corpus replay in the regular test run.
@@ -144,6 +145,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 5s
+	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 5s
 
 # The local pre-merge gate: formatting, vet, build, the full test suite,
 # and the pinned static analyzers when they are installed (they are

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -61,6 +62,20 @@ type memoEntry[T any] struct {
 	err     error
 	waiters int // guarded by the session mutex
 	cancel  context.CancelFunc
+
+	// render, rendered and renderErr cache json.Marshal(val), made at
+	// most once, the first time a caller asks for it after done (see
+	// renderJSON).
+	render    sync.Once
+	rendered  []byte
+	renderErr error
+}
+
+// renderJSON returns the entry's JSON rendering, rendering it on first
+// use. Call only after done closed with a nil err.
+func (e *memoEntry[T]) renderJSON() ([]byte, error) {
+	e.render.Do(func() { e.rendered, e.renderErr = json.Marshal(e.val) })
+	return e.rendered, e.renderErr
 }
 
 // Session runs experiments with memoised simulation results. It is safe
@@ -196,39 +211,63 @@ func (s *Session) Result(ctx context.Context, bench string, mode coalesce.Mode) 
 	return s.resultCtx(ctx, bench, mode, varDefault)
 }
 
-// Lookup returns the memoised result of the benchmark/mode combination
-// when it has completed successfully, and never blocks: an absent,
-// in-flight or failed entry reports false, so a caller can neither start
-// nor join a simulation through it. A hit counts as a memo hit, exactly
-// as Result answering it would; a miss counts nothing, leaving the memo
-// miss to the Result call that resolves it.
-func (s *Session) Lookup(bench string, mode coalesce.Mode) (*sim.Result, bool) {
+// ResultJSON is Result plus the result's JSON rendering
+// (json.Marshal of the *sim.Result), which the memo entry renders once
+// and keeps: every later ResultJSON or Lookup of the combination
+// returns the same bytes without rendering again.
+func (s *Session) ResultJSON(ctx context.Context, bench string, mode coalesce.Mode) (*sim.Result, []byte, error) {
+	e, err := s.simEntry(ctx, simKey{bench, mode, varDefault})
+	if err != nil {
+		return nil, nil, err
+	}
+	js, err := e.renderJSON()
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: rendering %s %s: %w", bench, mode, err)
+	}
+	return e.val, js, nil
+}
+
+// Lookup returns the memoised result of the benchmark/mode combination,
+// with its cached JSON rendering (see ResultJSON), when it has completed
+// successfully — a memo hit served as stored bytes. It never blocks: an
+// absent, in-flight or failed entry reports false, so a caller can
+// neither start nor join a simulation through it. A hit counts as a memo
+// hit, exactly as Result answering it would; a miss counts nothing,
+// leaving the memo miss to the Result call that resolves it. An entry
+// whose result cannot be rendered reports false.
+func (s *Session) Lookup(bench string, mode coalesce.Mode) (*sim.Result, []byte, bool) {
 	s.mu.Lock()
 	e, ok := s.sims[simKey{bench, mode, varDefault}]
 	hooks := s.hooks
 	s.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	select {
 	case <-e.done:
 	default:
-		return nil, false
+		return nil, nil, false
 	}
 	if e.err != nil {
-		return nil, false
+		return nil, nil, false
+	}
+	js, err := e.renderJSON()
+	if err != nil {
+		return nil, nil, false
 	}
 	s.noteMemo(hooks, true, bench, mode.String())
-	return e.val, true
+	return e.val, js, true
 }
 
 // Seed installs an already-completed result into the memo — the durable
-// result store's path back into a session, at warm boot and on disk or
-// peer cache hits. The entry is created pre-resolved, so later Result
-// calls for the combination return res without running a simulation. A
+// result store's path back into a session, at warm boot and on peer
+// cache hits. The entry is created pre-resolved, so later Result calls
+// for the combination return res without running a simulation. rendered,
+// when non-nil, is the caller's json.Marshal of res and becomes the
+// entry's cached rendering; nil leaves it to be rendered on first use. A
 // combination that already has a memo entry (completed or in flight) is
 // left untouched and Seed reports false.
-func (s *Session) Seed(bench string, mode coalesce.Mode, res *sim.Result) bool {
+func (s *Session) Seed(bench string, mode coalesce.Mode, res *sim.Result, rendered []byte) bool {
 	if res == nil {
 		return false
 	}
@@ -240,7 +279,11 @@ func (s *Session) Seed(bench string, mode coalesce.Mode, res *sim.Result) bool {
 	}
 	done := make(chan struct{})
 	close(done)
-	s.sims[k] = &memoEntry[*sim.Result]{done: done, val: res, cancel: func() {}}
+	e := &memoEntry[*sim.Result]{done: done, val: res, cancel: func() {}}
+	if rendered != nil {
+		e.render.Do(func() { e.rendered = rendered })
+	}
+	s.sims[k] = e
 	return true
 }
 
@@ -251,12 +294,21 @@ func (s *Session) result(bench string, mode coalesce.Mode, v variant) (*sim.Resu
 	return s.resultCtx(context.Background(), bench, mode, v)
 }
 
-// resultCtx runs (or recalls) one simulation. Concurrent callers for the
-// same key block until the executing goroutine finishes and then share
-// its *sim.Result; a caller whose ctx expires first unregisters, and the
-// last such caller aborts the run.
+// resultCtx runs (or recalls) one simulation.
 func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mode, v variant) (*sim.Result, error) {
-	k := simKey{bench, mode, v}
+	e, err := s.simEntry(ctx, simKey{bench, mode, v})
+	if err != nil {
+		return nil, err
+	}
+	return e.val, nil
+}
+
+// simEntry runs (or recalls) one simulation and returns its completed
+// memo entry. Concurrent callers for the same key block until the
+// executing goroutine finishes and then share its entry; a caller whose
+// ctx expires first unregisters, and the last such caller aborts the run.
+func (s *Session) simEntry(ctx context.Context, k simKey) (*memoEntry[*sim.Result], error) {
+	bench, mode := k.bench, k.mode
 	for {
 		s.mu.Lock()
 		e, hit := s.sims[k]
@@ -295,7 +347,7 @@ func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mod
 			if cancelled(e.err) && ctx.Err() == nil {
 				continue
 			}
-			return e.val, e.err
+			return e, e.err
 		case <-ctx.Done():
 			s.mu.Lock()
 			e.waiters--
@@ -303,7 +355,7 @@ func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mod
 			case <-e.done:
 				// Finished while we were leaving: use the result.
 				s.mu.Unlock()
-				return e.val, e.err
+				return e, e.err
 			default:
 			}
 			last := e.waiters == 0

@@ -74,7 +74,7 @@ func TestResultCancelledWhenLastWaiterLeaves(t *testing.T) {
 		t.Errorf("KindSimCancelled fired %d times, want 1", cancelled)
 	}
 	mu.Unlock()
-	if _, ok := s.Lookup("STREAM", coalesce.ModePAC); ok {
+	if _, _, ok := s.Lookup("STREAM", coalesce.ModePAC); ok {
 		t.Error("Lookup hits an aborted run")
 	}
 	if s.Completed() != 0 {
@@ -141,7 +141,7 @@ func TestResultRerunsAfterCancellation(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("fresh run after cancellation: res=%v err=%v", res, err)
 	}
-	if _, ok := s.Lookup("STREAM", coalesce.ModePAC); !ok {
+	if _, _, ok := s.Lookup("STREAM", coalesce.ModePAC); !ok {
 		t.Error("successful re-run not memoised")
 	}
 }

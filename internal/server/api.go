@@ -17,7 +17,6 @@ import (
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/report"
-	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/telemetry"
 	"github.com/pacsim/pac/internal/workload"
 )
@@ -288,15 +287,49 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// is already done; only a miss pays for a queue slot, a worker handoff
 	// and the journal.
 	var job *Job
-	if res, ok := sj.local(true); ok {
-		job, err = s.jobs.completed("simulate", sj.payload, sj.meta, res)
+	if ans, ok := sj.local(true); ok {
+		job, err = s.jobs.completed("simulate", sj.payload, ans)
 	} else {
-		job, err = s.jobs.submit("simulate", sj.payload, sj.meta, sj.run)
+		job, err = s.jobs.submit("simulate", sj.payload, sj.meta(), sj.run)
 	}
 	if !s.submitted(w, job, err) {
 		return
 	}
 	s.respondSimulate(w, r, job)
+}
+
+// simulateAnswer is a finished simulate job's answer: the SimulateResult
+// fields, and the result as the memo or the store keeps it — the compact
+// json.Marshal of the *sim.Result. Replies are assembled around those
+// bytes; the result is never marshalled again.
+type simulateAnswer struct {
+	head   SimulateResult // Result unset
+	result []byte
+}
+
+// newSimulateAnswer records where an answer came from around its stored
+// result bytes.
+func newSimulateAnswer(bench string, mode coalesce.Mode, hash, source string, result []byte) *simulateAnswer {
+	return &simulateAnswer{
+		head: SimulateResult{
+			Benchmark:  bench,
+			Mode:       mode.String(),
+			ConfigHash: hash,
+			Cached:     source != CacheMiss,
+			Cache:      source,
+		},
+		result: result,
+	}
+}
+
+// compact renders the SimulateResult JSON: the same bytes as json.Marshal
+// of a SimulateResult carrying the result.
+func (a *simulateAnswer) compact() []byte {
+	head, _ := json.Marshal(a.head) // strings and a bool cannot fail
+	// head ends in the unset Result's null}: the bytes go there.
+	head = head[:len(head)-len("null}")]
+	out := make([]byte, 0, len(head)+len(a.result)+1)
+	return append(append(append(out, head...), a.result...), '}')
 }
 
 // simulateJob is one resolved simulate request.
@@ -305,23 +338,23 @@ type simulateJob struct {
 	// Resolution against the base options is deterministic, so replaying
 	// it after a crash reproduces the original job exactly.
 	payload []byte
-	// meta is the job's scheduling meta (machine-shape affinity key,
-	// bench/mode pprof labels).
-	meta jobMeta
+	// meta computes the job's scheduling meta (machine-shape affinity
+	// key, bench/mode pprof labels). Only a job that enters the queue
+	// reads it, so an inline hit never pays for the shape hash.
+	meta func() jobMeta
 	// local answers from this node alone — the session memo, then the
 	// local store — and never simulates or blocks. With resident set it
 	// reads the store only for a key the store holds, so the handler's
 	// probe leaves a miss to be counted once, by the job that resolves it.
-	local func(resident bool) (SimulateResult, bool)
+	local func(resident bool) (*simulateAnswer, bool)
 	// run is the job closure: local, then fleet peers, then a fresh
 	// simulation.
 	run func(ctx context.Context) (any, error)
 }
 
 // buildSimulateRun resolves a simulate request — validation, session,
-// SimKey, payload and affinity meta, each exactly once — into its
-// resolution chain. The HTTP handler and the boot replay share this one
-// path.
+// SimKey and payload, each exactly once — into its resolution chain. The
+// HTTP handler and the boot replay share this one path.
 func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulateJob, error) {
 	opts, bench, mode, err := s.validate(req)
 	if err != nil {
@@ -333,64 +366,56 @@ func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulate
 	}
 	sess, optsKey := s.pool.session(opts)
 	hash := configHash(optsKey, bench, mode)
-	answer := func(source string, res *sim.Result) SimulateResult {
-		s.storeWrite(hash, optsKey, bench, mode, opts, res)
-		return SimulateResult{
-			Benchmark:  bench,
-			Mode:       mode.String(),
-			ConfigHash: hash,
-			Cached:     source != CacheMiss,
-			Cache:      source,
-			Result:     res,
-		}
+	answer := func(source string, result []byte) *simulateAnswer {
+		return newSimulateAnswer(bench, mode, hash, source, result)
 	}
 	// Resolve the cache source cheapest-first: session memo, local
-	// durable store, fleet peers, then a fresh simulation. Disk and peer
-	// hits are seeded into the memo, so the next request for the key is a
-	// memo hit. Concurrent misses for the same key still share one run:
-	// Seed is a no-op against an in-flight entry and Result joins it. This
-	// layering also makes WAL replay effectively exactly-once: a job that
-	// finished between its terminal record being lost and the crash
-	// re-runs as a memo/disk hit, not a second simulation.
-	local := func(resident bool) (SimulateResult, bool) {
-		if res, ok := sess.Lookup(bench, mode); ok {
-			return answer(CacheMemo, res), true
+	// durable store, fleet peers, then a fresh simulation. Every source
+	// answers with stored bytes: the memo entry's rendering of its result,
+	// or the store entry's answer section, so a hit decodes and marshals
+	// nothing. A disk hit does not seed the memo — answering from disk
+	// again costs about what a memo hit does. Peer hits are seeded, and
+	// concurrent misses for the same key still share one run: Seed is a
+	// no-op against an in-flight entry and Result joins it. This layering
+	// also makes WAL replay effectively exactly-once: a job that finished
+	// between its terminal record being lost and the crash re-runs as a
+	// memo/disk hit, not a second simulation.
+	local := func(resident bool) (*simulateAnswer, bool) {
+		if res, js, ok := sess.Lookup(bench, mode); ok {
+			s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
+			return answer(CacheMemo, js), true
 		}
 		if resident && (s.store == nil || !s.store.Has(hash)) {
-			return SimulateResult{}, false
+			return nil, false
 		}
-		e, ok := s.storeLookup(hash, optsKey, bench, mode)
+		a, ok := s.storeLookup(hash, optsKey, bench, mode)
 		if !ok {
-			return SimulateResult{}, false
+			return nil, false
 		}
-		sess.Seed(bench, mode, e.Result)
-		// The seeded entry answers as a memo hit, as it would for the next
-		// request; only an in-flight run holding the slot defeats it.
-		res, ok := sess.Lookup(bench, mode)
-		if !ok {
-			res = e.Result
-		}
-		return answer(CacheDisk, res), true
+		return answer(CacheDisk, a.JSON), true
 	}
 	run := func(ctx context.Context) (any, error) {
-		if res, ok := local(false); ok {
-			return res, nil
+		if ans, ok := local(false); ok {
+			return ans, nil
 		}
 		source := CacheMiss
-		if e, ok := s.peerLookup(ctx, peers, hash, optsKey, bench, mode); ok {
-			sess.Seed(bench, mode, e.Result)
+		if v, ok := s.peerLookup(ctx, peers, hash, optsKey, bench, mode); ok {
+			sess.Seed(bench, mode, v.Entry.Result, v.Answer)
 			source = CachePeer
 		}
-		res, err := sess.Result(ctx, bench, mode)
+		res, js, err := sess.ResultJSON(ctx, bench, mode)
 		if err != nil {
 			return nil, err
 		}
-		return answer(source, res), nil
+		s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
+		return answer(source, js), nil
 	}
 	// Affinity is the machine-shape key, not the SimKey: two requests
 	// with different options can still share a shape, and fault-plan
 	// requests (shape "") opt out — they bypass the machine cache anyway.
-	meta := jobMeta{affinity: sess.Shape(bench, mode), bench: bench, mode: mode.String()}
+	meta := func() jobMeta {
+		return jobMeta{affinity: sess.Shape(bench, mode), bench: bench, mode: mode.String()}
+	}
 	return simulateJob{payload: payload, meta: meta, local: local, run: run}, nil
 }
 
@@ -405,10 +430,13 @@ func (s *Server) respondSimulate(w http.ResponseWriter, r *http.Request, job *Jo
 		return
 	}
 	if wait > 0 && s.await(r.Context(), job, wait) {
-		if src := job.cacheSource(); src != "" {
-			w.Header().Set(CacheHeader, src)
+		v, ans := job.snapshot(true)
+		if ans == nil {
+			writeJSON(w, http.StatusOK, v)
+			return
 		}
-		writeJSON(w, http.StatusOK, job.view(true))
+		w.Header().Set(CacheHeader, ans.head.Cache)
+		writeAnswerView(w, http.StatusOK, v, ans)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID())

@@ -153,7 +153,7 @@ func TestInlineHitsAnswerLikeQueuedJobs(t *testing.T) {
 	}
 	check(CacheMemo, nil)
 	check(CacheDisk, func() { simulateJobOK(t, srv, hitReqB) }) // evicts A's session
-	check(CacheMemo, nil)                                       // the disk hit seeded the memo
+	check(CacheDisk, nil)                                       // a disk hit does not seed the memo
 }
 
 // TestInlineHitsBypassFullQueue: with the only worker busy and the queue
@@ -162,10 +162,14 @@ func TestInlineHitsBypassFullQueue(t *testing.T) {
 	srv := newInlineDaemon(t, func(c *Config) {
 		c.Concurrency = 1
 		c.QueueDepth = 1
+		// Four session slots: the three slow requests below evict only
+		// A's session, the least recently used, so B stays in the memo
+		// and A is on disk only.
+		c.MaxSessions = 4
 	}).srv
 	h := srv.Handler()
 	simulateJobOK(t, srv, hitReqA)
-	simulateJobOK(t, srv, hitReqB) // A is now on disk only
+	simulateJobOK(t, srv, hitReqB)
 
 	code, _, running := do(t, h, "POST", "/v1/simulate", slowRequest(201))
 	if code != http.StatusAccepted {
@@ -184,11 +188,11 @@ func TestInlineHitsBypassFullQueue(t *testing.T) {
 		t.Fatalf("miss on a full queue = %d, want 429", code)
 	}
 
+	if _, src := simulateJobOK(t, srv, hitReqB); src != CacheMemo {
+		t.Errorf("memo hit on a full queue served from %q", src)
+	}
 	if _, src := simulateJobOK(t, srv, hitReqA); src != CacheDisk {
 		t.Errorf("disk hit on a full queue served from %q", src)
-	}
-	if _, src := simulateJobOK(t, srv, hitReqA); src != CacheMemo {
-		t.Errorf("memo hit on a full queue served from %q", src)
 	}
 }
 

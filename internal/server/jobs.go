@@ -91,10 +91,11 @@ type Job struct {
 	status Status
 	err    string
 	result json.RawMessage
-	// source is the cache source a simulate job was answered from
-	// (memo|disk|peer|miss), recorded when it finishes done; empty for
-	// other kinds and for jobs that did not succeed.
-	source   string
+	// answer is a done simulate job's answer, in place of result (nil
+	// for other kinds and for jobs that did not succeed). A retained job
+	// keeps only the stored bytes, often shared with the memo; views
+	// render the SimulateResult JSON around them when asked.
+	answer   *simulateAnswer
 	progress []string
 	dropped  int // progress lines evicted by the retention cap
 	subs     []chan progressEvent
@@ -204,18 +205,10 @@ func (j *Job) subscribe(after int) (<-chan progressEvent, func()) {
 	}
 }
 
-// cacheSource returns the cache source recorded when the job finished
-// (see Job.source).
-func (j *Job) cacheSource() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.source
-}
-
 // finish moves the job to a terminal state, closing done and every
-// subscriber channel. source is the cache source of a done simulate job
-// ("" otherwise).
-func (j *Job) finish(status Status, result json.RawMessage, source string, err error) {
+// subscriber channel. ans is a done simulate job's answer (nil
+// otherwise).
+func (j *Job) finish(status Status, result json.RawMessage, ans *simulateAnswer, err error) {
 	j.mu.Lock()
 	if j.status.terminal() {
 		j.mu.Unlock()
@@ -223,7 +216,7 @@ func (j *Job) finish(status Status, result json.RawMessage, source string, err e
 	}
 	j.status = status
 	j.result = result
-	j.source = source
+	j.answer = ans
 	if err != nil {
 		j.err = err.Error()
 	}
@@ -264,6 +257,17 @@ type jobView struct {
 // view snapshots the job; withResult controls whether the (potentially
 // large) result payload is included.
 func (j *Job) view(withResult bool) jobView {
+	v, ans := j.snapshot(withResult)
+	if ans != nil {
+		v.Result = ans.compact()
+	}
+	return v
+}
+
+// snapshot is view without rendering a simulate answer: with
+// withResult, a done simulate job's answer is returned for the caller to
+// write, and the view's Result is left empty.
+func (j *Job) snapshot(withResult bool) (jobView, *simulateAnswer) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := jobView{
@@ -278,8 +282,9 @@ func (j *Job) view(withResult bool) jobView {
 		Attempts:  j.attempts,
 		CreatedAt: j.created,
 	}
+	var ans *simulateAnswer
 	if withResult {
-		v.Result = j.result
+		v.Result, ans = j.result, j.answer
 		if len(j.payload) > 0 {
 			v.Request = json.RawMessage(j.payload)
 		}
@@ -292,7 +297,7 @@ func (j *Job) view(withResult bool) jobView {
 		t := j.finished
 		v.FinishedAt = &t
 	}
-	return v
+	return v, ans
 }
 
 // jobManager owns the bounded queue, the worker pool, and the job store.
@@ -339,12 +344,18 @@ type jobManager struct {
 	pending        []*Job
 	wake           chan struct{}
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string // insertion order, for retention eviction
-	nextID    int
-	accepting bool
-	closing   sync.Once
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// order is submission order, for listing; it may still hold IDs of
+	// evicted jobs until evictLocked compacts it.
+	order []string
+	// finishedJobs[finishedHead:] are the retained terminal jobs in the
+	// order they finished: the retention eviction queue.
+	finishedJobs []*Job
+	finishedHead int
+	nextID       int
+	accepting    bool
+	closing      sync.Once
 }
 
 func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetries int,
@@ -415,7 +426,7 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 			// skips it on pickup, and refuse the submission — a job the
 			// journal cannot make durable is never acknowledged.
 			m.mu.Unlock()
-			j.finish(StatusFailed, nil, "", err)
+			j.finish(StatusFailed, nil, nil, err)
 			m.reg.Counter("pac_wal_journal_errors_total",
 				"WAL appends that failed.").Inc()
 			return nil, fmt.Errorf("server: journaling job: %w", err)
@@ -432,25 +443,20 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 // simulate answered from the session memo or the local store. It shares
 // submit's ID counter and jobs table, so job lookups and /events work as
 // for any finished job, and it counts as submitted and finished. It
-// takes no queue slot and writes no WAL record: the journal recovers
-// accepted work that has not finished, and this job finished before it
-// was acknowledged. errDraining after drain started.
-func (m *jobManager) completed(kind string, payload []byte, meta jobMeta, result SimulateResult) (*Job, error) {
-	raw, err := json.Marshal(result)
-	if err != nil {
-		return nil, err
-	}
+// takes no queue slot, writes no WAL record and carries no scheduling
+// meta: the journal recovers accepted work that has not finished, and
+// this job finished before it was acknowledged. errDraining after drain
+// started.
+func (m *jobManager) completed(kind string, payload []byte, ans *simulateAnswer) (*Job, error) {
 	now := time.Now()
 	done := make(chan struct{})
 	close(done)
 	j := &Job{
 		kind:     kind,
 		node:     m.node,
-		meta:     meta,
 		payload:  payload,
 		status:   StatusDone,
-		result:   raw,
-		source:   result.Cache,
+		answer:   ans,
 		done:     done,
 		attempts: 1,
 		created:  now,
@@ -463,6 +469,7 @@ func (m *jobManager) completed(kind string, payload []byte, meta jobMeta, result
 		return nil, errDraining
 	}
 	j.id = m.newIDLocked()
+	m.finishedJobs = append(m.finishedJobs, j)
 	m.addLocked(j)
 	m.mu.Unlock()
 	m.noteSubmitted(kind)
@@ -562,21 +569,40 @@ func (m *jobManager) journal(op func(id string) error, id string) {
 	}
 }
 
-// evictLocked drops the oldest finished jobs beyond the retention cap.
+// evictLocked drops finished jobs beyond the retention cap, oldest
+// finished first. It takes them from the queue of finished jobs, so a
+// job that has not finished is never evicted, and the cost is O(1)
+// amortized per accepted job: no scan of the table.
 func (m *jobManager) evictLocked() {
-	if m.retain <= 0 || len(m.jobs) <= m.retain {
+	if m.retain <= 0 {
 		return
 	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		if len(m.jobs) > m.retain && j != nil && j.Status().terminal() {
-			delete(m.jobs, id)
-			continue
+	for len(m.jobs) > m.retain && m.finishedHead < len(m.finishedJobs) {
+		j := m.finishedJobs[m.finishedHead]
+		m.finishedJobs[m.finishedHead] = nil
+		m.finishedHead++
+		if m.jobs[j.id] == j {
+			delete(m.jobs, j.id)
 		}
-		kept = append(kept, id)
 	}
-	m.order = kept
+	// Reclaim the consumed prefix of the finished queue, and the IDs of
+	// evicted jobs in the listing order, once each is mostly garbage.
+	if m.finishedHead > len(m.finishedJobs)/2 {
+		n := copy(m.finishedJobs, m.finishedJobs[m.finishedHead:])
+		clear(m.finishedJobs[n:])
+		m.finishedJobs = m.finishedJobs[:n]
+		m.finishedHead = 0
+	}
+	if len(m.order) > 2*len(m.jobs)+64 {
+		kept := m.order[:0]
+		for _, id := range m.order {
+			if _, ok := m.jobs[id]; ok {
+				kept = append(kept, id)
+			}
+		}
+		clear(m.order[len(kept):])
+		m.order = kept
+	}
 }
 
 // get finds a job by ID.
@@ -607,7 +633,7 @@ func (m *jobManager) cancelJob(j *Job) {
 	case j.status == StatusQueued:
 		// Finish directly; the worker skips terminal jobs on pickup.
 		j.mu.Unlock()
-		j.finish(StatusCancelled, nil, "", context.Canceled)
+		j.finish(StatusCancelled, nil, nil, context.Canceled)
 		m.noteFinished(j, StatusCancelled)
 		m.noteDepth()
 		return
@@ -837,17 +863,16 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 
 	var status Status
 	var payload json.RawMessage
-	var source string
+	var ans *simulateAnswer
 	switch {
 	case err == nil:
 		status = StatusDone
-		if sr, ok := result.(SimulateResult); ok {
-			source = sr.Cache
-		}
-		if result != nil {
+		if a, ok := result.(*simulateAnswer); ok {
+			ans = a
+		} else if result != nil {
 			if payload, err = json.Marshal(result); err != nil {
 				status = StatusFailed
-				payload, source = nil, ""
+				payload = nil
 			}
 		}
 	case j.abortedByClient() || m.baseCtx.Err() != nil || isCancelled(err):
@@ -855,7 +880,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 	default:
 		status = StatusFailed
 	}
-	j.finish(status, payload, source, err)
+	j.finish(status, payload, ans, err)
 	m.noteFinished(j, status)
 }
 
@@ -906,7 +931,13 @@ func isCancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// noteFinished queues a queued job that reached a terminal state for
+// retention eviction, in finishing order, then journals and counts the
+// transition.
 func (m *jobManager) noteFinished(j *Job, status Status) {
+	m.mu.Lock()
+	m.finishedJobs = append(m.finishedJobs, j)
+	m.mu.Unlock()
 	if m.wal != nil {
 		switch status {
 		case StatusDone:

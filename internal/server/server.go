@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -289,7 +290,9 @@ func (s *Server) replayWAL(recovered []wal.Job) {
 			var sj simulateJob
 			if err = json.Unmarshal(rj.Payload, &req); err == nil {
 				sj, err = s.buildSimulateRun(req, s.cfg.Peers)
-				run, meta = sj.run, sj.meta
+				if err == nil {
+					run, meta = sj.run, sj.meta()
+				}
 			}
 		case "experiment":
 			var req experimentRequest
@@ -502,6 +505,32 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeAnswerView writes a done simulate job's view as writeJSON would,
+// except that the stored result bytes are written as they are rather
+// than re-scanned and indented: every other field keeps the two-space
+// indent, the result field comes last, and the *sim.Result inside it
+// stays compact.
+func writeAnswerView(w http.ResponseWriter, code int, v jobView, ans *simulateAnswer) {
+	view, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	// view ends in "\n}": reopen the object for the result field, whose
+	// own fields end in the unset Result's null, where the bytes go.
+	view = view[:len(view)-2]
+	const field, end = ",\n  \"result\": ", "\n}\n"
+	head, _ := json.MarshalIndent(ans.head, "  ", "  ") // strings and a bool cannot fail
+	i := bytes.LastIndex(head, []byte("null"))
+	n := len(view) + len(field) + len(head) - len("null") + len(ans.result) + len(end)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(code)
+	for _, b := range [][]byte{view, []byte(field), head[:i], ans.result, head[i+len("null"):], []byte(end)} {
+		w.Write(b)
+	}
 }
 
 // writeError renders the uniform error envelope.

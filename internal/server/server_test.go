@@ -304,8 +304,19 @@ func TestCancelRunningJob(t *testing.T) {
 	if final["status"] != string(StatusCancelled) {
 		t.Fatalf("final status = %v, want cancelled", final["status"])
 	}
-	if v, _ := srv.Registry().Value(telemetry.MetricSimsCancelled); v < 1 {
-		t.Errorf("%s = %v, want >= 1", telemetry.MetricSimsCancelled, v)
+	// The job turns cancelled as soon as its waiter leaves; the detached
+	// simulation reports the cancellation at its next context poll, so
+	// wait for the counter rather than read it once.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v, _ := srv.Registry().Value(telemetry.MetricSimsCancelled)
+		if v >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %v, want >= 1", telemetry.MetricSimsCancelled, v)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 const (
 	// CacheMemo: the in-memory session memo had the result.
 	CacheMemo = "memo"
-	// CacheDisk: the local durable store had it; the session was seeded.
+	// CacheDisk: the local durable store had it. The answer is the
+	// entry's stored bytes and the session is not seeded, so a repeat is
+	// a disk hit again.
 	CacheDisk = "disk"
 	// CachePeer: a ring peer's store had it; fetched, persisted locally,
 	// and seeded.
@@ -47,40 +49,41 @@ const (
 // not a plausible simulation result.
 const peerBlobLimit = 64 << 20
 
-// storeLookup consults the durable store for the sim key, verifying that
-// the stored identity matches the request before trusting it (a truncated
-// hash collision or a foreign file must read as a miss, not a wrong
-// answer).
-func (s *Server) storeLookup(hash, optsKey, bench string, mode coalesce.Mode) (store.Entry, bool) {
+// storeLookup reads the sim key's answer from the durable store,
+// verifying that the stored identity matches the request before trusting
+// it (a truncated hash collision or a foreign file must read as a miss,
+// not a wrong answer).
+func (s *Server) storeLookup(hash, optsKey, bench string, mode coalesce.Mode) (store.Answer, bool) {
 	if s.store == nil {
-		return store.Entry{}, false
+		return store.Answer{}, false
 	}
-	e, ok := s.store.Get(hash)
+	a, ok := s.store.Answer(hash)
 	if !ok {
-		return store.Entry{}, false
+		return store.Answer{}, false
 	}
-	if e.OptionsHash != optsKey || e.Benchmark != bench || e.Mode != mode.String() {
-		return store.Entry{}, false
+	if a.OptionsHash != optsKey || a.Benchmark != bench || a.Mode != mode.String() {
+		return store.Answer{}, false
 	}
-	return e, true
+	return a, true
 }
 
-// storeWrite persists a completed result (write-through). Memo-sourced
-// results flow through here too, so a store attached to a warm daemon
-// backfills from traffic. Write failures are non-fatal: the simulation
-// answer is already in hand.
-func (s *Server) storeWrite(hash, optsKey, bench string, mode coalesce.Mode, opts experiments.Options, res *sim.Result) {
+// storeWrite persists a completed result (write-through) with rendered,
+// its JSON rendering, as the entry's answer section. Memo-sourced results
+// flow through here too, so a store attached to a warm daemon backfills
+// from traffic. Write failures are non-fatal: the simulation answer is
+// already in hand.
+func (s *Server) storeWrite(hash, optsKey, bench string, mode coalesce.Mode, opts experiments.Options, res *sim.Result, rendered []byte) {
 	if s.store == nil || s.store.Has(hash) {
 		return
 	}
-	_ = s.store.Put(store.Entry{
+	_ = s.store.PutAnswer(store.Entry{
 		Key:         hash,
 		OptionsHash: optsKey,
 		Benchmark:   bench,
 		Mode:        mode.String(),
 		Options:     opts,
 		Result:      res,
-	})
+	}, rendered)
 }
 
 // peerList merges the statically configured peers with the gateway's
@@ -107,60 +110,62 @@ func peerList(static []string, header string) []string {
 
 // peerLookup asks ring peers for the entry on a local store miss: one
 // GET /v1/store/{key} per peer, first validated answer wins. The fetched
-// envelope is re-verified end to end (checksum, key, request identity),
-// persisted locally via PutRaw, and returned — one node's cold miss
-// becomes another's disk hit. Every failure mode falls through to the
-// next peer; an empty result means the caller simulates.
-func (s *Server) peerLookup(ctx context.Context, peers []string, hash, optsKey, bench string, mode coalesce.Mode) (store.Entry, bool) {
+// envelope goes through store.Verify (checksum, key, identity, and this
+// node's own rendering of the result against the answer section), must
+// match the request's identity, and is persisted locally — verbatim, or
+// rebuilt when Verify rebuilt it — so one node's cold miss becomes
+// another's disk hit. Every failure mode falls through to the next peer;
+// an empty result means the caller simulates.
+func (s *Server) peerLookup(ctx context.Context, peers []string, hash, optsKey, bench string, mode coalesce.Mode) (store.Verified, bool) {
 	if s.store == nil || len(peers) == 0 {
-		return store.Entry{}, false
+		return store.Verified{}, false
 	}
 	for _, peer := range peers {
-		e, ok := s.fetchFromPeer(ctx, peer, hash, optsKey, bench, mode)
+		v, ok := s.fetchFromPeer(ctx, peer, hash, optsKey, bench, mode)
 		if ok {
 			s.peerHits.Inc()
-			return e, true
+			return v, true
 		}
 		if ctx.Err() != nil {
 			break
 		}
 	}
 	s.peerMisses.Inc()
-	return store.Entry{}, false
+	return store.Verified{}, false
 }
 
-// fetchFromPeer retrieves and validates one peer's copy of the entry.
-func (s *Server) fetchFromPeer(ctx context.Context, peer, hash, optsKey, bench string, mode coalesce.Mode) (store.Entry, bool) {
+// fetchFromPeer retrieves and verifies one peer's copy of the entry.
+func (s *Server) fetchFromPeer(ctx context.Context, peer, hash, optsKey, bench string, mode coalesce.Mode) (store.Verified, bool) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.PeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/store/"+hash, nil)
 	if err != nil {
-		return store.Entry{}, false
+		return store.Verified{}, false
 	}
 	resp, err := s.peerClient.Do(req)
 	if err != nil {
-		return store.Entry{}, false
+		return store.Verified{}, false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return store.Entry{}, false
+		return store.Verified{}, false
 	}
 	blob, err := io.ReadAll(io.LimitReader(resp.Body, peerBlobLimit+1))
 	if err != nil || len(blob) > peerBlobLimit {
-		return store.Entry{}, false
+		return store.Verified{}, false
 	}
-	e, err := store.DecodeEntry(hash, blob)
+	v, err := store.Verify(hash, blob)
 	if err != nil {
-		return store.Entry{}, false
+		return store.Verified{}, false
 	}
-	if e.OptionsHash != optsKey || e.Benchmark != bench || e.Mode != mode.String() {
-		return store.Entry{}, false
+	if e := v.Entry; e.OptionsHash != optsKey || e.Benchmark != bench || e.Mode != mode.String() {
+		return store.Verified{}, false
 	}
-	// Persist the verified bytes verbatim so the next restart (and the
-	// next peer asking us) serves them from local disk.
-	_ = s.store.PutRaw(hash, blob)
-	return e, true
+	// Persist the verified envelope so the next restart (and the next
+	// peer asking us) serves it from local disk.
+	_ = s.store.PutVerified(v)
+	return v, true
 }
 
 // handleStoreGet serves GET /v1/store/{key}: the raw entry envelope,
@@ -211,7 +216,7 @@ func (s *Server) warmFromStore(budget int) {
 		if optsKey != e.OptionsHash || configHash(optsKey, e.Benchmark, mode) != e.Key {
 			continue
 		}
-		if sess.Seed(e.Benchmark, mode, e.Result) {
+		if sess.Seed(e.Benchmark, mode, e.Result, nil) {
 			warmed++
 		}
 	}

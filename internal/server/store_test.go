@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/pacsim/pac/internal/coalesce"
+	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/store"
 	"github.com/pacsim/pac/internal/telemetry"
 )
@@ -95,11 +101,17 @@ func TestStoreDiskHitAcrossRestart(t *testing.T) {
 		t.Errorf("config hash changed across restart: %v vs %v", res1["configHash"], res2["configHash"])
 	}
 
-	// Third request on the same daemon: now a memo hit (the disk hit
-	// seeded the session).
-	_, src3 := simulateOK(t, srv2, req)
-	if src3 != CacheMemo {
-		t.Errorf("repeat after disk hit = %q, want %q", src3, CacheMemo)
+	// Third request on the same daemon: a disk hit again (a disk hit does
+	// not seed the session), still without simulating.
+	res3, src3 := simulateOK(t, srv2, req)
+	if src3 != CacheDisk {
+		t.Errorf("repeat after disk hit = %q, want %q", src3, CacheDisk)
+	}
+	if started, _ := reg2.Value(telemetry.MetricSimsStarted); started != started0 {
+		t.Errorf("repeat disk hit started %v new simulations", started-started0)
+	}
+	if !reflect.DeepEqual(res1["result"], res3["result"]) {
+		t.Error("repeat disk-served result differs from the fresh simulation")
 	}
 }
 
@@ -278,4 +290,134 @@ func TestAsyncSimulateOmitsCacheHeader(t *testing.T) {
 		t.Errorf("202 carried %s: %q", CacheHeader, h)
 	}
 	waitForStatus(t, srv.Handler(), job["id"].(string), StatusDone)
+}
+
+// TestPeerAnswerVerified: a peer whose envelope carries a valid checksum
+// and identity but an answer section that disagrees with its own gob
+// result — a checksum is not a signature — never gets those bytes served
+// or stored verbatim. The fetching node answers with its own rendering
+// of the decoded result and stores a rebuilt envelope.
+func TestPeerAnswerVerified(t *testing.T) {
+	req := SimulateRequest{Benchmark: "FFT", Mode: "pac"}
+	regA := telemetry.NewRegistry()
+	stA := openTestStore(t, t.TempDir(), regA)
+	srvA := newTestServer(t, func(c *Config) { c.Registry = regA; c.Store = stA })
+	resA, _ := simulateOK(t, srvA, req)
+	key := resA["configHash"].(string)
+
+	// Replace A's entry with one whose answer section lies.
+	e, ok := stA.Get(key)
+	if !ok {
+		t.Fatal("A did not store its result")
+	}
+	if err := stA.PutAnswer(e, []byte(`{"Cycles":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	forged, _ := stA.GetRaw(key)
+	tsA := httptest.NewServer(srvA.Handler())
+	defer tsA.Close()
+
+	regB := telemetry.NewRegistry()
+	stB := openTestStore(t, t.TempDir(), regB)
+	srvB := newTestServer(t, func(c *Config) {
+		c.Registry = regB
+		c.Store = stB
+		c.Peers = []string{tsA.URL}
+		c.PeerTimeout = 5 * time.Second
+	})
+	for _, want := range []string{CachePeer, CacheMemo} {
+		resB, src := simulateOK(t, srvB, req)
+		if src != want {
+			t.Fatalf("served from %q, want %q", src, want)
+		}
+		if !reflect.DeepEqual(resA["result"], resB["result"]) {
+			t.Fatalf("%s answer differs from A's simulation: %v", want, resB["result"])
+		}
+	}
+	blobB, ok := stB.GetRaw(key)
+	if !ok || bytes.Equal(blobB, forged) {
+		t.Fatal("B stored the peer's envelope verbatim")
+	}
+	want, _ := json.Marshal(e.Result)
+	if a, ok := stB.Answer(key); !ok || !bytes.Equal(a.JSON, want) {
+		t.Errorf("B's stored answer %s, want its rendering of the result", a.JSON)
+	}
+}
+
+// TestSimulateReplySplicesResult: a synchronous simulate reply keeps the
+// two-space indent on every field the job and the simulate result own
+// (the smoke scripts grep for `"status": "done"` and `"cached": true`),
+// carries the *sim.Result as its compact stored bytes, and decodes equal
+// to the same job's GET view for every cache source.
+func TestSimulateReplySplicesResult(t *testing.T) {
+	d := newInlineDaemon(t, nil)
+	h := d.srv.Handler()
+	for _, step := range []struct {
+		req  SimulateRequest
+		want string
+	}{
+		{hitReqA, CacheMiss},
+		{hitReqA, CacheMemo},
+		{hitReqB, CacheMiss},
+		{hitReqA, CacheDisk},
+	} {
+		body, _ := json.Marshal(step.req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate?wait=30s", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || rec.Header().Get(CacheHeader) != step.want {
+			t.Fatalf("simulate = %d from %q, want 200 from %q", rec.Code, rec.Header().Get(CacheHeader), step.want)
+		}
+		raw := rec.Body.Bytes()
+		if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(len(raw)) {
+			t.Errorf("%s reply Content-Length %s for a %d-byte body", step.want, cl, len(raw))
+		}
+		for _, field := range []string{`"status": "done"`, `"cache": "` + step.want + `"`,
+			fmt.Sprintf(`"cached": %v`, step.want != CacheMiss)} {
+			if !bytes.Contains(raw, []byte(field)) {
+				t.Errorf("%s reply lacks %s:\n%s", step.want, field, raw)
+			}
+		}
+		var reply struct {
+			ID     string `json:"id"`
+			Result struct {
+				Result json.RawMessage `json:"result"`
+			} `json:"result"`
+		}
+		if err := json.Unmarshal(raw, &reply); err != nil {
+			t.Fatalf("%s reply is not JSON: %v", step.want, err)
+		}
+		var compact bytes.Buffer
+		json.Compact(&compact, reply.Result.Result)
+		if !bytes.Equal(compact.Bytes(), reply.Result.Result) {
+			t.Errorf("%s reply result is not the compact stored bytes", step.want)
+		}
+		var got, view map[string]any
+		json.Unmarshal(raw, &got)
+		_, _, view = do(t, h, "GET", "/v1/jobs/"+reply.ID, nil)
+		if !reflect.DeepEqual(got, view) {
+			t.Errorf("%s reply decodes to %v, GET view to %v", step.want, got, view)
+		}
+	}
+}
+
+// TestSimulateAnswerBytes: the SimulateResult JSON assembled around a
+// result's stored rendering is byte-identical to marshalling the
+// SimulateResult with the *sim.Result in it.
+func TestSimulateAnswerBytes(t *testing.T) {
+	sess := experiments.NewSession(quickOptions())
+	res, rendered, err := sess.ResultJSON(context.Background(), "GS", coalesce.ModeDMC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, source := range []string{CacheMiss, CacheDisk} {
+		ans := newSimulateAnswer("GS", coalesce.ModeDMC, "0123456789abcdef", source, rendered)
+		want, err := json.Marshal(SimulateResult{Benchmark: "GS", Mode: coalesce.ModeDMC.String(),
+			ConfigHash: "0123456789abcdef", Cached: source != CacheMiss, Cache: source, Result: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ans.compact(); !bytes.Equal(got, want) {
+			t.Errorf("%s: assembled\n%s\nmarshalled\n%s", source, got, want)
+		}
+	}
 }

@@ -10,19 +10,34 @@
 //
 // Layout inside the store directory:
 //
-//	<key>.res      one write-once entry (versioned header, gob payload,
-//	               SHA-256 checksum); committed by rename, never rewritten
-//	               in place
+//	<key>.res      one write-once entry envelope; committed by rename,
+//	               never rewritten in place
 //	index.journal  append-only records ("put", "touch", "del"), each line
 //	               CRC-guarded; replayed on Open to rebuild the index and
 //	               the LRU order, then compacted to one "put" per live
 //	               entry
 //
+// An envelope is a header (magic, version, key, payload length, payload
+// SHA-256) and the checksummed payload. A version-2 payload is
+//
+//	u16 len | options hash | u16 len | benchmark | u16 len | mode
+//	u32 len | answer: the compact JSON of the result
+//	gob Entry
+//
+// so a hit is answered by Answer (read, verify the checksum, return the
+// stored bytes) without decoding the gob. DecodeEntry still decodes the
+// whole entry and checks the identity section against it. Version-1
+// payloads (the gob Entry alone) stay readable; their answer is rendered
+// from the decoded result. Envelopes from outside this node's write path
+// — ring peers, PutRaw, orphan files — go through Verify, which keeps
+// one verbatim only when its answer section equals this node's own
+// rendering of its result, and rebuilds it otherwise.
+//
 // Corrupt or truncated entries and journal lines are detected by
 // checksum, counted in pac_store_corrupt_total, and skipped — never
 // fatal. A crash between an entry rename and its journal append is
-// recovered on the next Open: orphan entry files that pass validation
-// are adopted back into the index.
+// recovered on the next Open: orphan entry files that pass Verify are
+// adopted back into the index.
 //
 // The store is safe for concurrent use. Entry files are immutable once
 // renamed into place, so readers never see torn writes; concurrent
@@ -35,9 +50,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -106,10 +123,12 @@ func (c Config) withDefaults() Config {
 var ErrCorrupt = errors.New("store: corrupt entry")
 
 // Envelope constants: an 8-byte magic, a version, the key, the payload
-// length, the payload's SHA-256, then the gob payload.
+// length, the payload's SHA-256, then the payload (see the package
+// comment for the two versions' payloads).
 const (
 	magic      = "PACSTOR1"
-	version    = 1
+	versionV1  = 1
+	version    = 2
 	journal    = "index.journal"
 	entryExt   = ".res"
 	maxKeyLen  = 256
@@ -300,15 +319,23 @@ func (s *Store) reconcile() error {
 		if _, exists := s.entries[key]; exists {
 			continue
 		}
-		// Orphan: validate before adopting, delete when corrupt.
+		// Orphan: verify before adopting, as any envelope from outside the
+		// write path; delete when corrupt, rewrite when Verify rebuilt it.
 		blob, err := os.ReadFile(s.entryPath(key))
 		if err != nil {
 			continue
 		}
-		if _, err := DecodeEntry(key, blob); err != nil {
+		v, err := Verify(key, blob)
+		if err != nil {
 			s.corrupt.Inc()
 			os.Remove(s.entryPath(key))
 			continue
+		}
+		if v.Rebuilt {
+			if err := s.writeEntryFile(key, v.blob); err != nil {
+				continue
+			}
+			size = int64(len(v.blob))
 		}
 		s.seq++
 		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq}
@@ -423,61 +450,109 @@ func (s *Store) compactLocked() error {
 // ---------------------------------------------------------------------
 // Envelope encode/decode.
 
-// EncodeEntry serializes an entry into its on-disk envelope: magic,
-// version, key, payload length, payload SHA-256, gob payload.
-func EncodeEntry(e Entry) ([]byte, error) {
+// Answer is the served form of one entry: the identity it answers and
+// the compact JSON rendering of its result — the bytes a simulate reply
+// embeds as its "result", verbatim.
+type Answer struct {
+	OptionsHash string
+	Benchmark   string
+	Mode        string
+	JSON        []byte
+}
+
+// envelope is an entry file whose header and checksum verified, split
+// into its sections.
+type envelope struct {
+	version uint16
+	key     string
+	// answer holds the identity and answer sections (version 2 only).
+	answer Answer
+	// entry is the gob-encoded Entry.
+	entry []byte
+}
+
+// EncodeEntry serializes an entry into its version-2 envelope, rendering
+// the answer section from e.Result.
+func EncodeEntry(e Entry) ([]byte, error) { return encodeEntry(e, nil) }
+
+// encodeEntry builds a version-2 envelope. answer is the rendering of
+// e.Result the caller already holds; nil renders it here.
+func encodeEntry(e Entry, answer []byte) ([]byte, error) {
 	if !ValidKey(e.Key) {
 		return nil, fmt.Errorf("store: invalid key %q", e.Key)
 	}
+	if answer == nil {
+		var err error
+		if answer, err = json.Marshal(e.Result); err != nil {
+			return nil, fmt.Errorf("store: rendering answer: %w", err)
+		}
+	}
 	var payload bytes.Buffer
+	var u16 [2]byte
+	for _, field := range []string{e.OptionsHash, e.Benchmark, e.Mode} {
+		if len(field) > math.MaxUint16 {
+			return nil, fmt.Errorf("store: identity field of %d bytes", len(field))
+		}
+		binary.BigEndian.PutUint16(u16[:], uint16(len(field)))
+		payload.Write(u16[:])
+		payload.WriteString(field)
+	}
+	if len(answer) > maxPayload {
+		return nil, fmt.Errorf("store: answer of %d bytes", len(answer))
+	}
+	var u32 [4]byte
+	binary.BigEndian.PutUint32(u32[:], uint32(len(answer)))
+	payload.Write(u32[:])
+	payload.Write(answer)
 	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
 		return nil, fmt.Errorf("store: encoding entry: %w", err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
-	var out bytes.Buffer
-	out.Grow(len(magic) + 2 + 2 + len(e.Key) + 8 + len(sum) + payload.Len())
-	out.WriteString(magic)
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], version)
-	out.Write(u16[:])
-	binary.BigEndian.PutUint16(u16[:], uint16(len(e.Key)))
-	out.Write(u16[:])
-	out.WriteString(e.Key)
-	var u64 [8]byte
-	binary.BigEndian.PutUint64(u64[:], uint64(payload.Len()))
-	out.Write(u64[:])
-	out.Write(sum[:])
-	out.Write(payload.Bytes())
-	return out.Bytes(), nil
+	return seal(e.Key, version, payload.Bytes()), nil
 }
 
-// DecodeEntry validates an envelope (magic, version, key match, length,
-// checksum) and decodes its payload. Every validation failure wraps
-// ErrCorrupt. An empty wantKey skips the key comparison.
-func DecodeEntry(wantKey string, blob []byte) (Entry, error) {
-	fail := func(msg string) (Entry, error) {
-		return Entry{}, fmt.Errorf("%w: %s", ErrCorrupt, msg)
-	}
+// seal frames a payload: magic, version, key, payload length, payload
+// SHA-256, payload.
+func seal(key string, v uint16, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	out := make([]byte, 0, len(magic)+2+2+len(key)+8+len(sum)+len(payload))
+	out = append(out, magic...)
+	out = binary.BigEndian.AppendUint16(out, v)
+	out = binary.BigEndian.AppendUint16(out, uint16(len(key)))
+	out = append(out, key...)
+	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, sum[:]...)
+	return append(out, payload...)
+}
+
+// corrupt wraps ErrCorrupt with what failed.
+func corrupt(msg string) error { return fmt.Errorf("%w: %s", ErrCorrupt, msg) }
+
+// openEnvelope validates an envelope's header (magic, version, key
+// match, length) and checksum, and splits a version-2 payload into its
+// sections. It decodes no gob. An empty wantKey skips the key
+// comparison.
+func openEnvelope(wantKey string, blob []byte) (envelope, error) {
 	if len(blob) < len(magic)+2+2 {
-		return fail("short header")
+		return envelope{}, corrupt("short header")
 	}
 	if string(blob[:len(magic)]) != magic {
-		return fail("bad magic")
+		return envelope{}, corrupt("bad magic")
 	}
 	blob = blob[len(magic):]
-	if v := binary.BigEndian.Uint16(blob); v != version {
-		return fail(fmt.Sprintf("unsupported version %d", v))
+	v := binary.BigEndian.Uint16(blob)
+	if v != versionV1 && v != version {
+		return envelope{}, corrupt(fmt.Sprintf("unsupported version %d", v))
 	}
 	blob = blob[2:]
 	keyLen := int(binary.BigEndian.Uint16(blob))
 	blob = blob[2:]
 	if keyLen > maxKeyLen || len(blob) < keyLen+8+sha256.Size {
-		return fail("truncated header")
+		return envelope{}, corrupt("truncated header")
 	}
 	key := string(blob[:keyLen])
 	blob = blob[keyLen:]
 	if wantKey != "" && key != wantKey {
-		return fail(fmt.Sprintf("key mismatch: envelope %s", key))
+		return envelope{}, corrupt(fmt.Sprintf("key mismatch: envelope %s", key))
 	}
 	payLen := binary.BigEndian.Uint64(blob)
 	blob = blob[8:]
@@ -485,19 +560,135 @@ func DecodeEntry(wantKey string, blob []byte) (Entry, error) {
 	copy(sum[:], blob)
 	blob = blob[sha256.Size:]
 	if payLen > maxPayload || uint64(len(blob)) != payLen {
-		return fail("truncated payload")
+		return envelope{}, corrupt("truncated payload")
 	}
 	if sha256.Sum256(blob) != sum {
-		return fail("checksum mismatch")
+		return envelope{}, corrupt("checksum mismatch")
 	}
+	env := envelope{version: v, key: key, entry: blob}
+	if v == versionV1 {
+		return env, nil
+	}
+	var fields [3]string
+	for i := range fields {
+		if len(blob) < 2 {
+			return envelope{}, corrupt("truncated identity")
+		}
+		n := int(binary.BigEndian.Uint16(blob))
+		blob = blob[2:]
+		if len(blob) < n {
+			return envelope{}, corrupt("truncated identity")
+		}
+		fields[i] = string(blob[:n])
+		blob = blob[n:]
+	}
+	if len(blob) < 4 {
+		return envelope{}, corrupt("truncated answer")
+	}
+	n := uint64(binary.BigEndian.Uint32(blob))
+	blob = blob[4:]
+	if uint64(len(blob)) < n {
+		return envelope{}, corrupt("truncated answer")
+	}
+	env.answer = Answer{OptionsHash: fields[0], Benchmark: fields[1], Mode: fields[2], JSON: blob[:n:n]}
+	env.entry = blob[n:]
+	return env, nil
+}
+
+// decode gob-decodes the envelope's entry and checks it against the
+// envelope: the same key and, for version 2, the same identity as the
+// identity section.
+func (env envelope) decode() (Entry, error) {
 	var e Entry
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&e); err != nil {
-		return fail("payload decode: " + err.Error())
+	if err := gob.NewDecoder(bytes.NewReader(env.entry)).Decode(&e); err != nil {
+		return Entry{}, corrupt("payload decode: " + err.Error())
 	}
-	if e.Key != key {
-		return fail("payload/envelope key mismatch")
+	if e.Key != env.key {
+		return Entry{}, corrupt("payload/envelope key mismatch")
+	}
+	if a := env.answer; env.version == version &&
+		(a.OptionsHash != e.OptionsHash || a.Benchmark != e.Benchmark || a.Mode != e.Mode) {
+		return Entry{}, corrupt("identity section/payload mismatch")
 	}
 	return e, nil
+}
+
+// DecodeEntry validates an envelope (magic, version, key match, length,
+// checksum, identity) and decodes its entry. Every validation failure
+// wraps ErrCorrupt. An empty wantKey skips the key comparison.
+func DecodeEntry(wantKey string, blob []byte) (Entry, error) {
+	env, err := openEnvelope(wantKey, blob)
+	if err != nil {
+		return Entry{}, err
+	}
+	return env.decode()
+}
+
+// decodeAnswer validates an envelope and returns its answer — the hit
+// path's read. A version-2 envelope is verified by its checksum alone and
+// its identity and answer sections returned as stored, with no gob
+// decode; the returned JSON aliases blob. A version-1 envelope is decoded
+// in full and its answer rendered from the result.
+func decodeAnswer(wantKey string, blob []byte) (Answer, error) {
+	env, err := openEnvelope(wantKey, blob)
+	if err != nil {
+		return Answer{}, err
+	}
+	if env.version == version {
+		return env.answer, nil
+	}
+	e, err := env.decode()
+	if err != nil {
+		return Answer{}, err
+	}
+	js, err := json.Marshal(e.Result)
+	if err != nil {
+		return Answer{}, fmt.Errorf("store: rendering answer: %w", err)
+	}
+	return Answer{OptionsHash: e.OptionsHash, Benchmark: e.Benchmark, Mode: e.Mode, JSON: js}, nil
+}
+
+// Verified is an envelope that passed Verify; Store.PutVerified commits
+// it.
+type Verified struct {
+	Entry Entry
+	// Answer is this node's own rendering of Entry.Result.
+	Answer []byte
+	// Rebuilt reports that the verified envelope is not kept as it came:
+	// it was not version 2, or its answer section differed from Answer,
+	// so the envelope to store was re-encoded from Entry.
+	Rebuilt bool
+	blob    []byte
+}
+
+// Verify validates an envelope that came from outside this node's write
+// path: a ring peer's, a PutRaw caller's, or an orphan file found at
+// Open. On top of DecodeEntry's checks it renders the decoded result
+// itself. The envelope is kept verbatim only when it is version 2 and its
+// answer section equals that rendering; otherwise it is rebuilt from the
+// decoded entry. A checksum is not a signature, so a peer can never plant
+// answer bytes that this node then serves as its own.
+func Verify(wantKey string, blob []byte) (Verified, error) {
+	env, err := openEnvelope(wantKey, blob)
+	if err != nil {
+		return Verified{}, err
+	}
+	e, err := env.decode()
+	if err != nil {
+		return Verified{}, err
+	}
+	js, err := json.Marshal(e.Result)
+	if err != nil {
+		return Verified{}, fmt.Errorf("store: rendering answer: %w", err)
+	}
+	v := Verified{Entry: e, Answer: js, blob: blob}
+	if env.version != version || !bytes.Equal(env.answer.JSON, js) {
+		if v.blob, err = encodeEntry(e, js); err != nil {
+			return Verified{}, err
+		}
+		v.Rebuilt = true
+	}
+	return v, nil
 }
 
 // ---------------------------------------------------------------------
@@ -506,53 +697,44 @@ func DecodeEntry(wantKey string, blob []byte) (Entry, error) {
 // Put serializes and durably commits one entry, then enforces the size
 // caps. Concurrent Puts of the same key are safe: each stages its own
 // temp file and the last rename wins, atomically.
-func (s *Store) Put(e Entry) error {
-	blob, err := EncodeEntry(e)
+func (s *Store) Put(e Entry) error { return s.PutAnswer(e, nil) }
+
+// PutAnswer is Put with the answer section supplied: answer must be the
+// caller's rendering of e.Result (json.Marshal), which the serving path
+// already holds, so a result is rendered once; nil renders it here.
+func (s *Store) PutAnswer(e Entry, answer []byte) error {
+	blob, err := encodeEntry(e, answer)
 	if err != nil {
 		return err
 	}
-	return s.PutRaw(e.Key, blob)
+	return s.commit(e.Key, blob)
 }
 
-// PutRaw commits an already-encoded envelope (the peer-exchange path:
-// the fetching node validates the blob with DecodeEntry first, then
-// stores the identical bytes). The envelope is re-validated here, so a
-// corrupt blob can never enter the store.
+// PutRaw commits an envelope that came from elsewhere (the peer-exchange
+// path). It goes through Verify first, so a corrupt blob never enters the
+// store and an answer section that disagrees with the envelope's own
+// result is never kept.
 func (s *Store) PutRaw(key string, blob []byte) error {
-	if _, err := DecodeEntry(key, blob); err != nil {
+	v, err := Verify(key, blob)
+	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("store: closed")
-	}
-	s.seq++
-	staged := filepath.Join(s.dir, fmt.Sprintf(".tmp-%s-%d", key, s.seq))
-	s.mu.Unlock()
+	return s.PutVerified(v)
+}
 
-	// Stage outside the lock: write, fsync, rename. The rename is the
-	// commit point; a crash before it leaves only a .tmp- file that the
-	// next Open sweeps away.
-	f, err := os.OpenFile(staged, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: staging entry: %w", err)
+// PutVerified commits the envelope Verify chose to keep.
+func (s *Store) PutVerified(v Verified) error {
+	if v.blob == nil {
+		return errors.New("store: envelope was not verified")
 	}
-	if _, err = f.Write(blob); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(staged)
-		return fmt.Errorf("store: staging entry: %w", err)
-	}
-	if err := os.Rename(staged, s.entryPath(key)); err != nil {
-		os.Remove(staged)
-		return fmt.Errorf("store: committing entry: %w", err)
-	}
+	return s.commit(v.Entry.Key, v.blob)
+}
 
+// commit durably writes a validated envelope and indexes it.
+func (s *Store) commit(key string, blob []byte) error {
+	if err := s.writeEntryFile(key, blob); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -576,9 +758,43 @@ func (s *Store) PutRaw(key string, blob []byte) error {
 	return nil
 }
 
-// Get loads and validates the entry for key. A corrupt file is counted,
-// removed, and reported as a miss — never an error. A hit refreshes the
-// key's LRU recency.
+// writeEntryFile stages blob in a temp file, fsyncs it and renames it
+// over the key's entry file. The rename is the commit point; a crash
+// before it leaves only a .tmp- file that the next Open sweeps away.
+func (s *Store) writeEntryFile(key string, blob []byte) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return errors.New("store: closed")
+	}
+	s.seq++
+	staged := filepath.Join(s.dir, fmt.Sprintf(".tmp-%s-%d", key, s.seq))
+	s.mu.Unlock()
+
+	f, err := os.OpenFile(staged, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: staging entry: %w", err)
+	}
+	if _, err = f.Write(blob); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(staged)
+		return fmt.Errorf("store: staging entry: %w", err)
+	}
+	if err := os.Rename(staged, s.entryPath(key)); err != nil {
+		os.Remove(staged)
+		return fmt.Errorf("store: committing entry: %w", err)
+	}
+	return nil
+}
+
+// Get loads and fully decodes the entry for key. A corrupt file is
+// counted, removed, and reported as a miss — never an error. A hit
+// refreshes the key's LRU recency.
 func (s *Store) Get(key string) (Entry, bool) {
 	blob, ok := s.getRaw(key)
 	if !ok {
@@ -592,15 +808,37 @@ func (s *Store) Get(key string) (Entry, bool) {
 	return e, true
 }
 
-// GetRaw returns the raw validated envelope bytes for key — the
-// peer-exchange serving path (GET /v1/store/{key} streams these bytes
-// verbatim, checksum included, so the fetching node can re-verify them).
+// Answer loads the entry for key as its answer (decodeAnswer): for a
+// version-2 file, a read and a checksum, nothing decoded. It counts and
+// refreshes recency exactly as Get does. The JSON is copied out of the
+// file buffer, so a caller that keeps it (a finished job does) does not
+// keep the whole envelope alive.
+func (s *Store) Answer(key string) (Answer, bool) {
+	blob, ok := s.getRaw(key)
+	if !ok {
+		return Answer{}, false
+	}
+	a, err := decodeAnswer(key, blob)
+	if errors.Is(err, ErrCorrupt) {
+		s.discardCorrupt(key)
+	}
+	if err != nil {
+		return Answer{}, false
+	}
+	a.JSON = bytes.Clone(a.JSON)
+	return a, true
+}
+
+// GetRaw returns the raw envelope bytes for key after the same
+// checksum-only verification Answer does — the peer-exchange serving path
+// (GET /v1/store/{key} streams these bytes verbatim, checksum included,
+// so the fetching node can re-verify them).
 func (s *Store) GetRaw(key string) ([]byte, bool) {
 	blob, ok := s.getRaw(key)
 	if !ok {
 		return nil, false
 	}
-	if _, err := DecodeEntry(key, blob); err != nil {
+	if _, err := openEnvelope(key, blob); err != nil {
 		s.discardCorrupt(key)
 		return nil, false
 	}

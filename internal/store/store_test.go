@@ -2,9 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -494,4 +499,236 @@ func metricValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 		t.Fatalf("metric %s not found", name)
 	}
 	return v
+}
+
+// fixtureKey is the key testdata/v1.res was written under.
+const fixtureKey = "5eed0000000000a1"
+
+// TestV1EntryStillServes: testdata/v1.res is an entry file written by the
+// version-1 envelope (the gob entry alone, no answer section). A store
+// directory holding it keeps working: the entry still Gets, its disk-hit
+// answer — rendered from the decoded result — decodes equal to that
+// result, and the file is neither rewritten nor discarded.
+func TestV1EntryStillServes(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "v1.res"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env, err := openEnvelope(fixtureKey, blob); err != nil || env.version != versionV1 {
+		t.Fatalf("fixture is not a version-1 envelope: version %d, %v", env.version, err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fixtureKey+entryExt), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	record := formatRecord("put", fixtureKey, int64(len(blob)))
+	if err := os.WriteFile(filepath.Join(dir, journal), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: dir, Registry: reg})
+
+	e, ok := s.Get(fixtureKey)
+	if !ok {
+		t.Fatal("version-1 entry does not Get")
+	}
+	if e.Benchmark != "STREAM" || e.Mode != "PAC" || e.Result == nil || e.Result.Cycles == 0 {
+		t.Fatalf("version-1 entry decoded as %s/%s %+v", e.Benchmark, e.Mode, e.Result)
+	}
+	a, ok := s.Answer(fixtureKey)
+	if !ok {
+		t.Fatal("version-1 entry has no answer")
+	}
+	if a.OptionsHash != e.OptionsHash || a.Benchmark != e.Benchmark || a.Mode != e.Mode {
+		t.Errorf("answer identity %s/%s/%s, entry %s/%s/%s",
+			a.OptionsHash, a.Benchmark, a.Mode, e.OptionsHash, e.Benchmark, e.Mode)
+	}
+	want, err := json.Marshal(e.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, wantV any
+	if err := json.Unmarshal(a.JSON, &got); err != nil {
+		t.Fatalf("answer is not JSON: %v", err)
+	}
+	json.Unmarshal(want, &wantV)
+	if !reflect.DeepEqual(got, wantV) {
+		t.Error("version-1 answer differs from its decoded result")
+	}
+	if raw, ok := s.GetRaw(fixtureKey); !ok || !bytes.Equal(raw, blob) {
+		t.Error("version-1 entry not served verbatim to peers")
+	}
+	if onDisk, _ := os.ReadFile(filepath.Join(dir, fixtureKey+entryExt)); !bytes.Equal(onDisk, blob) {
+		t.Error("version-1 entry file rewritten")
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 0 {
+		t.Errorf("pac_store_corrupt_total = %v, want 0", got)
+	}
+}
+
+// TestAnswerIsStoredBytes: a version-2 hit returns the answer section
+// written at Put — the caller's rendering, byte for byte — with the
+// entry's identity.
+func TestAnswerIsStoredBytes(t *testing.T) {
+	s := mustOpen(t, Config{Dir: t.TempDir()})
+	in := testEntry(key(0), 5000)
+	rendered, err := json.Marshal(in.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutAnswer(in, rendered); err != nil {
+		t.Fatal(err)
+	}
+	a, ok := s.Answer(key(0))
+	if !ok {
+		t.Fatal("Answer missed a just-written key")
+	}
+	if !bytes.Equal(a.JSON, rendered) {
+		t.Errorf("answer %s, want the stored rendering %s", a.JSON, rendered)
+	}
+	if a.OptionsHash != in.OptionsHash || a.Benchmark != in.Benchmark || a.Mode != in.Mode {
+		t.Errorf("answer identity %+v", a)
+	}
+	if _, ok := s.Answer(key(1)); ok {
+		t.Error("Answer hit an absent key")
+	}
+}
+
+// TestDecodeEntryChecksIdentitySection: an envelope whose identity
+// section names another benchmark than its gob entry is corrupt, even
+// with a valid checksum.
+func TestDecodeEntryChecksIdentitySection(t *testing.T) {
+	e := testEntry(key(0), 1)
+	other := e
+	other.Benchmark = "other"
+	good, err := EncodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying, err := EncodeEntry(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Identity and answer sections of one envelope, gob entry of the
+	// other, sealed under a fresh checksum.
+	gEnv, _ := openEnvelope(key(0), good)
+	lEnv, _ := openEnvelope(key(0), lying)
+	sections := payloadOf(lying)
+	sections = sections[:len(sections)-len(lEnv.entry)]
+	blob := seal(key(0), version, append(append([]byte(nil), sections...), gEnv.entry...))
+	if _, err := DecodeEntry(key(0), blob); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("identity mismatch decoded: %v", err)
+	}
+	if _, err := Verify(key(0), blob); err == nil {
+		t.Fatal("Verify accepted an identity mismatch")
+	}
+}
+
+// payloadOf returns an envelope's checksummed payload.
+func payloadOf(blob []byte) []byte {
+	h := len(magic) + 2 + 2 + int(binary.BigEndian.Uint16(blob[len(magic)+2:])) + 8 + sha256.Size
+	return blob[h:]
+}
+
+// TestForeignAnswerNeverKept: an envelope with a valid checksum and
+// identity whose answer section disagrees with its own result — what a
+// faulty or hostile peer could send — is rebuilt by PutRaw and by orphan
+// adoption, so the store answers with its own rendering of the result,
+// never with the planted bytes. A version-1 envelope from outside is
+// rebuilt as version 2.
+func TestForeignAnswerNeverKept(t *testing.T) {
+	in := testEntry(key(0), 777)
+	want, err := json.Marshal(in.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []byte(`{"Cycles":1}`)
+	forged, err := encodeEntry(in, planted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEntry(key(0), forged); err != nil {
+		t.Fatalf("forged envelope is not well-formed: %v", err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.res"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, key string
+		blob      []byte
+	}{{"forged", key(0), forged}, {"version 1", fixtureKey, v1}} {
+		v, err := Verify(tc.key, tc.blob)
+		if err != nil || !v.Rebuilt {
+			t.Fatalf("%s: Verify rebuilt=%v err=%v", tc.name, v.Rebuilt, err)
+		}
+
+		// Through PutRaw, the peer-exchange path.
+		s := mustOpen(t, Config{Dir: t.TempDir()})
+		if err := s.PutRaw(tc.key, tc.blob); err != nil {
+			t.Fatalf("%s: PutRaw: %v", tc.name, err)
+		}
+		checkRebuilt(t, s, tc.key, tc.blob)
+
+		// As an orphan file found at Open.
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.key+entryExt), tc.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkRebuilt(t, mustOpen(t, Config{Dir: dir}), tc.key, tc.blob)
+	}
+	s := mustOpen(t, Config{Dir: t.TempDir()})
+	if err := s.PutRaw(key(0), forged); err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := s.Answer(key(0)); !bytes.Equal(a.JSON, want) {
+		t.Errorf("answer %s, want %s", a.JSON, want)
+	}
+}
+
+// checkRebuilt asserts the store holds a version-2 rebuild of foreign,
+// answering with its own rendering of the decoded result.
+func checkRebuilt(t *testing.T, s *Store, key string, foreign []byte) {
+	t.Helper()
+	raw, ok := s.GetRaw(key)
+	if !ok {
+		t.Fatal("entry not stored")
+	}
+	if bytes.Equal(raw, foreign) {
+		t.Fatal("foreign envelope stored verbatim")
+	}
+	if env, _ := openEnvelope(key, raw); env.version != version {
+		t.Fatalf("stored envelope is version %d", env.version)
+	}
+	e, ok := s.Get(key)
+	if !ok {
+		t.Fatal("rebuilt entry does not Get")
+	}
+	want, _ := json.Marshal(e.Result)
+	if a, ok := s.Answer(key); !ok || !bytes.Equal(a.JSON, want) {
+		t.Fatalf("answer %s, want %s", a.JSON, want)
+	}
+}
+
+// TestGetRawVerifiesChecksum: GetRaw, which serves peers, verifies the
+// envelope by its checksum alone, which still catches a bit flip in the
+// middle of the payload.
+func TestGetRawVerifiesChecksum(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Config{Dir: dir})
+	if err := s.Put(testEntry(key(0), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetRaw(key(0)); !ok {
+		t.Fatal("GetRaw missed")
+	}
+	path := filepath.Join(dir, key(0)+entryExt)
+	blob, _ := os.ReadFile(path)
+	blob[len(blob)/2] ^= 0x40
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetRaw(key(0)); ok {
+		t.Fatal("GetRaw served a corrupt envelope")
+	}
 }
