@@ -83,10 +83,11 @@ func BenchmarkAllocs(b *testing.B) {
 		}
 	})
 
-	b.Run("sim-run-warm", func(b *testing.B) {
-		// Whole simulations sharing one Scratch: allocs/op here is the
-		// per-run residue — machine construction plus whatever growth
-		// the arena has not yet absorbed.
+	b.Run("sim-run-cold", func(b *testing.B) {
+		// Whole simulations sharing one Scratch, each with a fresh
+		// seed: allocs/op here is the per-run residue of building the
+		// machine from a warm arena — component graph plus whatever
+		// growth the arena has not yet absorbed.
 		sc := sim.NewScratch()
 		cfg := DefaultSimConfig("GS", ModePAC)
 		cfg.Procs = []ProcSpec{{Benchmark: "GS", Cores: 2}}
@@ -99,6 +100,7 @@ func BenchmarkAllocs(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			cfg.Seed = uint64(i) + 1
 			if _, err := RunBenchmark(cfg); err != nil {
 				b.Fatal(err)
 			}

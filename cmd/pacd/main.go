@@ -62,10 +62,8 @@ func main() {
 		quick        = flag.Bool("quick", false, "fast smoke configuration (small caches, short traces)")
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation workers per experiment job")
 		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "jobs executing at once")
-		queue        = flag.Int("queue", 16, "bounded job queue depth (full queue answers 429)")
+		queue        = flag.Int("queue", 16, "jobs that may wait for a worker; one more answers 429")
 		maxSessions  = flag.Int("max-sessions", 8, "LRU cap on distinct-option result-cache sessions")
-		affinity     = flag.Int("affinity-window", 0, "job reorder window for shape-affinity batching (0 = default 8, negative disables)")
-		machCache    = flag.Int("machine-cache", 0, "parked machines per scratch arena, LRU-evicted beyond it (0 = default)")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "cap on synchronous ?wait= windows")
 		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "abort jobs running longer than this")
 		jobDeadline  = flag.Duration("job-deadline", 0, "per-attempt watchdog deadline; overrides -job-timeout when set")
@@ -175,8 +173,6 @@ func main() {
 		Concurrency:     *concurrency,
 		QueueDepth:      *queue,
 		MaxSessions:     *maxSessions,
-		AffinityWindow:  *affinity,
-		MachineCache:    *machCache,
 		RequestTimeout:  *reqTimeout,
 		JobTimeout:      *jobTimeout,
 		MaxRetries:      *maxRetries,

@@ -11,17 +11,6 @@
 // simulation — the worst case the fleet must absorb without starving the
 // hot path.
 //
-// With -mixed N, the hot/cold stream is replaced by N distinct
-// configurations (same benchmark cycle, each with its own trace length,
-// so each is a distinct session AND a distinct machine shape) issued in
-// strict round-robin by the global request counter. Alternating shapes
-// on every consecutive request is the worst case for a single-entry
-// machine cache — the mode exists to measure how well the daemon's
-// shape-keyed LRU and affinity batching absorb it, and the report gains
-// the pac_machine_cache_{hits,misses,evictions} split scraped from the
-// target. Run the target with a small -max-sessions so repeats miss the
-// session memo and actually exercise the simulator.
-//
 // With -follow, pacload is instead a resumable job tail: it streams one
 // job's server-sent events to stdout and survives connection drops (and
 // even a backend crash/reboot behind the gateway) by reconnecting with
@@ -74,9 +63,6 @@ func main() {
 		mode       = flag.String("mode", "pac", "coalescing mode of every request")
 		wait       = flag.Duration("wait", 60*time.Second, "synchronous ?wait= window per request")
 		coldBase   = flag.Uint64("cold-seed-base", 1_000_000, "first seed of the cold key stream")
-		mixed      = flag.Int("mixed", 0, "mixed-shape mode: N distinct configurations round-robin (replaces hot/cold traffic)")
-		mixedAcc   = flag.Int("mixed-accesses", 2000, "trace length of the first mixed configuration; each next adds -mixed-step")
-		mixedStep  = flag.Int("mixed-step", 500, "trace-length increment between mixed configurations")
 		seed       = flag.Int64("seed", 1, "traffic generator seed")
 		out        = flag.String("out", "BENCH_cluster.json", "output JSON path ('-' for stdout)")
 		maxRetry   = flag.Int("max-retries", 50, "429 retries per request (honouring Retry-After)")
@@ -103,17 +89,6 @@ func main() {
 	hotBodies := make([][]byte, *hotKeys)
 	for i := range hotBodies {
 		hotBodies[i] = simBody(benches[i%len(benches)], *mode, 0)
-	}
-	// Mixed bodies: N distinct shapes (trace length varies per body), so
-	// the strict round-robin below alternates machine shapes on every
-	// consecutive request.
-	var mixedBodies [][]byte
-	if *mixed > 0 {
-		mixedBodies = make([][]byte, *mixed)
-		for i := range mixedBodies {
-			mixedBodies[i] = mixedBody(benches[i%len(benches)], *mode,
-				*mixedAcc+i**mixedStep)
-		}
 	}
 
 	client := &http.Client{}
@@ -142,15 +117,9 @@ func main() {
 					return
 				}
 				var body []byte
-				switch {
-				case mixedBodies != nil:
-					// Round-robin by the GLOBAL counter, not per client:
-					// consecutive requests alternate shapes deterministically
-					// no matter how the clients interleave.
-					body = mixedBodies[i%int64(len(mixedBodies))]
-				case rng.Float64() < *hotRatio:
+				if rng.Float64() < *hotRatio {
 					body = hotBodies[rng.Intn(len(hotBodies))]
-				default:
+				} else {
 					// Cold: unique seed, distinct session, full simulation.
 					body = simBody(benches[rng.Intn(len(benches))], *mode, *coldBase+uint64(i))
 				}
@@ -199,12 +168,6 @@ func main() {
 	if affHits+affMisses > 0 {
 		ratio = affHits / (affHits + affMisses)
 	}
-	// Machine-cache split (pacd targets only; a gateway target reports
-	// zeros — its backends each expose their own).
-	machHits, _ := scrapeMetric(client, *gatewayURL, "pac_machine_cache_hits_total")
-	machMisses, _ := scrapeMetric(client, *gatewayURL, "pac_machine_cache_misses_total")
-	machEvicted, _ := scrapeMetric(client, *gatewayURL, "pac_machine_cache_evictions_total")
-	jobsBatched, _ := scrapeMetric(client, *gatewayURL, "pac_jobs_affinity_batched_total")
 
 	report := map[string]any{
 		"schema":          "pac-bench-cluster/v1",
@@ -214,7 +177,6 @@ func main() {
 		"requests":        *requests,
 		"hotRatio":        *hotRatio,
 		"hotKeys":         *hotKeys,
-		"mixed":           *mixed,
 		"mode":            *mode,
 		"ok":              okCount.Load(),
 		"errors":          errCount.Load(),
@@ -235,13 +197,7 @@ func main() {
 			"misses": affMisses,
 			"ratio":  round4(ratio),
 		},
-		"machineCache": map[string]any{
-			"hits":      machHits,
-			"misses":    machMisses,
-			"evictions": machEvicted,
-		},
-		"jobsAffinityBatched": jobsBatched,
-		"backends":            backends,
+		"backends": backends,
 		// Per-source hit split from the X-Pac-Cache headers: how many
 		// answers came from the session memo, the durable store, a fleet
 		// peer's store, or a fresh simulation.
@@ -263,11 +219,6 @@ func main() {
 		"pacload: %d ok, %d errors, %d throttled in %.1fs — %.1f req/s, p99 %.1fms, affinity %.3f\n",
 		okCount.Load(), errCount.Load(), throttled.Load(), elapsed.Seconds(),
 		float64(okCount.Load())/elapsed.Seconds(), percentile(lat, 0.99), ratio)
-	if machHits+machMisses > 0 {
-		fmt.Fprintf(os.Stderr,
-			"pacload: machine cache: %d hits, %d misses, %d evictions; %d jobs affinity-batched\n",
-			int64(machHits), int64(machMisses), int64(machEvicted), int64(jobsBatched))
-	}
 	if len(cacheSources) > 0 {
 		var parts []string
 		for _, src := range []string{"memo", "disk", "peer", "miss"} {
@@ -406,18 +357,6 @@ func simBody(bench, mode string, seed uint64) []byte {
 		"benchmark": bench,
 		"mode":      mode,
 		"seed":      seed,
-	})
-	return b
-}
-
-// mixedBody is one fixed mixed-shape configuration: the trace length is
-// what distinguishes it, making it both a distinct session (distinct
-// options) and a distinct machine shape on the target.
-func mixedBody(bench, mode string, accesses int) []byte {
-	b, _ := json.Marshal(map[string]any{
-		"benchmark":       bench,
-		"mode":            mode,
-		"accessesPerCore": accesses,
 	})
 	return b
 }

@@ -69,15 +69,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Reset restores the cache to its just-constructed state — every line
-// invalid, every counter zero — keeping the tag storage.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	c.Hits, c.Misses, c.WriteBacks = 0, 0, 0
-}
-
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 

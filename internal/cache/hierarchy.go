@@ -76,20 +76,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return h
 }
 
-// Reset restores the hierarchy to its just-constructed state — cold
-// caches, empty pending-fill table, zeroed counters — keeping every
-// backing array (tags, table storage, write-back buffer).
-func (h *Hierarchy) Reset() {
-	for _, c := range h.l1 {
-		c.Reset()
-	}
-	h.llc.Reset()
-	h.pending.Clear()
-	h.wbBuf = h.wbBuf[:0]
-	h.Accesses, h.L1Hits, h.LLCHits, h.LLCMisses = 0, 0, 0, 0
-	h.PendingHits, h.Uncached, h.WriteBacks = 0, 0, 0
-}
-
 // UseScratch installs a recycled pending-fill set (cleared for use), so a
 // fresh hierarchy can reuse a previous run's table instead of growing its
 // own. Must be called before the first access.

@@ -51,13 +51,6 @@ type Pipeline interface {
 	// OutLen returns the number of packets currently waiting in the
 	// output queue (the MAQ for PAC).
 	OutLen() int
-	// Reset restores the pipeline to its just-constructed state, keeping
-	// grown storage (queues, slot tables) so a reset pipeline re-reaches
-	// its steady state without allocating. Buffered requests still inside
-	// the pipeline are dropped, not recycled: their pool slices may alias
-	// each other mid-pipeline, and a double-Put would corrupt the free
-	// list, so the pool simply re-grows.
-	Reset()
 }
 
 // ConcretePipeline is the closed type-set of the concrete pipeline
@@ -266,12 +259,4 @@ func (p *Passthrough) SkipTo(now int64) {
 	if now > p.now {
 		p.now = now
 	}
-}
-
-// Reset implements Pipeline.
-func (p *Passthrough) Reset() {
-	p.inQ.Clear()
-	p.outQ.Clear()
-	p.now = 0
-	p.RawIn, p.PacketsOut, p.InputStalls = 0, 0, 0
 }

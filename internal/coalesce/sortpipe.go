@@ -176,16 +176,6 @@ func (s *SortingCoalescer) SkipTo(now int64) {
 // Comparisons returns the compare-exchange activations so far.
 func (s *SortingCoalescer) Comparisons() int64 { return s.net.Comparisons }
 
-// Reset implements Pipeline.
-func (s *SortingCoalescer) Reset() {
-	s.now = 0
-	s.batch = s.batch[:0]
-	s.batchStart = 0
-	s.outQ.Clear()
-	s.net.Comparisons = 0
-	s.RawIn, s.PacketsOut, s.InputStalls = 0, 0, 0
-}
-
 // RowBufferCoalescer implements the row-buffer-width coalescer of
 // Wang et al. (ICPP'19, "MAC"), the second prior design of paper §2.2:
 // raw requests aggregate into slots keyed by the device row (256B for
@@ -407,19 +397,6 @@ func (r *RowBufferCoalescer) NextWake(now int64) int64 {
 		}
 	}
 	return wake
-}
-
-// Reset implements Pipeline. Slot request buffers are dropped, not
-// recycled (see the interface contract).
-func (r *RowBufferCoalescer) Reset() {
-	for i := range r.rows {
-		r.rows[i] = rowSlot{}
-	}
-	r.live = 0
-	r.now = 0
-	r.outQ.Clear()
-	r.order = 0
-	r.RawIn, r.PacketsOut, r.InputStalls = 0, 0, 0
 }
 
 // SkipTo implements Pipeline.

@@ -141,42 +141,6 @@ func New(p Params, ids func() uint64) *PAC {
 // slices and emitted packets' Parents.
 func (c *PAC) UseParentPool(pool *arena.SlicePool[mem.Request]) { c.parents = pool }
 
-// Reset restores the coalescer to its just-constructed state, keeping the
-// coalescing table and all grown queue storage. The histogram statistics
-// keep their bin capacity through one reallocation each, so a reset PAC
-// re-reaches its allocation steady state immediately; replacing (rather
-// than zeroing) the Stats value keeps previously snapshotted results
-// independent. In-flight request slices are dropped, not recycled: chunks
-// split from one stream alias its buffer, and a double-Put would corrupt
-// the parent pool.
-func (c *PAC) Reset() {
-	c.now = 0
-	c.missQ.Clear()
-	c.wbQ.Clear()
-	c.takeWB = false
-	for i := range c.streams {
-		c.streams[i] = coalescingStream{}
-	}
-	c.live = 0
-	c.tmoAt = engine.Never
-	for i := range c.stage2 {
-		c.stage2[i] = flushedStream{}
-	}
-	c.stage2 = c.stage2[:0]
-	c.storeQ.Clear()
-	c.seqBuf.Clear()
-	c.asm = asmJob{}
-	c.asmActive = false
-	c.bypassQ.Clear()
-	c.maq.Clear()
-	c.fillStart, c.fillPushes, c.fillActive = 0, 0, false
-	c.lastSample = 0
-	size, occ := c.Stats.SizeHist.Cap(), c.Stats.Occupancy.Cap()
-	c.Stats = Stats{}
-	c.Stats.SizeHist.Grow(size)
-	c.Stats.Occupancy.Grow(occ)
-}
-
 // Params returns the configuration the PAC was built with.
 func (c *PAC) Params() Params { return c.p }
 

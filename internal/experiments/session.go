@@ -104,14 +104,6 @@ type Session struct {
 	hooks   *telemetry.Hooks
 	ckpt    *CheckpointPolicy
 
-	// scratch recycles sim.Scratch arenas across the session's runs, so
-	// a long-lived session (the pacd worker pool) reaches a steady state
-	// where simulations reuse buffers instead of allocating. Each arena
-	// is owned by exactly one run at a time; Scratch never affects
-	// results. It is the latched value of Scratches (a private pool when
-	// the caller set none).
-	scratch *ScratchPool
-
 	// Progress, when set, receives a line per completed simulation or
 	// trace capture. It MUST be assigned before the session's first
 	// result is requested and never reassigned afterwards: the session
@@ -132,14 +124,6 @@ type Session struct {
 	// session's default-variant simulations (see CheckpointPolicy). Like
 	// Progress and Hooks it is latched on first use.
 	Checkpoints *CheckpointPolicy
-
-	// Scratches, when set, is a shared shape-aware arena pool — one pool
-	// across every session of a pacd, so parked machines survive session
-	// eviction and a worker preferentially draws an arena warm for its
-	// job's shape. Like Progress and Hooks it is latched on first use;
-	// unset, the session uses a private pool (same reuse within the
-	// session, no cross-session warmth).
-	Scratches *ScratchPool
 }
 
 // NewSession creates a session.
@@ -164,10 +148,6 @@ func (s *Session) latchLocked() {
 		s.progFn = s.Progress
 		s.hooks = s.Hooks
 		s.ckpt = s.Checkpoints
-		s.scratch = s.Scratches
-		if s.scratch == nil {
-			s.scratch = NewScratchPool(0, 0)
-		}
 	}
 }
 
@@ -383,13 +363,13 @@ func (s *Session) evictSim(k simKey, e *memoEntry[*sim.Result]) {
 func (s *Session) runSim(ctx context.Context, k simKey) (*sim.Result, error) {
 	cfg := s.simConfig(k.bench, k.mode, k.v)
 	cfg.Hooks = s.hooks
-	cfg.Scratch = s.getScratch(sim.ShapeKey(cfg))
+	cfg.Scratch = getScratch()
 	runner, err := s.newRunner(cfg, k)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", k, err)
 	}
 	res, err := runner.RunContext(ctx)
-	s.scratch.Put(cfg.Scratch)
+	putScratch(cfg.Scratch)
 	if err != nil {
 		// A cancelled run keeps its latest checkpoint: the whole point is
 		// that the next attempt resumes instead of restarting.
@@ -515,33 +495,18 @@ func (s *Session) runTrace(ctx context.Context, bench string) ([]mem.Request, er
 	cfg := s.simConfig(bench, coalesce.ModePAC, varDefault)
 	cfg.TraceSink = func(r mem.Request) { reqs = append(reqs, r) }
 	cfg.Hooks = s.hooks
-	cfg.Scratch = s.getScratch(sim.ShapeKey(cfg))
+	cfg.Scratch = getScratch()
 	runner, err := sim.NewRunner(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)
 	}
 	_, err = runner.RunContext(ctx)
-	s.scratch.Put(cfg.Scratch)
+	putScratch(cfg.Scratch)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)
 	}
 	s.noteDone(fmt.Sprintf("traced %-10s requests=%d", bench, len(reqs)))
 	return reqs, nil
-}
-
-// getScratch draws a recycled simulation arena from the session's
-// (possibly shared) pool, preferring one already warm for the run's
-// machine shape.
-func (s *Session) getScratch(shape string) *sim.Scratch {
-	return s.scratch.Get(shape)
-}
-
-// Shape returns the canonical machine-shape key of this session's
-// default-variant (benchmark, mode) simulation — the key the serving
-// layer tags jobs with for affinity batching and pprof labels. Empty
-// when that configuration cannot park a machine (fault injection).
-func (s *Session) Shape(bench string, mode coalesce.Mode) string {
-	return sim.ShapeKey(s.simConfig(bench, mode, varDefault))
 }
 
 // simConfig builds the simulator configuration for one run.

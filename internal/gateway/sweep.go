@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 
@@ -114,20 +113,11 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	g.reg.Counter("pac_gw_sweeps_total", "Sweep fan-outs started.").Inc()
 
-	// Fan out: every pair dispatches by its own key, so the cells land
-	// on (and warm) their canonical shards — but the dispatch ORDER is
-	// grouped per shard, so each backend sees its cells back-to-back.
-	// Consecutive arrival is what lets the backend's affinity batcher
-	// and machine cache run the shard's cells warm instead of thrashing
-	// between interleaved shapes. Results still slot into place by
-	// original index; completion order never matters, so the merged
-	// table stays byte-identical to the unordered fan-out.
+	// Fan out in request order: every pair dispatches by its own key, so
+	// the cells land on (and warm the memo of) their canonical shards.
+	// Results slot into place by index; completion order never matters.
 	rows := make([]sweepRow, len(pairs))
 	errs := make([]error, len(pairs))
-	order := sweepDispatchOrder(pairs, func(key string) string {
-		node, _ := g.ring.Owner(key)
-		return node
-	})
 	workers := g.cfg.SweepConcurrency
 	if workers > len(pairs) {
 		workers = len(pairs)
@@ -146,7 +136,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	for _, i := range order {
+	for i := range pairs {
 		feed <- i
 	}
 	close(feed)
@@ -181,31 +171,6 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SweepResponse{Table: table, Text: text.String(), Routes: routes})
-}
-
-// sweepDispatchOrder returns a permutation of pair indices grouped by
-// owning shard, then by routing key within the shard, with the original
-// request order breaking ties. Feeding the fan-out in this order makes
-// same-shard (and, within a shard, same-shape) cells dispatch
-// consecutively, so each backend's scratch pool and machine cache stay
-// warm for one configuration at a time instead of alternating. The
-// permutation only reorders dispatch — result rows are still slotted by
-// original index, so the merged table is unaffected.
-func sweepDispatchOrder(pairs []sweepPair, owner func(key string) string) []int {
-	order := make([]int, len(pairs))
-	owners := make([]string, len(pairs))
-	for i, p := range pairs {
-		order[i] = i
-		owners[i] = owner(p.key)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if owners[ia] != owners[ib] {
-			return owners[ia] < owners[ib]
-		}
-		return pairs[ia].key < pairs[ib].key
-	})
-	return order
 }
 
 // sweepPairs expands and validates the request into its ordered cells.

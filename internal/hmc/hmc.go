@@ -332,30 +332,6 @@ func (d *Device) bankOfRow(row uint64) int {
 	return int(r % uint64(d.cfg.BanksPerVault))
 }
 
-// Reset restores the device to its just-constructed state — idle links,
-// vaults and banks, closed rows, no in-flight requests, zeroed statistics
-// and energy ledger — keeping the heap and pop-buffer storage. Any
-// installed fault injector is detached (the driver re-installs one per
-// run).
-func (d *Device) Reset() {
-	for i := range d.linkTxFree {
-		d.linkTxFree[i] = 0
-		d.linkRxFree[i] = 0
-	}
-	for i := range d.vaultFree {
-		d.vaultFree[i] = 0
-	}
-	for i := range d.bankFree {
-		d.bankFree[i] = 0
-		d.openRow[i] = -1
-	}
-	d.nextLink = 0
-	d.completed = d.completed[:0]
-	d.popBuf = d.popBuf[:0]
-	d.faults = nil
-	d.Stats = Stats{}
-}
-
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 

@@ -122,22 +122,6 @@ func New(cfg Config) *File {
 	return &File{cfg: cfg, entries: make([]Entry, cfg.Entries), free: cfg.Entries}
 }
 
-// Reset restores the file to its just-constructed state: every entry
-// invalid, the filter and every counter zeroed. Subentry backing arrays
-// are kept, so a reset file re-reaches its steady state without
-// allocating.
-func (f *File) Reset() {
-	for i := range f.entries {
-		e := &f.entries[i]
-		*e = Entry{subs: e.subs[:0]}
-	}
-	f.free = len(f.entries)
-	f.gen = 0
-	f.nvalid = 0
-	f.sigCnt = [64]uint16{}
-	f.Merges, f.Allocations, f.MergeFails, f.Comparisons, f.Reissues = 0, 0, 0, 0, 0
-}
-
 // Size returns the number of MSHRs.
 func (f *File) Size() int { return len(f.entries) }
 

@@ -85,19 +85,6 @@ func New(cfg Config, cores int) *Prefetcher {
 	return p
 }
 
-// Reset restores the prefetcher to its just-constructed state, keeping
-// the stream-table storage.
-func (p *Prefetcher) Reset() {
-	for _, table := range p.tables {
-		for i := range table {
-			table[i] = streamEntry{}
-		}
-	}
-	p.clock = 0
-	p.outBuf = p.outBuf[:0]
-	p.Issued = 0
-}
-
 // NextWake implements the engine.Clocked contract: the prefetcher is
 // purely reactive — it observes misses and emits candidates synchronously
 // inside the issuing core's access, and its congestion throttle (the

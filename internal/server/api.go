@@ -43,12 +43,7 @@ type sessionPool struct {
 	// policy each new session is created with (keyed by the session's
 	// canonical options hash); nil keeps sessions checkpoint-free.
 	ckptPolicy func(optsKey string) *experiments.CheckpointPolicy
-	// scratches is the daemon-wide shape-aware arena pool every session
-	// shares: parked machines survive session LRU eviction, so a hot
-	// shape stays warm even as its session churns in and out of the
-	// pool.
-	scratches *experiments.ScratchPool
-	entries   map[string]*poolEntry
+	entries    map[string]*poolEntry
 }
 
 type poolEntry struct {
@@ -57,14 +52,12 @@ type poolEntry struct {
 }
 
 func newSessionPool(cap int, hooks *telemetry.Hooks, progress func(string),
-	ckptPolicy func(optsKey string) *experiments.CheckpointPolicy,
-	scratches *experiments.ScratchPool) *sessionPool {
+	ckptPolicy func(optsKey string) *experiments.CheckpointPolicy) *sessionPool {
 	return &sessionPool{
 		cap:        cap,
 		hooks:      hooks,
 		progress:   progress,
 		ckptPolicy: ckptPolicy,
-		scratches:  scratches,
 		entries:    make(map[string]*poolEntry),
 	}
 }
@@ -85,7 +78,6 @@ func (p *sessionPool) session(opts experiments.Options) (*experiments.Session, s
 	sess := experiments.NewSession(opts)
 	sess.Hooks = p.hooks
 	sess.Progress = p.progress
-	sess.Scratches = p.scratches
 	if p.ckptPolicy != nil {
 		sess.Checkpoints = p.ckptPolicy(key)
 	}
@@ -290,7 +282,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if ans, ok := sj.local(true); ok {
 		job, err = s.jobs.completed("simulate", sj.payload, ans)
 	} else {
-		job, err = s.jobs.submit("simulate", sj.payload, sj.meta(), sj.run)
+		job, err = s.jobs.submit("simulate", sj.payload, sj.meta, sj.run)
 	}
 	if !s.submitted(w, job, err) {
 		return
@@ -338,10 +330,8 @@ type simulateJob struct {
 	// Resolution against the base options is deterministic, so replaying
 	// it after a crash reproduces the original job exactly.
 	payload []byte
-	// meta computes the job's scheduling meta (machine-shape affinity
-	// key, bench/mode pprof labels). Only a job that enters the queue
-	// reads it, so an inline hit never pays for the shape hash.
-	meta func() jobMeta
+	// meta is the job's bench/mode pprof labels.
+	meta jobMeta
 	// local answers from this node alone — the session memo, then the
 	// local store — and never simulates or blocks. With resident set it
 	// reads the store only for a key the store holds, so the handler's
@@ -410,12 +400,7 @@ func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulate
 		s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
 		return answer(source, js), nil
 	}
-	// Affinity is the machine-shape key, not the SimKey: two requests
-	// with different options can still share a shape, and fault-plan
-	// requests (shape "") opt out — they bypass the machine cache anyway.
-	meta := func() jobMeta {
-		return jobMeta{affinity: sess.Shape(bench, mode), bench: bench, mode: mode.String()}
-	}
+	meta := jobMeta{bench: bench, mode: mode.String()}
 	return simulateJob{payload: payload, meta: meta, local: local, run: run}, nil
 }
 
@@ -467,7 +452,6 @@ func (s *Server) handleRunExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// Experiments span many shapes, so they carry no affinity key.
 	job, err := s.jobs.submit("experiment", payload, jobMeta{}, run)
 	if !s.submitted(w, job, err) {
 		return

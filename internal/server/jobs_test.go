@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -98,4 +99,73 @@ func TestRetentionEvictsOldestFinishedFirst(t *testing.T) {
 	if code, _, v := do(t, h, "GET", "/v1/jobs/"+head.ID(), nil); code != http.StatusOK || v["status"] != string(StatusRunning) {
 		t.Errorf("running head job: GET = %d %v", code, v["status"])
 	}
+}
+
+// TestQueueDepthIsExact pins -queue as an exact bound on waiting jobs:
+// with the only worker busy, QueueDepth jobs queue and the next one is
+// refused with 429; once the worker finishes a job and picks up the
+// next, exactly one more job is accepted before the next 429.
+func TestQueueDepthIsExact(t *testing.T) {
+	const depth = 3
+	srv := newTestServer(t, func(c *Config) {
+		c.Concurrency = 1
+		c.QueueDepth = depth
+	})
+	m, h := srv.jobs, srv.Handler()
+	var releases []chan struct{}
+	t.Cleanup(func() {
+		for _, r := range releases {
+			close(r)
+		}
+	})
+	submit := func() (*Job, int) {
+		t.Helper()
+		release := make(chan struct{})
+		j, err := m.submit("test", nil, jobMeta{}, func(ctx context.Context) (any, error) {
+			select {
+			case <-release:
+				return nil, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		})
+		if err != nil {
+			rec := httptest.NewRecorder()
+			srv.submitted(rec, j, err)
+			return nil, rec.Code
+		}
+		releases = append(releases, release)
+		return j, http.StatusAccepted
+	}
+	mustAccept := func() *Job {
+		t.Helper()
+		j, code := submit()
+		if j == nil {
+			t.Fatalf("submit refused with %d, want accepted", code)
+		}
+		return j
+	}
+	mustRefuse := func() {
+		t.Helper()
+		if _, code := submit(); code != http.StatusTooManyRequests {
+			t.Fatalf("submit answered %d, want 429", code)
+		}
+	}
+
+	running := mustAccept()
+	waitForStatus(t, h, running.ID(), StatusRunning)
+	queued := make([]*Job, depth)
+	for i := range queued {
+		queued[i] = mustAccept()
+	}
+	mustRefuse()
+
+	// Finish the running job; the worker picks up the oldest queued one,
+	// which frees exactly one queue slot.
+	close(releases[0])
+	releases = releases[1:]
+	<-running.Done()
+	waitForStatus(t, h, queued[0].ID(), StatusRunning)
+	mustAccept()
+	mustRefuse()
 }

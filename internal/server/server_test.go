@@ -476,7 +476,7 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 // options share one session while different options get their own, and
 // the LRU cap bounds the pool.
 func TestSessionPoolSharing(t *testing.T) {
-	pool := newSessionPool(2, nil, nil, nil, nil)
+	pool := newSessionPool(2, nil, nil, nil)
 	base := experiments.NewSession(quickOptions()).Options()
 	s1, k1 := pool.session(base)
 	s2, k2 := pool.session(base)

@@ -158,10 +158,10 @@ func (r *Runner) emitCheckpoint() {
 }
 
 // ResumeFrom builds a runner whose machine continues from the given
-// checkpoint: the component graph is constructed (or taken warm) exactly
-// as NewRunner would, then every component's state is overwritten from
-// the snapshot and the workload generators are fast-forwarded to each
-// core's stream position. The continued run is byte-identical to the
+// checkpoint: the component graph is constructed exactly as NewRunner
+// would, then every component's state is overwritten from the snapshot
+// and the workload generators are fast-forwarded to each core's stream
+// position. The continued run is byte-identical to the
 // uninterrupted one. Caller-supplied generators cannot be resumed (their
 // replay contract is unknown); cfg must describe the same simulation the
 // checkpoint was taken from, enforced via the config signature.
@@ -284,20 +284,13 @@ func (r *Runner) restore(ck *Checkpoint) error {
 		r.ckptNext = r.now + r.ckptEvery
 	}
 
-	if !m.traceOK {
-		// Without a complete replay trace the generators must be wound
-		// forward to each core's stream position. The workload contract
-		// (the k-th Next for a core yields the same access regardless of
-		// other cores' calls) makes per-core fast-forward exact. A
-		// resumed run can never capture a complete trace — the early
-		// accesses were issued before the crash — so this run does not
-		// record; the machine's next reuse starts a clean capture.
-		m.recording = false
-		for i := range r.cores {
-			c := &r.cores[i]
-			for k := 0; k < c.issued; k++ {
-				m.gens[c.proc].Next(c.localIdx)
-			}
+	// Wind the generators forward to each core's stream position. The
+	// workload contract (the k-th Next for a core yields the same access
+	// regardless of other cores' calls) makes per-core fast-forward exact.
+	for i := range r.cores {
+		c := &r.cores[i]
+		for k := 0; k < c.issued; k++ {
+			m.gens[c.proc].Next(c.localIdx)
 		}
 	}
 	return nil

@@ -165,11 +165,11 @@ func TestCheckpointResumeMultiprocessVirtualized(t *testing.T) {
 	assertSameResult(t, "multiprocess-virtualized", got, base)
 }
 
-// TestCheckpointResumeWarmScratch resumes onto a warm Scratch holding a
-// parked machine from two completed runs of the same shape (the second
-// records its trace): the restore then lands on a trace-replaying
-// machine (traceOK), exercising the index-replay path instead of
-// generator fast-forward. Both must give the same answer.
+// TestCheckpointResumeWarmScratch resumes onto a Scratch that has
+// already completed runs of other configurations, so the resumed
+// machine is built from recycled buffers shaped by different runs. The
+// resumed result must match the uninterrupted run, and a full run on the
+// same Scratch afterwards must still match it too.
 func TestCheckpointResumeWarmScratch(t *testing.T) {
 	cfg := smallConfig("GS", coalesce.ModePAC)
 	cfg.AccessesPerCore = 1_200
@@ -178,19 +178,20 @@ func TestCheckpointResumeWarmScratch(t *testing.T) {
 	ck := cks[len(cks)/2]
 
 	sc := NewScratch()
+	for _, other := range []Config{
+		smallConfig("STREAM", coalesce.ModePAC),
+		smallConfig("GS", coalesce.ModeNone),
+	} {
+		other.AccessesPerCore = 1_500
+		other.Scratch = sc
+		run(t, other)
+	}
 	warm := cfg
 	warm.Scratch = sc
-	run(t, warm) // park a machine
-	run(t, warm) // reuse it once, recording its trace
-	if len(sc.machs) != 1 || !sc.machs[0].traceOK {
-		t.Fatal("no trace-replaying machine parked before resume")
-	}
 
 	got := resumeRun(t, warm, ck)
 	assertSameResult(t, "warm-scratch", got, base)
 
-	// The parked machine must survive resume+rerun uncorrupted: a fresh
-	// full run on the same Scratch still matches the cold baseline.
 	again := run(t, warm)
 	assertSameResult(t, "post-resume-full-run", again, base)
 }

@@ -136,109 +136,43 @@ func TestSpecializedDriverSelected(t *testing.T) {
 	}
 }
 
-// TestWarmScratchByteIdentity proves machine reuse never leaks state: a
-// shared Scratch runs the same configuration repeatedly — alternating the
-// event kernel and the reference stepper, so a parked machine crosses
-// drivers — and every warm Result must be byte-identical to the cold
-// baseline (modulo SkippedCycles, which is driver accounting). The first
-// run on the Scratch builds cold, the second resets the parked machine
-// and records its trace, later ones replay it. Two schedules start on
-// opposite drivers, so every phase runs under both drivers in every mode.
+// TestWarmScratchByteIdentity proves a reused arena never leaks state
+// between runs: one Scratch serves every run of the test, and each run
+// switches mode, takes a fresh seed and alternates between the event
+// kernel and the reference stepper relative to its predecessor. Every
+// run must be byte-identical to the same configuration on a private
+// Scratch. Each subtest starts the mode rotation at its own mode, so
+// every mode follows every other on the shared arena.
 func TestWarmScratchByteIdentity(t *testing.T) {
-	for _, mode := range allModes {
-		mode := mode
+	sc := NewScratch()
+	seed := uint64(100)
+	ref := false
+	for k, mode := range allModes {
+		k := k
 		t.Run(mode.String(), func(t *testing.T) {
-			base := smallConfig("GS", mode)
-			base.AccessesPerCore = 1_500
-			c := *run(t, base)
-			c.SkippedCycles = 0
-
-			for _, first := range []bool{false, true} {
-				sc := NewScratch()
-				for i, phase := range []string{"cold", "record", "replay", "replay"} {
-					cfg := base
-					cfg.Scratch = sc
-					cfg.ReferenceStepper = first != (i%2 == 1)
-					w := *run(t, cfg)
-					w.SkippedCycles = 0
-					if !reflect.DeepEqual(&w, &c) {
-						t.Fatalf("run %d (%s, ref=%v) diverges from cold run\nwarm: %+v\ncold: %+v",
-							i, phase, cfg.ReferenceStepper, w, c)
-					}
+			for i := 0; i < len(allModes); i++ {
+				seed++
+				ref = !ref
+				cfg := smallConfig("GS", allModes[(k+i)%len(allModes)])
+				cfg.AccessesPerCore = 1_500
+				cfg.Seed = seed
+				cfg.ReferenceStepper = ref
+				private := run(t, cfg)
+				cfg.Scratch = sc
+				if got := run(t, cfg); !reflect.DeepEqual(got, private) {
+					t.Fatalf("run %d (%v, seed %d, ref=%v) on the shared Scratch diverges from a private one\nshared:  %+v\nprivate: %+v",
+						i, cfg.Mode, cfg.Seed, ref, got, private)
 				}
 			}
 		})
 	}
 }
 
-// TestColdRunsNeverRecord pins when workload record-replay engages on a
-// shared Scratch: the cold build never records, the parked machine's
-// first reuse records into exactly sized traces, and only its second
-// reuse replays without generators. Every run must match a run on a
-// private Scratch, in every mode under both drivers.
-func TestColdRunsNeverRecord(t *testing.T) {
-	for _, mode := range allModes {
-		for _, ref := range []bool{false, true} {
-			mode, ref := mode, ref
-			t.Run(fmt.Sprintf("%v/ref=%v", mode, ref), func(t *testing.T) {
-				cfg := smallConfig("GS", mode)
-				cfg.AccessesPerCore = 1_000
-				cfg.ReferenceStepper = ref
-				cold := run(t, cfg)
-
-				sc := NewScratch()
-				cfg.Scratch = sc
-				parked := func(phase string) *machine {
-					t.Helper()
-					if len(sc.machs) != 1 {
-						t.Fatalf("after %s run: %d parked machines, want 1", phase, len(sc.machs))
-					}
-					return sc.machs[0]
-				}
-
-				if got := run(t, cfg); !reflect.DeepEqual(got, cold) {
-					t.Fatalf("cold-build run diverges from private-Scratch run\ngot:  %+v\nwant: %+v", got, cold)
-				}
-				if m := parked("cold-build"); m.recording || m.trace != nil || m.traceOK {
-					t.Fatalf("cold build recorded: recording=%v trace=%v traceOK=%v", m.recording, m.trace != nil, m.traceOK)
-				}
-
-				if got := run(t, cfg); !reflect.DeepEqual(got, cold) {
-					t.Fatalf("recording run diverges from private-Scratch run\ngot:  %+v\nwant: %+v", got, cold)
-				}
-				m := parked("recording")
-				if !m.traceOK || m.recording {
-					t.Fatalf("first reuse left traceOK=%v recording=%v, want a complete trace", m.traceOK, m.recording)
-				}
-				for i, tr := range m.trace {
-					if len(tr) != cfg.AccessesPerCore || cap(tr) != cfg.AccessesPerCore {
-						t.Errorf("core %d trace len/cap = %d/%d, want exactly %d", i, len(tr), cap(tr), cfg.AccessesPerCore)
-					}
-				}
-
-				r, err := NewRunner(cfg)
-				if err != nil {
-					t.Fatalf("NewRunner: %v", err)
-				}
-				if !r.machWarm || r.m.gens != nil {
-					t.Fatalf("third run does not replay: warm=%v gens=%v", r.machWarm, r.m.gens != nil)
-				}
-				got, err := r.Run()
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				if !reflect.DeepEqual(got, cold) {
-					t.Fatalf("replay run diverges from private-Scratch run\ngot:  %+v\nwant: %+v", got, cold)
-				}
-			})
-		}
-	}
-}
-
-// TestWarmScratchAcrossConfigs drives one Scratch through incompatible
-// configurations back to back: mode switches and a benchmark switch
-// force machine rebuilds, and each result must still match its own cold
-// baseline. This is the pacd worker pattern — one arena, many jobs.
+// TestWarmScratchAcrossConfigs drives one Scratch through different
+// configurations back to back: mode switches and a benchmark switch hand
+// each run buffers shaped by a different predecessor, and each result
+// must still match its own cold baseline. This is the pacd worker
+// pattern — one arena, many jobs.
 func TestWarmScratchAcrossConfigs(t *testing.T) {
 	sc := NewScratch()
 	jobs := []struct {
@@ -262,9 +196,9 @@ func TestWarmScratchAcrossConfigs(t *testing.T) {
 	}
 }
 
-// TestWarmScratchFaultsIsolated checks a faulted run neither reuses nor
-// pollutes the machine cache: fault injection is run-scoped, so a warm
-// Scratch interleaving clean and faulted runs must keep both streams
+// TestWarmScratchFaultsIsolated checks a faulted run does not pollute a
+// shared arena: fault injection is run-scoped, so a warm Scratch
+// interleaving clean and faulted runs must keep both streams
 // byte-identical to their cold counterparts.
 func TestWarmScratchFaultsIsolated(t *testing.T) {
 	clean := smallConfig("CG", coalesce.ModePAC)

@@ -244,7 +244,7 @@ func (r *Runner) issueCoreNone(pipe *coalesce.Passthrough, i int) {
 		if r.now < c.nextIssue {
 			return
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}
@@ -571,7 +571,7 @@ func (r *Runner) issueCoreDMC(pipe *coalesce.Passthrough, i int) {
 		if r.now < c.nextIssue {
 			return
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}
@@ -913,7 +913,7 @@ func (r *Runner) issueCorePAC(pipe *core.PAC, i int) {
 		if r.now < c.nextIssue {
 			return
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}
@@ -1242,7 +1242,7 @@ func (r *Runner) issueCoreSortNet(pipe *coalesce.SortingCoalescer, i int) {
 		if r.now < c.nextIssue {
 			return
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}
@@ -1569,7 +1569,7 @@ func (r *Runner) issueCoreRowBuf(pipe *coalesce.RowBufferCoalescer, i int) {
 		if r.now < c.nextIssue {
 			return
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}

@@ -327,7 +327,7 @@ func (r *Runner) issueCore{{.Suffix}}(pipe {{.PipeType}}, i int) {
 		if r.now < c.nextIssue {
 			return
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}

@@ -316,16 +316,6 @@ type Runner struct {
 	groupBuf []outReq
 	probeBuf [1]mem.Request
 	released bool
-	// completedOK marks a fully drained run; only then may release park
-	// the machine for reuse (an aborted machine has in-flight state no
-	// Reset contract covers recycling for).
-	completedOK bool
-	// machWarm records whether the machine came from the Scratch cache
-	// (takeMachine hit); machEvicted counts the parked machines release
-	// evicted when parking this run's. Both ride the terminal telemetry
-	// event.
-	machWarm    bool
-	machEvicted int
 
 	// pacStats is the Result's PAC snapshot slot, so collect need not
 	// allocate one per run.
@@ -360,15 +350,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.ckptNext = cfg.CheckpointEvery
 	}
 
-	m, ok := r.scratch.takeMachine(&cfg)
-	if !ok {
-		var err error
-		m, err = buildMachine(cfg, r.scratch)
-		if err != nil {
-			return nil, err
-		}
+	m, err := buildMachine(&cfg, r.scratch)
+	if err != nil {
+		return nil, err
 	}
-	r.machWarm = ok
 	r.m = m
 	r.hier = m.hier
 	r.pf = m.pf
@@ -424,75 +409,46 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	} else {
 		err = r.runEvents(ctx)
 	}
-	r.completedOK = err == nil
 	var fs fault.Stats
 	if r.faults != nil {
 		fs = r.faults.Snapshot()
 	}
 	if err != nil {
-		// Release before the terminal event so its machine-cache fields
-		// (evictions in particular) describe this run; release is
-		// idempotent, so the deferred safety call above stays a no-op.
-		r.release()
 		kind := telemetry.KindSimFailed
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			kind = telemetry.KindSimCancelled
 		}
 		hooks.Emit(telemetry.Event{
 			Kind: kind, Bench: bench, Mode: mode,
-			FaultsCRC:        fs.LinkCRCErrors,
-			FaultsStall:      fs.VaultStalls,
-			FaultsPoison:     fs.PoisonedResponses,
-			MachineWarm:      r.machWarm,
-			MachineEvictions: int64(r.machEvicted),
-			ReplaySkips:      r.takeReplaySkip(),
+			FaultsCRC:    fs.LinkCRCErrors,
+			FaultsStall:  fs.VaultStalls,
+			FaultsPoison: fs.PoisonedResponses,
 		})
 		return nil, err
 	}
 	r.collect()
-	r.release()
 	hooks.Emit(telemetry.Event{
-		Kind:             telemetry.KindSimCompleted,
-		Bench:            bench,
-		Mode:             mode,
-		Wall:             time.Since(start),
-		Cycles:           r.res.Cycles,
-		Skipped:          r.res.SkippedCycles,
-		FaultsCRC:        fs.LinkCRCErrors,
-		FaultsStall:      fs.VaultStalls,
-		FaultsPoison:     fs.PoisonedResponses,
-		MachineWarm:      r.machWarm,
-		MachineEvictions: int64(r.machEvicted),
-		ReplaySkips:      r.takeReplaySkip(),
+		Kind:         telemetry.KindSimCompleted,
+		Bench:        bench,
+		Mode:         mode,
+		Wall:         time.Since(start),
+		Cycles:       r.res.Cycles,
+		Skipped:      r.res.SkippedCycles,
+		FaultsCRC:    fs.LinkCRCErrors,
+		FaultsStall:  fs.VaultStalls,
+		FaultsPoison: fs.PoisonedResponses,
 	})
 	r.hier.Record(hooks, bench)
 	return &r.res, nil
 }
 
-// takeReplaySkip consumes the machine's pending record-replay budget
-// skip: 1 on the first terminal event after the skip, 0 afterwards, so
-// the pac_replay_budget_skips_total counter counts machines, not runs.
-// Safe after release — the runner keeps its machine reference (parking
-// only shares it with the Scratch, and the machine may be reused by a
-// later run, which is exactly why the note must latch).
-func (r *Runner) takeReplaySkip() int64 {
-	m := r.m
-	if !m.traceSkipped || m.traceSkipNoted {
-		return 0
-	}
-	m.traceSkipNoted = true
-	return 1
-}
-
-// release returns the run's recyclable state to its Scratch so the next
-// run with the same Scratch reuses it. A completed run parks its whole
-// machine — the component graph keeps its buffers and is reset in place
-// by the next compatible run. An aborted or uncacheable run dismantles
-// instead: per-core buffers and the fill set go back individually (on an
-// abort, buffers still referenced by pipeline or MSHR state are simply
-// not returned). Either way this only matters when Config.Scratch is
-// shared across sequential runs; a Runner is single-run and nothing reads
-// the references again.
+// release returns the run's recyclable buffers to its Scratch so the
+// next run with the same Scratch reuses them: per-core outstanding sets,
+// fully drained parked-output buffers, and the hierarchy's pending-fill
+// set (on an abort, buffers still referenced by pipeline or MSHR state
+// are simply not returned). This only matters when Config.Scratch is
+// shared across sequential runs; a Runner is single-run and nothing
+// reads the references again.
 func (r *Runner) release() {
 	if r.released {
 		return
@@ -502,11 +458,6 @@ func (r *Runner) release() {
 		r.scratch.histHint = h
 	}
 	r.scratch.putOutBuf(r.groupBuf)
-	if r.completedOK && r.m.cacheable {
-		r.m.finishRecording(r.cfg.AccessesPerCore)
-		r.machEvicted = r.scratch.putMachine(r.m)
-		return
-	}
 	for i := range r.cores {
 		c := &r.cores[i]
 		r.scratch.putSet(c.outstanding)
@@ -859,7 +810,7 @@ func (r *Runner) issueCore(i int) {
 		if r.now < c.nextIssue {
 			return // pacing: ALU work between memory accesses
 		}
-		a = r.nextAccess(c, i)
+		a = r.nextAccess(c)
 		c.issued++
 		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
 	}

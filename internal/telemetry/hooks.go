@@ -82,20 +82,6 @@ type Event struct {
 	// CRC replays, vault ECC-scrub stalls, poisoned responses); all
 	// zero when fault injection is disabled.
 	FaultsCRC, FaultsStall, FaultsPoison int64
-	// MachineWarm reports, on a terminal simulation event, whether the
-	// run checked its component graph out of the Scratch machine cache
-	// (hit) or had to build it fresh (miss — including cache-ineligible
-	// faulted and caller-generator runs).
-	MachineWarm bool
-	// MachineEvictions counts parked machines the run's release evicted
-	// from the Scratch machine cache (LRU overflow); terminal events.
-	MachineEvictions int64
-	// ReplaySkips is 1 on the first terminal event after a machine's
-	// workload record-replay was skipped for exceeding the recording
-	// budget, which is checked when the machine is first reused (the
-	// cache silently degrading to generator re-runs is a capped
-	// behaviour, and caps are never silent).
-	ReplaySkips int64
 }
 
 // Hooks is the cheap event sink the instrumented packages (sim, cache,
@@ -152,14 +138,6 @@ const (
 	MetricCacheMisses    = "pac_cache_llc_misses_total"
 	MetricFaultsInjected = "pac_faults_injected_total"
 	MetricLinkRetries    = "pac_link_retries_total"
-	MetricMachineHits    = "pac_machine_cache_hits_total"
-	MetricMachineMisses  = "pac_machine_cache_misses_total"
-	MetricMachineEvicted = "pac_machine_cache_evictions_total"
-	// MetricReplaySkips counts machines, not runs: a parked machine
-	// checks the record-replay budget on its first reuse (cold runs
-	// never record), and one over budget is counted once and re-runs
-	// its generators on every later reuse.
-	MetricReplaySkips = "pac_replay_budget_skips_total"
 )
 
 // InstrumentedHooks builds hooks whose observer translates events into
@@ -182,15 +160,12 @@ func InstrumentedHooks(r *Registry) *Hooks {
 			r.Counter(MetricSimSkipped, "Simulated cycles skipped by the event kernel.").
 				Add(float64(ev.Skipped))
 			recordFaults(r, ev)
-			recordMachine(r, ev)
 		case KindSimCancelled:
 			r.Counter(MetricSimsCancelled, "Simulations cancelled mid-run.").Inc()
 			recordFaults(r, ev)
-			recordMachine(r, ev)
 		case KindSimFailed:
 			r.Counter(MetricSimsFailed, "Simulations aborted on an internal error.").Inc()
 			recordFaults(r, ev)
-			recordMachine(r, ev)
 		case KindMemoHit:
 			r.Counter(MetricMemoHits, "Session memo lookups served from cache.").Inc()
 		case KindMemoMiss:
@@ -204,26 +179,6 @@ func InstrumentedHooks(r *Registry) *Hooks {
 				"bench", ev.Bench).Add(float64(ev.LLCMisses))
 		}
 	}}
-}
-
-// recordMachine translates a terminal simulation event's machine-cache
-// outcome into the warm-path counters: one hit or miss per run, plus any
-// LRU evictions the run's release caused and the once-per-machine
-// record-replay budget skip.
-func recordMachine(r *Registry, ev Event) {
-	if ev.MachineWarm {
-		r.Counter(MetricMachineHits, "Runs served by a parked machine from the Scratch cache.").Inc()
-	} else {
-		r.Counter(MetricMachineMisses, "Runs that built their machine fresh.").Inc()
-	}
-	if ev.MachineEvictions > 0 {
-		r.Counter(MetricMachineEvicted, "Parked machines evicted from the Scratch cache (LRU overflow).").
-			Add(float64(ev.MachineEvictions))
-	}
-	if ev.ReplaySkips > 0 {
-		r.Counter(MetricReplaySkips, "Machines whose workload record-replay was skipped for exceeding the recording budget.").
-			Add(float64(ev.ReplaySkips))
-	}
 }
 
 // recordFaults translates a terminal simulation event's fault counters
