@@ -1,11 +1,13 @@
 // Package coalesce defines the common interface between the simulation
 // driver and the coalescing layer, and implements the paper's baselines:
-// a passthrough "standard HMC controller" (no request aggregation) and the
+// a passthrough "standard HMC controller" (no request aggregation), the
 // conventional MSHR-based dynamic memory coalescer (DMC), whose merging
-// happens in the MSHR file itself at fixed 64B granularity.
+// happens in the MSHR file itself at fixed 64B granularity, and the
+// sorting-network and row-buffer coalescers of prior work (sortpipe.go).
 //
-// The PAC from internal/core is adapted to the same interface so that the
-// experiment harness can swap coalescers per run.
+// The PAC from internal/core is adapted to the same interface
+// (PACAdapter), so each Mode is one Pipeline value and both simulation
+// drivers in internal/sim call every coalescer through the interface.
 package coalesce
 
 import (
@@ -51,22 +53,6 @@ type Pipeline interface {
 	// OutLen returns the number of packets currently waiting in the
 	// output queue (the MAQ for PAC).
 	OutLen() int
-}
-
-// ConcretePipeline is the closed type-set of the concrete pipeline
-// implementations behind the five modes. The specialized event drivers in
-// internal/sim are generated once per member of this set (go:generate in
-// events.go); the constraint pins, at compile time, that every member
-// still satisfies the Pipeline contract the generated code mirrors.
-//
-// Note the drivers are generated rather than instantiated from one
-// generic function: Go stencils generics by GC shape, and all of these
-// are pointer-shaped, so a single type-parameterized driver would share
-// one dictionary-dispatched instantiation and pay interface-call cost
-// anyway (DESIGN.md §12 has the measurements).
-type ConcretePipeline interface {
-	Pipeline
-	*Passthrough | *SortingCoalescer | *RowBufferCoalescer | PACAdapter
 }
 
 // Mode selects the coalescing configuration of a simulation run.

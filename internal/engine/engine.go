@@ -1,14 +1,14 @@
-// Package engine is the discrete-event simulation kernel shared by the
-// drivers in internal/sim: instead of ticking every component on every
-// simulated cycle, the scheduler asks each component for the earliest
+// Package engine holds the contract of the discrete-event simulation
+// kernel in internal/sim: instead of ticking every component on every
+// simulated cycle, the event driver asks each component for the earliest
 // cycle at which it could make progress and advances the clock straight
 // to the minimum — the event-driven structure of cycle-accurate HMC
 // models like HMC-Sim, where long device latencies dominate and most
 // cycles are dead time.
 //
-// The kernel is deliberately tiny: components keep their own state and
-// their own per-cycle step logic; the engine only answers "when must the
-// machine next be stepped?". Determinism rules:
+// The package is deliberately tiny: components keep their own state and
+// their own per-cycle step logic, and the driver computes the min-wake
+// itself. Determinism rules:
 //
 //   - NextWake(now) must return a cycle strictly greater than now, or
 //     Never. Returning now+1 means "runnable next cycle" and disables
@@ -17,62 +17,21 @@
 //     every cycle from now+1 to NextWake(now)-1 would leave its state
 //     unchanged (pure stall counters excepted — the driver accounts for
 //     those in closed form when it skips).
-//   - Components are consulted in registration order, and the driver
-//     steps them in a fixed order within a cycle, so tie-breaking between
-//     simultaneous events is positional and reproducible run to run.
+//   - The driver consults components in a fixed order and steps them in
+//     a fixed order within a cycle, so tie-breaking between simultaneous
+//     events is positional and reproducible run to run.
 package engine
 
 import "math"
 
 // Never is the wake cycle of a component with no self-scheduled work: it
-// only acts in response to other components, which the scheduler sees
+// only acts in response to other components, which the driver sees
 // through their own wake times.
 const Never int64 = math.MaxInt64
 
-// Clocked is the contract between the scheduler and a simulated
+// Clocked is the contract between the event driver and a simulated
 // component: NextWake reports the earliest cycle strictly after now at
 // which stepping the component could change machine state.
 type Clocked interface {
 	NextWake(now int64) int64
-}
-
-// Func adapts a plain function to the Clocked interface, for drivers
-// whose wake logic closes over private state.
-type Func func(now int64) int64
-
-// NextWake implements Clocked.
-func (f Func) NextWake(now int64) int64 { return f(now) }
-
-// Scheduler computes next-event times over a fixed component set.
-type Scheduler struct {
-	comps []Clocked
-}
-
-// New builds a scheduler over the given components. Order components
-// from cheapest to most expensive wake computation: NextEvent stops
-// consulting components as soon as one reports it is runnable next
-// cycle, so expensive probes (e.g. a merge dry-run against the MSHR
-// file) should come last.
-func New(comps ...Clocked) *Scheduler { return &Scheduler{comps: comps} }
-
-// Register appends one component to the consultation order.
-func (s *Scheduler) Register(c Clocked) { s.comps = append(s.comps, c) }
-
-// NextEvent returns the earliest cycle strictly after now at which any
-// component may act: the minimum NextWake, clamped below at now+1 so a
-// misbehaving component can never move time backwards. It returns Never
-// when every component is asleep — the machine is drained or wedged, and
-// the driver decides which.
-func (s *Scheduler) NextEvent(now int64) int64 {
-	min := Never
-	for _, c := range s.comps {
-		w := c.NextWake(now)
-		if w < min {
-			min = w
-		}
-		if min <= now+1 {
-			return now + 1
-		}
-	}
-	return min
 }

@@ -11,8 +11,6 @@
 // ahead of the miss.
 package prefetch
 
-import "github.com/pacsim/pac/internal/engine"
-
 // Config parameterises the prefetcher.
 type Config struct {
 	// Enabled turns the prefetcher on.
@@ -84,14 +82,6 @@ func New(cfg Config, cores int) *Prefetcher {
 	}
 	return p
 }
-
-// NextWake implements the engine.Clocked contract: the prefetcher is
-// purely reactive — it observes misses and emits candidates synchronously
-// inside the issuing core's access, and its congestion throttle (the
-// driver's PrefetchThrottle check against device occupancy) is
-// re-evaluated at those same points — so it never schedules work of its
-// own and can never delay an event-kernel skip.
-func (p *Prefetcher) NextWake(now int64) int64 { return engine.Never }
 
 // Observe records a demand miss on the given block number by a core and
 // returns the block numbers to prefetch (possibly none). The returned

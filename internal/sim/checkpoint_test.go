@@ -70,40 +70,79 @@ func cadenceFor(cycles int64) int64 {
 	return every
 }
 
+// stalledAt reports whether resuming cfg from ck starts with the MSHR
+// file full and a packet held back at the coalescer output: the state
+// in which the event driver's wake cache and head-probe memo start cold.
+func stalledAt(t *testing.T, cfg Config, ck *Checkpoint) bool {
+	t.Helper()
+	cfg.CheckpointEvery = 0
+	cfg.CheckpointSink = nil
+	r, err := ResumeFrom(cfg, ck)
+	if err != nil {
+		t.Fatalf("ResumeFrom: %v", err)
+	}
+	return r.file.Full() && r.pipe.OutLen() > 0
+}
+
 // TestCheckpointResumeByteIdentity is the crash-safety tentpole
 // contract: for every mode under both drivers, (1) a checkpointing run
 // is byte-identical to a non-checkpointing run, and (2) resuming from
 // any mid-run checkpoint and running to completion reproduces the
 // uninterrupted result exactly — every counter, histogram bucket and
 // component snapshot. Checkpoints cross the gob codec on the way, so
-// the serialized form is proven lossless too.
+// the serialized form is proven lossless too. The tiny-caches input
+// makes some resumes start stalled (full MSHR file, held-back head
+// packet); the test fails if no event-driver resume does.
 func TestCheckpointResumeByteIdentity(t *testing.T) {
-	for _, mode := range allModes {
-		for _, ref := range []bool{false, true} {
-			mode, ref := mode, ref
-			driver := "events"
-			if ref {
-				driver = "reference"
-			}
-			t.Run(fmt.Sprintf("%s/%s", mode, driver), func(t *testing.T) {
-				cfg := smallConfig("GS", mode)
-				cfg.AccessesPerCore = 1_200
-				cfg.ReferenceStepper = ref
-				base := run(t, cfg)
+	inputs := []struct {
+		name string // subtest prefix; the base input keeps the bare mode/driver names
+		cfg  func(coalesce.Mode) Config
+	}{
+		{"", func(mode coalesce.Mode) Config {
+			cfg := smallConfig("GS", mode)
+			cfg.AccessesPerCore = 1_200
+			return cfg
+		}},
+		{"tiny", tinyCachesConfig},
+	}
+	stalled := 0
+	for _, in := range inputs {
+		for _, mode := range allModes {
+			for _, ref := range []bool{false, true} {
+				in, mode, ref := in, mode, ref
+				driver := "events"
+				if ref {
+					driver = "reference"
+				}
+				name := fmt.Sprintf("%s/%s", mode, driver)
+				if in.name != "" {
+					name = in.name + "/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := in.cfg(mode)
+					cfg.ReferenceStepper = ref
+					base := run(t, cfg)
 
-				ckRes, cks := checkpointedRun(t, cfg, cadenceFor(base.Cycles))
-				if !reflect.DeepEqual(ckRes, base) {
-					t.Fatalf("checkpointing perturbed the run\nwith:    %+v\nwithout: %+v", *ckRes, *base)
-				}
-				if len(cks) < 3 {
-					t.Fatalf("got %d checkpoints, want >= 3 (cycles=%d)", len(cks), base.Cycles)
-				}
-				for _, i := range []int{0, len(cks) / 2, len(cks) - 1} {
-					got := resumeRun(t, cfg, cks[i])
-					assertSameResult(t, fmt.Sprintf("checkpoint %d @%d", i, cks[i].Now), got, base)
-				}
-			})
+					ckRes, cks := checkpointedRun(t, cfg, cadenceFor(base.Cycles))
+					if !reflect.DeepEqual(ckRes, base) {
+						t.Fatalf("checkpointing perturbed the run\nwith:    %+v\nwithout: %+v", *ckRes, *base)
+					}
+					if len(cks) < 3 {
+						t.Fatalf("got %d checkpoints, want >= 3 (cycles=%d)", len(cks), base.Cycles)
+					}
+					for _, i := range []int{0, len(cks) / 2, len(cks) - 1} {
+						if !ref && stalledAt(t, cfg, cks[i]) {
+							stalled++
+						}
+						got := resumeRun(t, cfg, cks[i])
+						assertSameResult(t, fmt.Sprintf("checkpoint %d @%d", i, cks[i].Now), got, base)
+					}
+				})
+			}
 		}
+	}
+	if stalled == 0 {
+		t.Error("no resume under the event driver started from a stalled state")
 	}
 }
 

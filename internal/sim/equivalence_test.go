@@ -108,34 +108,6 @@ func TestKernelSkipsIdleCycles(t *testing.T) {
 	}
 }
 
-// TestSpecializedDriverSelected pins that every known mode actually
-// reaches its monomorphic driver: the selection in runEvents keys on the
-// concrete pipeline type, so a construction change that quietly demoted a
-// mode to the generic interface driver would pass every equivalence test
-// while losing the speedup this package exists for.
-func TestSpecializedDriverSelected(t *testing.T) {
-	for _, mode := range allModes {
-		r, err := NewRunner(smallConfig("GS", mode))
-		if err != nil {
-			t.Fatalf("%v: NewRunner: %v", mode, err)
-		}
-		specialized := false
-		switch mode {
-		case coalesce.ModeNone, coalesce.ModeDMC:
-			_, specialized = r.pipe.(*coalesce.Passthrough)
-		case coalesce.ModePAC:
-			specialized = r.pac != nil
-		case coalesce.ModeSortNet:
-			_, specialized = r.pipe.(*coalesce.SortingCoalescer)
-		case coalesce.ModeRowBuf:
-			_, specialized = r.pipe.(*coalesce.RowBufferCoalescer)
-		}
-		if !specialized {
-			t.Errorf("%v: pipeline is %T; runEvents would fall back to the generic driver", mode, r.pipe)
-		}
-	}
-}
-
 // TestWarmScratchByteIdentity proves a reused arena never leaks state
 // between runs: one Scratch serves every run of the test, and each run
 // switches mode, takes a fresh seed and alternates between the event
@@ -224,6 +196,23 @@ func TestWarmScratchFaultsIsolated(t *testing.T) {
 	}
 }
 
+// tinyCachesConfig shrinks every buffer so a run spends much of its
+// time in the stall paths: a full MSHR file, packets held back at the
+// coalescer output, cores blocked on their outstanding-load budget.
+func tinyCachesConfig(mode coalesce.Mode) Config {
+	cfg := smallConfig("CG", mode)
+	cfg.AccessesPerCore = 1_500
+	cfg.MSHRs = 2
+	cfg.MaxSubentries = 2
+	cfg.MaxOutstandingLoads = 1
+	cfg.Hierarchy = cache.HierarchyConfig{
+		Cores: 2,
+		L1:    cache.Config{Size: 1 << 10, Ways: 2},
+		LLC:   cache.Config{Size: 8 << 10, Ways: 4},
+	}
+	return cfg
+}
+
 // TestKernelEquivalenceTinyCaches stresses the stall paths (full MSHR
 // file, held-back packets, outstanding-load blocking) by shrinking every
 // buffer, so the closed-form stall emulation is exercised rather than
@@ -232,16 +221,7 @@ func TestKernelEquivalenceTinyCaches(t *testing.T) {
 	for _, mode := range allModes {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
-			cfg := smallConfig("CG", mode)
-			cfg.AccessesPerCore = 1_500
-			cfg.MSHRs = 2
-			cfg.MaxSubentries = 2
-			cfg.MaxOutstandingLoads = 1
-			cfg.Hierarchy = cache.HierarchyConfig{
-				Cores: 2,
-				L1:    cache.Config{Size: 1 << 10, Ways: 2},
-				LLC:   cache.Config{Size: 8 << 10, Ways: 4},
-			}
+			cfg := tinyCachesConfig(mode)
 			event, ref := runBoth(t, cfg)
 			assertEquivalent(t, mode.String(), event, ref)
 		})

@@ -1,66 +1,192 @@
 package sim
 
-//go:generate go run gen_events.go
-
 import (
 	"context"
+	"fmt"
 
-	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/engine"
 	"github.com/pacsim/pac/internal/mem"
 )
 
-// runEvents selects the event driver: each known mode dispatches to its
-// monomorphic specialization from events_gen.go, where every
-// NextWake/Tick/Pop on the pipeline, device, MSHR file and fault injector
-// is a direct call and the mode-dependent branches are folded away.
-// Anything else — an unknown Mode value, a pipeline type the generator
-// does not know — falls back to the interface-based generic driver, which
-// is also the second differential oracle next to runReference.
+// runEvents is the discrete-event driver: each iteration advances the
+// clock straight to the next cycle at which any component can act and
+// accounts for the skipped stretch in closed form (skipTo), then steps
+// that cycle through the same drainCompletions/dispatch/issueCore/Tick
+// chain the reference stepper runs. Results are byte-identical to
+// runReference; the two drivers differ only in scheduling and skipping.
 func (r *Runner) runEvents(ctx context.Context) error {
-	switch r.cfg.Mode {
-	case coalesce.ModeNone:
-		if p, ok := r.pipe.(*coalesce.Passthrough); ok {
-			return r.runEventsNone(ctx, p)
+	done := ctx.Done()
+	// The wake cache starts cold, fresh or from a checkpoint: a zero
+	// r.coreWake and zero per-core wakes make the first iteration step
+	// every core, and stepEvents fills the cache from there.
+	for iter := int64(0); !r.finished(); iter++ {
+		if done != nil && iter&cancelCheckMask == 0 {
+			select {
+			case <-done:
+				return fmt.Errorf("sim: cancelled after %d cycles: %w", r.now, ctx.Err())
+			default:
+			}
 		}
-	case coalesce.ModeDMC:
-		if p, ok := r.pipe.(*coalesce.Passthrough); ok {
-			return r.runEventsDMC(ctx, p)
+		if r.now >= r.cfg.MaxCycles {
+			return r.errWedged()
 		}
-	case coalesce.ModePAC:
-		if r.pac != nil {
-			return r.runEventsPAC(ctx, r.pac)
+		if r.ckptEvery > 0 && r.now >= r.ckptNext {
+			r.emitCheckpoint()
 		}
-	case coalesce.ModeSortNet:
-		if p, ok := r.pipe.(*coalesce.SortingCoalescer); ok {
-			return r.runEventsSortNet(ctx, p)
+		next := r.nextEvent()
+		if next > r.cfg.MaxCycles {
+			// Nothing can happen before the wedge guard fires (or at
+			// all, when next is engine.Never); let the loop run its
+			// cycle at MaxCycles exactly as the reference does.
+			next = r.cfg.MaxCycles
 		}
-	case coalesce.ModeRowBuf:
-		if p, ok := r.pipe.(*coalesce.RowBufferCoalescer); ok {
-			return r.runEventsRowBuf(ctx, p)
+		if next > r.now+1 {
+			r.skipTo(next - 1)
 		}
+		r.stepEvents()
 	}
-	return r.runEventsGeneric(ctx)
+	return nil
 }
 
-// assertConcrete pins at compile time that the types the generated
-// drivers are specialized for stay inside the coalesce.ConcretePipeline
-// set (and therefore keep satisfying the Pipeline contract the generated
-// code mirrors). *core.PAC is covered via PACAdapter, whose method set
-// the PAC specialization calls under the MAQ names.
-func assertConcrete[P coalesce.ConcretePipeline]() {}
+// nextEvent returns the earliest cycle strictly after now at which any
+// component may act: the minimum over the cores (kept current by
+// stepEvents in r.coreWake), the pipeline, the device, the MSHR intake
+// and the fault injector, clamped below at now+1. It stops consulting
+// components as soon as one is runnable next cycle, so the MSHR intake's
+// merge probe stays off the hot path. The prefetcher is purely reactive
+// (it acts inside the issuing core's access) and has no wake of its own.
+func (r *Runner) nextEvent() int64 {
+	now := r.now
+	next := r.coreWake
+	if next <= now+1 {
+		return now + 1
+	}
+	if w := r.pipe.NextWake(now); w < next {
+		if w <= now+1 {
+			return now + 1
+		}
+		next = w
+	}
+	if w := r.dev.NextWake(now); w < next {
+		if w <= now+1 {
+			return now + 1
+		}
+		next = w
+	}
+	if w := r.dispatchWake(now); w < next {
+		if w <= now+1 {
+			return now + 1
+		}
+		next = w
+	}
+	if r.faults != nil {
+		// A pending vault-stall window is a timed event: it bounds the
+		// skip so the freeze lands on the exact cycle the window opens.
+		if w := r.faults.NextWake(now); w < next {
+			next = w
+		}
+	}
+	if next < now+1 {
+		next = now + 1
+	}
+	return next
+}
 
-var (
-	_ = assertConcrete[*coalesce.Passthrough]
-	_ = assertConcrete[*coalesce.SortingCoalescer]
-	_ = assertConcrete[*coalesce.RowBufferCoalescer]
-	_ = assertConcrete[coalesce.PACAdapter]
-)
+// dispatchWake reports when the MSHR-intake stage can act: whenever the
+// coalescer output holds a packet and either a free MSHR or a viable
+// merge target exists. A held-back packet facing a full file with no
+// merge target sleeps — only a completion can change that — and the
+// per-cycle comparator retries the reference loop would perform are
+// reconstructed by skipTo.
+func (r *Runner) dispatchWake(now int64) int64 {
+	if r.pipe.OutLen() == 0 {
+		return engine.Never
+	}
+	if !r.file.Full() {
+		return now + 1
+	}
+	if r.cfg.Mode.MergesInMSHR() {
+		if pkt, ok := r.pipe.Front(); ok {
+			if mergeable, _, _ := r.headProbe(pkt); mergeable {
+				return now + 1
+			}
+		}
+	}
+	return engine.Never
+}
+
+// skipTo advances the clock to cycle t without stepping the machine,
+// applying the per-cycle bookkeeping the reference stepper would have
+// recorded across the skipped stretch: each core stalled on its
+// outstanding-load budget retries (and fails) its access once per cycle,
+// and a packet held back at the head of a full MSHR file re-runs its
+// merge comparison once per cycle. nextEvent guarantees no other state
+// can change in (r.now, t].
+func (r *Runner) skipTo(t int64) {
+	k := t - r.now
+	if k <= 0 {
+		return
+	}
+	for i := range r.cores {
+		c := &r.cores[i]
+		if c.hasPending && c.pending.Op != mem.OpFence {
+			r.res.CoreStallCycles += k
+		}
+	}
+	if r.pipe.OutLen() > 0 && r.cfg.Mode.MergesInMSHR() {
+		if pkt, ok := r.pipe.Front(); ok {
+			_, cmp, fails := r.headProbe(pkt)
+			r.file.Comparisons += k * cmp
+			r.file.MergeFails += k * fails
+		}
+	}
+	r.pipe.SkipTo(t)
+	if r.faults != nil {
+		r.faults.SkipTo(t)
+	}
+	r.res.SkippedCycles += k
+	r.now = t
+}
+
+// stepEvents is step with the next cycle's per-core wake fused into the
+// issue loop: issueCore(i) is the last mutation of core i within a cycle
+// (completions land in phase 1, the pipeline tick never touches cores),
+// so the wake computed right after it equals the core's wake at the top
+// of the next iteration, and nextEvent reads the minimum as one field.
+func (r *Runner) stepEvents() {
+	r.beginCycle()
+
+	now := r.now
+	wake := engine.Never
+	for i := range r.cores {
+		c := &r.cores[i]
+		if c.wake > now {
+			// The core provably does nothing this cycle: its cached
+			// wake is either Never (budget-blocked or done) or a
+			// future nextIssue, and completions that could change
+			// that zero the cache. The one side effect the skipped
+			// call would have had is the per-cycle stall count of a
+			// budget-blocked access.
+			if c.hasPending && c.pending.Op != mem.OpFence {
+				r.res.CoreStallCycles++
+			}
+		} else {
+			r.issueCore(i)
+			c.wake = r.coreWakeOf(c, now)
+		}
+		if c.wake < wake {
+			wake = c.wake
+		}
+	}
+	r.coreWake = wake
+
+	r.pipe.Tick()
+}
 
 // headProbe returns ProbeMerge's verdict for the packet at the head of
 // the coalescer output, memoized on (file generation, packet ID).
 // ProbeMerge mutates nothing, so replaying a cached verdict is
-// byte-identical to re-running the scan; the counters the drivers apply
+// byte-identical to re-running the scan; the counters skipTo applies
 // from cmp/fails are the same ones a fresh probe would have returned.
 func (r *Runner) headProbe(pkt mem.Coalesced) (ok bool, cmp, fails int64) {
 	if g := r.file.Gen(); !r.probeValid || r.probeGen != g || r.probeHeadID != pkt.ID {
@@ -70,14 +196,11 @@ func (r *Runner) headProbe(pkt mem.Coalesced) (ok bool, cmp, fails int64) {
 	return r.probeOK, r.probeCmp, r.probeFails
 }
 
-// coreWakeOf reports the earliest cycle at which one core can act — the
-// per-core term of coresWake, shared between the generic driver's wake
-// function and the specialized loops, which fuse it into the issue loop
-// so the whole-machine minimum is a field read by the time the scheduler
-// needs it. Cores with parked or stalled work that is retried every cycle
-// pin the wake to now+1; a core blocked on its outstanding-load budget
-// sleeps — only a device completion can free a slot, and the device's own
-// wake covers that cycle.
+// coreWakeOf reports the earliest cycle at which one core can act. Cores
+// with parked or stalled work that is retried every cycle pin the wake
+// to now+1; a core blocked on its outstanding-load budget sleeps — only
+// a device completion can free a slot, and the device's own wake covers
+// that cycle.
 func (r *Runner) coreWakeOf(c *coreState, now int64) int64 {
 	switch {
 	case c.parked() > 0:

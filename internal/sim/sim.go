@@ -18,7 +18,6 @@ import (
 	"github.com/pacsim/pac/internal/cache"
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/core"
-	"github.com/pacsim/pac/internal/engine"
 	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/hmc"
 	"github.com/pacsim/pac/internal/mem"
@@ -178,6 +177,11 @@ func (c *Config) normalize() error {
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("sim: MSHRs = %d", c.MSHRs)
 	}
+	switch c.Mode {
+	case coalesce.ModeNone, coalesce.ModeDMC, coalesce.ModePAC, coalesce.ModeSortNet, coalesce.ModeRowBuf:
+	default:
+		return fmt.Errorf("sim: unknown coalescing mode %d", int(c.Mode))
+	}
 	if c.MaxOutstandingLoads <= 0 {
 		c.MaxOutstandingLoads = 2
 	}
@@ -251,12 +255,11 @@ type coreState struct {
 	// nextIssue is the earliest cycle the core may issue its next
 	// trace access (IssueInterval pacing).
 	nextIssue int64
-	// wake caches coreWakeOf for the specialized drivers: while it is in
-	// the future, issueCore would change nothing except the stall
-	// counter, so step skips the call. Any out-of-band mutation of core
+	// wake caches coreWakeOf for the event driver: while it is in the
+	// future, issueCore would change nothing except the stall counter,
+	// so stepEvents skips the call. Any out-of-band mutation of core
 	// state (a completion freeing an outstanding slot) must zero it to
-	// force re-evaluation. The generic driver and the reference stepper
-	// never read it.
+	// force re-evaluation. The reference stepper never reads it.
 	wake int64
 }
 
@@ -271,8 +274,7 @@ func (c *coreState) blocked() bool { return c.parked() > 0 || c.hasPending }
 //
 // The component graph itself lives on the Runner's machine (r.m); the
 // mirrored fields below are aliases installed by NewRunner so the hot
-// paths (and the generated drivers) reach components through one pointer
-// load instead of two.
+// paths reach components through one pointer load instead of two.
 type Runner struct {
 	cfg    Config
 	m      *machine
@@ -287,15 +289,15 @@ type Runner struct {
 
 	cores []coreState
 	now   int64
-	// coreWake caches min-over-cores coreWakeOf for the specialized
-	// event loops, which maintain it inside step instead of rescanning
-	// the cores in every scheduler pass.
+	// coreWake caches min-over-cores coreWakeOf for the event driver,
+	// which maintains it inside stepEvents instead of rescanning the
+	// cores in every nextEvent pass.
 	coreWake int64
 
-	// Head-probe memo for the specialized drivers: ProbeMerge is a pure
+	// Head-probe memo for the event driver: ProbeMerge is a pure
 	// function of the MSHR file state and the probed packet, so its
 	// verdict for the held-back head packet is cached until the file
-	// mutates (file.Gen) or the head changes (packet ID). The scheduler
+	// mutates (file.Gen) or the head changes (packet ID). nextEvent
 	// consults the probe on every pass while the file is full; the memo
 	// collapses those to one scan per (state, packet) pair.
 	probeGen    uint64
@@ -390,7 +392,7 @@ const cancelCheckMask = 1<<12 - 1
 // event and exactly one terminal event — completed, cancelled, or
 // failed — per call.
 //
-// The machine is driven by the event kernel by default: the scheduler
+// The machine is driven by the event kernel by default: runEvents
 // advances the clock straight to the next cycle at which any component
 // can make progress, so the long stretches where every core waits on HMC
 // latency cost nothing. Results are byte-identical to the retained
@@ -500,137 +502,6 @@ func (r *Runner) runReference(ctx context.Context) error {
 	return nil
 }
 
-// runEventsGeneric is the interface-based discrete-event driver: a
-// scheduler over every component's NextWake advances the clock directly
-// to the next cycle where anything can happen, and the skipped stretch is
-// accounted for in closed form (skipTo). Cheap wake functions are
-// registered first — the scheduler short-circuits as soon as one reports
-// runnable, keeping the dispatcher's merge dry-run off the hot path.
-//
-// Known modes run the monomorphic specializations from events_gen.go
-// instead (see runEvents); this driver remains as the fallback for
-// exotic configurations and as a differential oracle.
-func (r *Runner) runEventsGeneric(ctx context.Context) error {
-	done := ctx.Done()
-	sched := engine.New(
-		engine.Func(r.coresWake),
-		r.pipe,
-		r.dev,
-		r.pf,
-		engine.Func(r.dispatchWake),
-	)
-	if r.faults != nil {
-		// A pending vault-stall window is a timed event: it bounds the
-		// skip so the freeze lands on the exact cycle the window opens.
-		sched.Register(r.faults)
-	}
-	for iter := int64(0); !r.finished(); iter++ {
-		if done != nil && iter&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return fmt.Errorf("sim: cancelled after %d cycles: %w", r.now, ctx.Err())
-			default:
-			}
-		}
-		if r.now >= r.cfg.MaxCycles {
-			return r.errWedged()
-		}
-		if r.ckptEvery > 0 && r.now >= r.ckptNext {
-			r.emitCheckpoint()
-		}
-		next := sched.NextEvent(r.now)
-		if next > r.cfg.MaxCycles {
-			// Nothing can happen before the wedge guard fires (or at
-			// all, when next is engine.Never); let the loop run its
-			// cycle at MaxCycles exactly as the reference does.
-			next = r.cfg.MaxCycles
-		}
-		if next > r.now+1 {
-			r.skipTo(next - 1)
-		}
-		r.step()
-	}
-	return nil
-}
-
-// coresWake reports the earliest cycle at which any core can act. Cores
-// with parked or stalled work that is retried every cycle (accumulating
-// stall counters or pipeline interactions) pin the wake to now+1; a core
-// blocked on its outstanding-load budget sleeps — only a device
-// completion can free a slot, and the device's own wake covers that
-// cycle.
-func (r *Runner) coresWake(now int64) int64 {
-	wake := engine.Never
-	for i := range r.cores {
-		if w := r.coreWakeOf(&r.cores[i], now); w < wake {
-			if w <= now+1 {
-				return w
-			}
-			wake = w
-		}
-	}
-	return wake
-}
-
-// dispatchWake reports when the MSHR-intake stage can act: whenever the
-// coalescer output holds a packet and either a free MSHR or a viable
-// merge target exists. A held-back packet facing a full file with no
-// merge target sleeps — only a completion can change that — and the
-// per-cycle comparator retries the reference loop would perform are
-// reconstructed by skipTo.
-func (r *Runner) dispatchWake(now int64) int64 {
-	if r.pipe.OutLen() == 0 {
-		return engine.Never
-	}
-	if !r.file.Full() {
-		return now + 1
-	}
-	if r.cfg.Mode.MergesInMSHR() {
-		if pkt, ok := r.pipe.Pop(); ok {
-			mergeable, _, _ := r.file.ProbeMerge(pkt)
-			r.pipe.PushFront(pkt)
-			if mergeable {
-				return now + 1
-			}
-		}
-	}
-	return engine.Never
-}
-
-// skipTo advances the clock to cycle t without stepping the machine,
-// applying the per-cycle bookkeeping the reference stepper would have
-// recorded across the skipped stretch: each core stalled on its
-// outstanding-load budget retries (and fails) its access once per cycle,
-// and a packet held back at the head of a full MSHR file re-runs its
-// merge comparison once per cycle. The scheduler guarantees no other
-// state can change in (r.now, t].
-func (r *Runner) skipTo(t int64) {
-	k := t - r.now
-	if k <= 0 {
-		return
-	}
-	for i := range r.cores {
-		c := &r.cores[i]
-		if c.hasPending && c.pending.Op != mem.OpFence {
-			r.res.CoreStallCycles += k
-		}
-	}
-	if r.pipe.OutLen() > 0 && r.cfg.Mode.MergesInMSHR() {
-		if pkt, ok := r.pipe.Pop(); ok {
-			_, cmp, fails := r.file.ProbeMerge(pkt)
-			r.pipe.PushFront(pkt)
-			r.file.Comparisons += k * cmp
-			r.file.MergeFails += k * fails
-		}
-	}
-	r.pipe.SkipTo(t)
-	if r.faults != nil {
-		r.faults.SkipTo(t)
-	}
-	r.res.SkippedCycles += k
-	r.now = t
-}
-
 // finished reports whether every core completed its trace and the memory
 // system fully drained. The device check comes first: it is one field
 // read and stays non-zero for nearly the whole run.
@@ -647,8 +518,23 @@ func (r *Runner) finished() bool {
 	return true
 }
 
-// step advances the machine one cycle.
+// step advances the machine one cycle: the reference stepper's cycle.
+// stepEvents is the same cycle with the per-core wake cache.
 func (r *Runner) step() {
+	r.beginCycle()
+
+	// 3. Core issue: each core feeds the cache hierarchy.
+	for i := range r.cores {
+		r.issueCore(i)
+	}
+
+	// 4. Advance the coalescing pipeline.
+	r.pipe.Tick()
+}
+
+// beginCycle advances the clock one cycle and runs the phases that
+// precede core issue, which both drivers share.
+func (r *Runner) beginCycle() {
 	r.now++
 
 	// 0. Fault windows: a vault-stall window opening this cycle
@@ -673,20 +559,11 @@ func (r *Runner) step() {
 	// MSHR file, merging when the mode allows; new entries dispatch to
 	// the device immediately.
 	r.dispatch()
-
-	// 3. Core issue: each core feeds the cache hierarchy.
-	for i := range r.cores {
-		r.issueCore(i)
-	}
-
-	// 4. Advance the coalescing pipeline.
-	r.pipe.Tick()
 }
 
 // drainCompletions handles this cycle's memory responses: release MSHRs,
 // unblock cores. A poisoned response re-issues the entry's request
-// instead of releasing it. Shared by every driver — it only touches
-// concrete components, so the specialized loops call it as-is.
+// instead of releasing it.
 func (r *Runner) drainCompletions() {
 	for _, resp := range r.dev.PopCompleted(r.now) {
 		entry, ok := r.file.FindByPacket(resp.ID)

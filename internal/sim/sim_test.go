@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/pacsim/pac/internal/cache"
@@ -48,6 +50,22 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := NewRunner(cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
+		}
+	}
+}
+
+// TestUnknownModeRejected pins that a Mode value outside the five
+// coalescing configurations is a configuration error naming the value,
+// not a sixth machine (a merging Passthrough reporting mode "unknown").
+func TestUnknownModeRejected(t *testing.T) {
+	for _, mode := range []coalesce.Mode{-1, coalesce.ModeRowBuf + 1, 9} {
+		_, err := NewRunner(smallConfig("GS", mode))
+		if err == nil {
+			t.Errorf("mode %d accepted", int(mode))
+			continue
+		}
+		if want := fmt.Sprintf("mode %d", int(mode)); !strings.Contains(err.Error(), want) {
+			t.Errorf("mode %d: error %q does not name the value", int(mode), err)
 		}
 	}
 }
