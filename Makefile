@@ -121,7 +121,8 @@ examples:
 
 # Short fuzzing passes over the binary-format parser, the coalescing
 # pipeline, the gateway's consistent-hash ring, the two durability
-# journal parsers (job WAL, store index) and the store's entry envelope.
+# journal parsers (job WAL, store index), the store's entry envelope and
+# checkpoint resume at an arbitrary cycle.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 30s
@@ -129,8 +130,9 @@ fuzz:
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 30s
+	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointResume -fuzztime 30s
 
-# The CI-sized fuzz pass: ~30s total across every target, on top of the
+# The CI-sized fuzz pass: ~35s total across every target, on top of the
 # always-on seed-corpus replay in the regular test run.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 5s
@@ -139,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 5s
 	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 5s
+	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointResume -fuzztime 5s
 
 # The local pre-merge gate: formatting, vet, build, the full test suite,
 # and the pinned static analyzers when they are installed (they are

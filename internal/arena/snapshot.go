@@ -9,8 +9,8 @@ package arena
 
 // AppendKeys appends the set's keys to dst in unspecified order and
 // returns the extended slice. Sets are membership-only containers — no
-// caller observes iteration order — so the checkpoint layer sorts the
-// result itself to keep encodings canonical.
+// caller observes iteration order — so a caller saving the keys sorts
+// them to keep encodings canonical.
 func (s *U64Set) AppendKeys(dst []uint64) []uint64 {
 	if s.hasZero {
 		dst = append(dst, 0)

@@ -37,14 +37,22 @@ const (
 	tagDirty = 1 << 0
 )
 
+// CacheState is the mutable state of one Cache: the raw tag words (which
+// encode residency, dirty bits and the MRU ordering of every set) plus
+// the counters. Geometry is not part of it — a restore target must
+// already be built with the same Config.
+type CacheState struct {
+	// Tags holds sets*ways tag words, set-major, MRU-first per set.
+	Tags                     []uint64
+	Hits, Misses, WriteBacks int64
+}
+
 // Cache is a single set-associative, write-back, write-allocate cache.
 type Cache struct {
 	sets    int
 	ways    int
-	setMask uint64   // sets-1; the set count is a power of two
-	tags    []uint64 // sets*ways tag words, set-major, MRU-first per set
-	// Stats.
-	Hits, Misses, WriteBacks int64
+	setMask uint64 // sets-1; the set count is a power of two
+	CacheState
 }
 
 // New constructs a cache. It panics on a degenerate geometry, since that
@@ -62,10 +70,10 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
 	}
 	return &Cache{
-		sets:    sets,
-		ways:    cfg.Ways,
-		setMask: uint64(sets - 1),
-		tags:    make([]uint64, sets*cfg.Ways),
+		sets:       sets,
+		ways:       cfg.Ways,
+		setMask:    uint64(sets - 1),
+		CacheState: CacheState{Tags: make([]uint64, sets*cfg.Ways)},
 	}
 }
 
@@ -93,7 +101,7 @@ type Eviction struct {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction) {
 	blk := mem.BlockNumber(addr)
 	base := int(blk&c.setMask) * c.ways
-	ws := c.tags[base : base+c.ways] // one slice header: bounds-checked once
+	ws := c.Tags[base : base+c.ways] // one slice header: bounds-checked once
 	key := blk<<2 | tagValid
 
 	// Lookup: compare ignoring the dirty bit.
@@ -144,7 +152,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction) {
 func (c *Cache) Contains(addr uint64) bool {
 	blk := mem.BlockNumber(addr)
 	base := int(blk&c.setMask) * c.ways
-	ws := c.tags[base : base+c.ways]
+	ws := c.Tags[base : base+c.ways]
 	key := blk<<2 | tagValid
 	for w := range ws {
 		if ws[w]&^uint64(tagDirty) == key {
@@ -157,11 +165,11 @@ func (c *Cache) Contains(addr uint64) bool {
 // Flush invalidates every line and returns the number of dirty lines that
 // would have been written back.
 func (c *Cache) Flush() (dirty int) {
-	for i, tw := range c.tags {
+	for i, tw := range c.Tags {
 		if tw&tagValid != 0 && tw&tagDirty != 0 {
 			dirty++
 		}
-		c.tags[i] = 0
+		c.Tags[i] = 0
 	}
 	return dirty
 }

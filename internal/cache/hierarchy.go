@@ -41,14 +41,21 @@ type Hierarchy struct {
 	// Prefetch call, so callers must consume (or copy) the slice before
 	// driving the hierarchy again.
 	wbBuf []mem.Request
-	// Stats.
-	Accesses    int64 // data accesses observed (fences excluded)
-	L1Hits      int64
-	LLCHits     int64
-	LLCMisses   int64
-	PendingHits int64 // LLC hits on in-flight blocks (emit requests)
-	Uncached    int64 // atomics routed around the hierarchy
-	WriteBacks  int64 // dirty LLC evictions sent to memory
+	Stats
+}
+
+// Stats are the hierarchy's counters.
+type Stats struct {
+	// Accesses counts CPU data accesses (fences excluded).
+	Accesses int64
+	// L1Hits, LLCHits and LLCMisses partition cacheable accesses;
+	// PendingHits are LLC hits on blocks whose fill was in flight
+	// (they emit mergeable requests).
+	L1Hits, LLCHits, LLCMisses, PendingHits int64
+	// Uncached counts atomics routed around the hierarchy.
+	Uncached int64
+	// WriteBacks counts dirty LLC evictions sent to memory.
+	WriteBacks int64
 }
 
 // Record emits the hierarchy's aggregate counters into the telemetry

@@ -1,79 +1,61 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// CacheState is the serializable mid-run state of one Cache: the raw tag
-// words (which encode residency, dirty bits and the MRU ordering of every
-// set) plus the counters. Geometry is not part of the state — a restore
-// target must already be built with the same Config.
-type CacheState struct {
-	Tags                     []uint64
-	Hits, Misses, WriteBacks int64
-}
-
-// SaveState copies the cache's mutable state. The returned state shares
-// nothing with the cache, so it stays valid while the run continues.
+// SaveState copies the cache's state. The returned state shares nothing
+// with the cache, so it stays valid while the run continues.
 func (c *Cache) SaveState() CacheState {
-	return CacheState{
-		Tags:       append([]uint64(nil), c.tags...),
-		Hits:       c.Hits,
-		Misses:     c.Misses,
-		WriteBacks: c.WriteBacks,
-	}
+	st := c.CacheState
+	st.Tags = slices.Clone(c.Tags)
+	return st
 }
 
-// RestoreState overwrites the cache's mutable state from a snapshot taken
-// on an identically configured cache.
+// RestoreState overwrites the cache's state from a snapshot taken on an
+// identically configured cache.
 func (c *Cache) RestoreState(st CacheState) error {
-	if len(st.Tags) != len(c.tags) {
-		return fmt.Errorf("cache: restoring %d tag words into a %d-line cache", len(st.Tags), len(c.tags))
+	if len(st.Tags) != len(c.Tags) {
+		return fmt.Errorf("cache: restoring %d tag words into a %d-line cache", len(st.Tags), len(c.Tags))
 	}
-	copy(c.tags, st.Tags)
-	c.Hits, c.Misses, c.WriteBacks = st.Hits, st.Misses, st.WriteBacks
+	copy(c.Tags, st.Tags)
+	st.Tags = c.Tags
+	c.CacheState = st
 	return nil
 }
 
-// HierarchyState is the serializable mid-run state of the whole L1+LLC
-// stack. Pending holds the block numbers with in-flight memory fills;
-// it is a membership set, so key order is irrelevant (the checkpoint
-// layer sorts it for canonical encoding).
+// HierarchyState is the mutable state of the whole L1+LLC stack: the
+// state of each cache, the in-flight fills and the counters. Pending
+// holds the contents of the hierarchy's pending-fill set only: the set's
+// probe-table layout depends on its insertion history, not on the
+// simulated state, so SaveState sorts the block numbers to keep the
+// encoding canonical.
 type HierarchyState struct {
 	L1      []CacheState
 	LLC     CacheState
 	Pending []uint64
-
-	Accesses    int64
-	L1Hits      int64
-	LLCHits     int64
-	LLCMisses   int64
-	PendingHits int64
-	Uncached    int64
-	WriteBacks  int64
+	Stats
 }
 
-// SaveState copies the hierarchy's mutable state. The write-back buffer
-// is transient (consumed before the next access) and is not part of it.
+// SaveState copies the hierarchy's state. The write-back buffer is
+// transient (consumed before the next access) and is not part of it.
 func (h *Hierarchy) SaveState() HierarchyState {
 	st := HierarchyState{
-		L1:          make([]CacheState, len(h.l1)),
-		LLC:         h.llc.SaveState(),
-		Pending:     h.pending.AppendKeys(nil),
-		Accesses:    h.Accesses,
-		L1Hits:      h.L1Hits,
-		LLCHits:     h.LLCHits,
-		LLCMisses:   h.LLCMisses,
-		PendingHits: h.PendingHits,
-		Uncached:    h.Uncached,
-		WriteBacks:  h.WriteBacks,
+		L1:      make([]CacheState, len(h.l1)),
+		LLC:     h.llc.SaveState(),
+		Pending: h.pending.AppendKeys(nil),
+		Stats:   h.Stats,
 	}
+	slices.Sort(st.Pending)
 	for i, c := range h.l1 {
 		st.L1[i] = c.SaveState()
 	}
 	return st
 }
 
-// RestoreState overwrites the hierarchy's mutable state from a snapshot
-// taken on an identically configured hierarchy.
+// RestoreState overwrites the hierarchy's state from a snapshot taken on
+// an identically configured hierarchy.
 func (h *Hierarchy) RestoreState(st HierarchyState) error {
 	if len(st.L1) != len(h.l1) {
 		return fmt.Errorf("cache: restoring %d L1 states into %d-core hierarchy", len(st.L1), len(h.l1))
@@ -91,7 +73,6 @@ func (h *Hierarchy) RestoreState(st HierarchyState) error {
 		h.pending.Add(blk)
 	}
 	h.wbBuf = h.wbBuf[:0]
-	h.Accesses, h.L1Hits, h.LLCHits, h.LLCMisses = st.Accesses, st.L1Hits, st.LLCHits, st.LLCMisses
-	h.PendingHits, h.Uncached, h.WriteBacks = st.PendingHits, st.Uncached, st.WriteBacks
+	h.Stats = st.Stats
 	return nil
 }

@@ -149,7 +149,17 @@ type Passthrough struct {
 	outQ    arena.Deque[mem.Coalesced]
 	parents *arena.SlicePool[mem.Request]
 	nextID  func() uint64
-	now     int64
+	PassthroughState
+}
+
+// PassthroughState is the mutable state of a Passthrough. InQ and OutQ
+// hold the queues' contents in a saved state only: a running pipeline
+// keeps its queues in ring deques, whose layout is not state, and leaves
+// both nil.
+type PassthroughState struct {
+	InQ  []mem.Request
+	OutQ []mem.Coalesced
+	Now  int64
 	// RawIn and PacketsOut mirror the PAC counters.
 	RawIn, PacketsOut int64
 	// InputStalls counts rejected Enqueues.
@@ -184,7 +194,7 @@ func (p *Passthrough) Enqueue(r mem.Request, wb bool) bool {
 
 // Tick implements Pipeline: move one request per cycle to the output.
 func (p *Passthrough) Tick() {
-	p.now++
+	p.Now++
 	r, ok := p.inQ.PopFront()
 	if !ok {
 		return
@@ -194,14 +204,14 @@ func (p *Passthrough) Tick() {
 	}
 	p.RawIn++
 	p.PacketsOut++
-	r.Issue = p.now
+	r.Issue = p.Now
 	p.outQ.PushBack(mem.Coalesced{
 		ID:        p.nextID(),
 		Addr:      mem.BlockAlign(r.Addr),
 		Size:      mem.BlockSize,
 		Op:        r.Op,
 		Parents:   append(p.parents.Get(), r),
-		Assembled: p.now,
+		Assembled: p.Now,
 	})
 }
 
@@ -242,7 +252,7 @@ func (p *Passthrough) SkipTo(now int64) {
 	if p.inQ.Len() > 0 {
 		panic("coalesce: SkipTo over a backlogged passthrough")
 	}
-	if now > p.now {
-		p.now = now
+	if now > p.Now {
+		p.Now = now
 	}
 }

@@ -2,186 +2,87 @@ package coalesce
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pacsim/pac/internal/arena"
-	"github.com/pacsim/pac/internal/mem"
+	"github.com/pacsim/pac/internal/core"
 )
 
-// The pipeline snapshot types below capture every field that influences
-// future behaviour: internal clocks, buffered requests, queued packets,
-// batching state, and the public counters. Construction parameters
-// (depths, widths, timeouts) come from the run config and are not part
-// of the state; RestoreState targets must already be built with the
-// same parameters. Per-flush scratch buffers (sortnet BatchScratch, the
-// row bitmap) are consumed within a single call and are never live at a
-// step boundary, so they are excluded.
+// Each pipeline's state type holds every field that influences future
+// behaviour: internal clocks, buffered requests, queued packets, batching
+// state, and the public counters. Construction parameters (depths,
+// widths, timeouts) are not part of it; RestoreState targets must
+// already be built with the same parameters. Per-flush scratch buffers
+// (sortnet BatchScratch, the row bitmap) are consumed within a single
+// call and are never live at a step boundary, so they are excluded.
 
-// copyReqs deep-copies a request slice (nil for empty).
-func copyReqs(src []mem.Request) []mem.Request {
-	if len(src) == 0 {
-		return nil
-	}
-	return append([]mem.Request(nil), src...)
-}
-
-// restoreParents rebuilds a packet slice whose Parents come from the
-// pipeline's parent pool, so later recycling Puts stay balanced.
-func restoreParents(pkts []mem.Coalesced, pool *arena.SlicePool[mem.Request]) []mem.Coalesced {
-	out := make([]mem.Coalesced, len(pkts))
-	for i, p := range pkts {
-		p.Parents = append(pool.Get(), p.Parents...)
-		out[i] = p
-	}
-	return out
-}
-
-// PassthroughState is the serializable mid-run state of a Passthrough.
-type PassthroughState struct {
-	InQ  []mem.Request
-	OutQ []mem.Coalesced
-	Now  int64
-
-	RawIn, PacketsOut, InputStalls int64
-}
-
-// SaveState copies the pipeline's mutable state.
+// SaveState copies the pipeline's state.
 func (p *Passthrough) SaveState() PassthroughState {
-	return PassthroughState{
-		InQ:         arena.SaveDeque(&p.inQ),
-		OutQ:        arena.SaveDeque(&p.outQ),
-		Now:         p.now,
-		RawIn:       p.RawIn,
-		PacketsOut:  p.PacketsOut,
-		InputStalls: p.InputStalls,
-	}
+	st := p.PassthroughState
+	st.InQ = arena.SaveDeque(&p.inQ)
+	st.OutQ = core.SavePackets(&p.outQ)
+	return st
 }
 
-// RestoreState overwrites the pipeline's mutable state from a snapshot
-// taken on an identically configured pipeline.
+// RestoreState overwrites the pipeline's state from a snapshot taken on
+// an identically configured pipeline.
 func (p *Passthrough) RestoreState(st PassthroughState) error {
 	arena.RestoreDeque(&p.inQ, st.InQ)
-	arena.RestoreDeque(&p.outQ, restoreParents(st.OutQ, p.parents))
-	p.now = st.Now
-	p.RawIn, p.PacketsOut, p.InputStalls = st.RawIn, st.PacketsOut, st.InputStalls
+	core.RestorePackets(&p.outQ, st.OutQ, p.parents)
+	st.InQ, st.OutQ = nil, nil
+	p.PassthroughState = st
 	return nil
 }
 
-// SortingState is the serializable mid-run state of a SortingCoalescer.
-// NetComparisons belongs to the shared sorting network and is the one
-// piece of network state that outlives a flush.
-type SortingState struct {
-	Now            int64
-	Batch          []mem.Request
-	BatchStart     int64
-	OutQ           []mem.Coalesced
-	NetComparisons int64
-
-	RawIn, PacketsOut, InputStalls int64
-}
-
-// SaveState copies the coalescer's mutable state.
+// SaveState copies the coalescer's state.
 func (s *SortingCoalescer) SaveState() SortingState {
-	return SortingState{
-		Now:            s.now,
-		Batch:          copyReqs(s.batch),
-		BatchStart:     s.batchStart,
-		OutQ:           arena.SaveDeque(&s.outQ),
-		NetComparisons: s.net.Comparisons,
-		RawIn:          s.RawIn,
-		PacketsOut:     s.PacketsOut,
-		InputStalls:    s.InputStalls,
-	}
+	st := s.SortingState
+	st.Batch = slices.Clone(s.Batch)
+	st.OutQ = core.SavePackets(&s.outQ)
+	return st
 }
 
-// RestoreState overwrites the coalescer's mutable state from a snapshot
-// taken on an identically configured coalescer.
+// RestoreState overwrites the coalescer's state from a snapshot taken on
+// an identically configured coalescer.
 func (s *SortingCoalescer) RestoreState(st SortingState) error {
 	if len(st.Batch) > s.width {
 		return fmt.Errorf("coalesce: restoring %d-request batch into width-%d sorter", len(st.Batch), s.width)
 	}
-	s.now = st.Now
-	s.batch = append(s.batch[:0], st.Batch...)
-	s.batchStart = st.BatchStart
-	arena.RestoreDeque(&s.outQ, restoreParents(st.OutQ, s.parents))
+	st.Batch = append(s.Batch[:0], st.Batch...)
+	core.RestorePackets(&s.outQ, st.OutQ, s.parents)
+	st.OutQ = nil
 	s.net.Comparisons = st.NetComparisons
-	s.RawIn, s.PacketsOut, s.InputStalls = st.RawIn, st.PacketsOut, st.InputStalls
+	s.SortingState = st
 	return nil
 }
 
-// RowSlotState mirrors one aggregation slot for serialization. Slots are
-// positional: Enqueue scans for the first free slot, so indexes matter.
-type RowSlotState struct {
-	Valid bool
-	Row   uint64
-	Op    mem.Op
-	Reqs  []mem.Request
-	Start int64
-	Birth uint64
-}
-
-// RowBufState is the serializable mid-run state of a RowBufferCoalescer.
-type RowBufState struct {
-	Now   int64
-	Rows  []RowSlotState
-	Live  int
-	OutQ  []mem.Coalesced
-	Order uint64
-
-	RawIn, PacketsOut, InputStalls int64
-}
-
-// SaveState copies the coalescer's mutable state.
+// SaveState copies the coalescer's state.
 func (r *RowBufferCoalescer) SaveState() RowBufState {
-	st := RowBufState{
-		Now:         r.now,
-		Rows:        make([]RowSlotState, len(r.rows)),
-		Live:        r.live,
-		OutQ:        arena.SaveDeque(&r.outQ),
-		Order:       r.order,
-		RawIn:       r.RawIn,
-		PacketsOut:  r.PacketsOut,
-		InputStalls: r.InputStalls,
+	st := r.RowBufState
+	st.Rows = slices.Clone(r.Rows)
+	for i := range st.Rows {
+		st.Rows[i].Reqs = slices.Clone(st.Rows[i].Reqs)
 	}
-	for i := range r.rows {
-		s := &r.rows[i]
-		st.Rows[i] = RowSlotState{
-			Valid: s.valid,
-			Row:   s.row,
-			Op:    s.op,
-			Reqs:  copyReqs(s.reqs),
-			Start: s.start,
-			Birth: s.birth,
-		}
-	}
+	st.OutQ = core.SavePackets(&r.outQ)
 	return st
 }
 
-// RestoreState overwrites the coalescer's mutable state from a snapshot
-// taken on an identically configured coalescer. Slot request buffers are
-// drawn from the parent pool so flushSlot's Put stays balanced.
+// RestoreState overwrites the coalescer's state from a snapshot taken on
+// an identically configured coalescer. Slot request buffers are drawn
+// from the parent pool so flushSlot's Put stays balanced.
 func (r *RowBufferCoalescer) RestoreState(st RowBufState) error {
-	if len(st.Rows) != len(r.rows) {
-		return fmt.Errorf("coalesce: restoring %d row slots into a %d-slot coalescer", len(st.Rows), len(r.rows))
+	if len(st.Rows) != len(r.Rows) {
+		return fmt.Errorf("coalesce: restoring %d row slots into a %d-slot coalescer", len(st.Rows), len(r.Rows))
 	}
-	for i := range r.rows {
-		ss := &st.Rows[i]
-		if !ss.Valid {
-			r.rows[i] = rowSlot{}
-			continue
+	rows := r.Rows
+	for i, slot := range st.Rows {
+		if slot.Valid {
+			slot.Reqs = append(r.parents.Get(), slot.Reqs...)
 		}
-		r.rows[i] = rowSlot{
-			valid: true,
-			row:   ss.Row,
-			op:    ss.Op,
-			reqs:  append(r.parents.Get(), ss.Reqs...),
-			start: ss.Start,
-			birth: ss.Birth,
-		}
+		rows[i] = slot
 	}
-	r.live = st.Live
-	arena.RestoreDeque(&r.outQ, restoreParents(st.OutQ, r.parents))
-	r.order = st.Order
-	r.now = st.Now
-	r.RawIn, r.PacketsOut, r.InputStalls = st.RawIn, st.PacketsOut, st.InputStalls
+	core.RestorePackets(&r.outQ, st.OutQ, r.parents)
+	st.Rows, st.OutQ = rows, nil
+	r.RowBufState = st
 	return nil
 }

@@ -24,16 +24,25 @@ type SortingCoalescer struct {
 	maxBlocks int
 	net       *sortnet.Network
 	nextID    func() uint64
+	outQ      arena.Deque[mem.Coalesced]
+	parents   *arena.SlicePool[mem.Request]
+	scratch   *sortnet.BatchScratch
+	SortingState
+}
 
-	now        int64
-	batch      []mem.Request
-	batchStart int64
-	outQ       arena.Deque[mem.Coalesced]
-	parents    *arena.SlicePool[mem.Request]
-	scratch    *sortnet.BatchScratch
+// SortingState is the mutable state of a SortingCoalescer. OutQ holds the
+// output queue's contents in a saved state only (see PassthroughState).
+type SortingState struct {
+	Now        int64
+	Batch      []mem.Request
+	BatchStart int64
+	OutQ       []mem.Coalesced
+	// NetComparisons counts compare-exchange activations in the sorting
+	// network; flush copies it from the network, the one piece of
+	// network state that outlives a flush.
+	NetComparisons int64
 
-	// RawIn, PacketsOut and InputStalls mirror the PAC counters;
-	// Comparisons counts compare-exchange activations in the network.
+	// RawIn, PacketsOut and InputStalls mirror the PAC counters.
 	RawIn, PacketsOut, InputStalls int64
 }
 
@@ -66,7 +75,7 @@ func (s *SortingCoalescer) UseParentPool(pool *arena.SlicePool[mem.Request]) {
 
 // Enqueue implements Pipeline.
 func (s *SortingCoalescer) Enqueue(r mem.Request, wb bool) bool {
-	if len(s.batch) >= s.width {
+	if len(s.Batch) >= s.width {
 		s.InputStalls++
 		return false
 	}
@@ -84,28 +93,28 @@ func (s *SortingCoalescer) Enqueue(r mem.Request, wb bool) bool {
 			Size:      mem.BlockSize,
 			Op:        mem.OpAtomic,
 			Parents:   append(s.parents.Get(), r),
-			Assembled: s.now,
+			Assembled: s.Now,
 			Bypassed:  true,
 		})
 		return true
 	}
-	if len(s.batch) == 0 {
-		s.batchStart = s.now
+	if len(s.Batch) == 0 {
+		s.BatchStart = s.Now
 	}
 	s.RawIn++
-	r.Issue = s.now
-	s.batch = append(s.batch, r)
+	r.Issue = s.Now
+	s.Batch = append(s.Batch, r)
 	return true
 }
 
 // Tick implements Pipeline: a full batch sorts and merges; a partial one
 // flushes on timeout.
 func (s *SortingCoalescer) Tick() {
-	s.now++
-	if len(s.batch) == 0 {
+	s.Now++
+	if len(s.Batch) == 0 {
 		return
 	}
-	if len(s.batch) >= s.width || s.now-s.batchStart >= s.timeout {
+	if len(s.Batch) >= s.width || s.Now-s.BatchStart >= s.timeout {
 		s.flush()
 	}
 }
@@ -114,16 +123,17 @@ func (s *SortingCoalescer) Tick() {
 // are copied into the output deque before the next flush reuses the
 // scratch, so the aliasing window stays inside this method.
 func (s *SortingCoalescer) flush() {
-	if len(s.batch) == 0 {
+	if len(s.Batch) == 0 {
 		return
 	}
-	pkts := sortnet.CoalesceBatchInto(s.net, s.batch, s.maxBlocks, s.nextID, s.scratch)
+	pkts := sortnet.CoalesceBatchInto(s.net, s.Batch, s.maxBlocks, s.nextID, s.scratch)
 	for i := range pkts {
-		pkts[i].Assembled = s.now
+		pkts[i].Assembled = s.Now
 		s.outQ.PushBack(pkts[i])
 	}
 	s.PacketsOut += int64(len(pkts))
-	s.batch = s.batch[:0]
+	s.NetComparisons = s.net.Comparisons
+	s.Batch = s.Batch[:0]
 }
 
 // Pop implements Pipeline.
@@ -142,7 +152,7 @@ func (s *SortingCoalescer) PushFront(pkt mem.Coalesced) {
 }
 
 // Drained implements Pipeline.
-func (s *SortingCoalescer) Drained() bool { return len(s.batch)+s.outQ.Len() == 0 }
+func (s *SortingCoalescer) Drained() bool { return len(s.Batch)+s.outQ.Len() == 0 }
 
 // OutLen implements Pipeline.
 func (s *SortingCoalescer) OutLen() int { return s.outQ.Len() }
@@ -152,12 +162,12 @@ func (s *SortingCoalescer) OutLen() int { return s.outQ.Len() }
 // tick inert.
 func (s *SortingCoalescer) NextWake(now int64) int64 {
 	switch {
-	case len(s.batch) == 0:
+	case len(s.Batch) == 0:
 		return engine.Never
-	case len(s.batch) >= s.width:
+	case len(s.Batch) >= s.width:
 		return now + 1
 	default:
-		return s.batchStart + s.timeout
+		return s.BatchStart + s.timeout
 	}
 }
 
@@ -165,16 +175,16 @@ func (s *SortingCoalescer) NextWake(now int64) int64 {
 // skipped stretch — the per-cycle timeout check is pure until it fires —
 // but skipping past the flush point would lose the flush.
 func (s *SortingCoalescer) SkipTo(now int64) {
-	if len(s.batch) > 0 && now >= s.batchStart+s.timeout {
+	if len(s.Batch) > 0 && now >= s.BatchStart+s.timeout {
 		panic("coalesce: SkipTo past a sorting batch timeout")
 	}
-	if now > s.now {
-		s.now = now
+	if now > s.Now {
+		s.Now = now
 	}
 }
 
 // Comparisons returns the compare-exchange activations so far.
-func (s *SortingCoalescer) Comparisons() int64 { return s.net.Comparisons }
+func (s *SortingCoalescer) Comparisons() int64 { return s.NetComparisons }
 
 // RowBufferCoalescer implements the row-buffer-width coalescer of
 // Wang et al. (ICPP'19, "MAC"), the second prior design of paper §2.2:
@@ -189,26 +199,34 @@ type RowBufferCoalescer struct {
 	slots    int
 	timeout  int64
 	nextID   func() uint64
+	outQ     arena.Deque[mem.Coalesced]
+	parents  *arena.SlicePool[mem.Request]
+	present  []bool // per-flush block bitmap, reused
+	RowBufState
+}
 
-	now     int64
-	rows    []rowSlot
-	live    int // count of valid slots; 0 means every tick is inert
-	outQ    arena.Deque[mem.Coalesced]
-	order   uint64
-	parents *arena.SlicePool[mem.Request]
-	present []bool // per-flush block bitmap, reused
+// RowBufState is the mutable state of a RowBufferCoalescer. OutQ holds the
+// output queue's contents in a saved state only (see PassthroughState).
+type RowBufState struct {
+	Now   int64
+	Rows  []RowSlot
+	Live  int // count of valid slots; 0 means every tick is inert
+	OutQ  []mem.Coalesced
+	Order uint64
 
 	// RawIn, PacketsOut and InputStalls mirror the PAC counters.
 	RawIn, PacketsOut, InputStalls int64
 }
 
-type rowSlot struct {
-	valid bool
-	row   uint64
-	op    mem.Op
-	reqs  []mem.Request
-	start int64
-	birth uint64
+// RowSlot is one aggregation slot. Slots are positional: Enqueue scans
+// for the first free slot, so indexes are state.
+type RowSlot struct {
+	Valid bool
+	Row   uint64
+	Op    mem.Op
+	Reqs  []mem.Request
+	Start int64
+	Birth uint64
 }
 
 // NewRowBufferCoalescer builds a row-granular coalescer with the given
@@ -218,12 +236,12 @@ func NewRowBufferCoalescer(rowBytes, slots int, timeout int64, ids func() uint64
 		panic("coalesce: bad row-buffer coalescer parameters")
 	}
 	return &RowBufferCoalescer{
-		rowBytes: rowBytes,
-		slots:    slots,
-		timeout:  timeout,
-		nextID:   ids,
-		rows:     make([]rowSlot, slots),
-		present:  make([]bool, rowBytes/mem.BlockSize),
+		rowBytes:    rowBytes,
+		slots:       slots,
+		timeout:     timeout,
+		nextID:      ids,
+		present:     make([]bool, rowBytes/mem.BlockSize),
+		RowBufState: RowBufState{Rows: make([]RowSlot, slots)},
 	}
 }
 
@@ -236,7 +254,7 @@ func (r *RowBufferCoalescer) UseParentPool(pool *arena.SlicePool[mem.Request]) {
 // Enqueue implements Pipeline.
 func (r *RowBufferCoalescer) Enqueue(q mem.Request, wb bool) bool {
 	if q.Op == mem.OpFence {
-		for i := range r.rows {
+		for i := range r.Rows {
 			r.flushSlot(i)
 		}
 		return true
@@ -250,21 +268,21 @@ func (r *RowBufferCoalescer) Enqueue(q mem.Request, wb bool) bool {
 	}
 	row := q.Addr / uint64(r.rowBytes)
 	free, oldest := -1, 0
-	for i := range r.rows {
-		s := &r.rows[i]
-		if !s.valid {
+	for i := range r.Rows {
+		s := &r.Rows[i]
+		if !s.Valid {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if s.row == row && s.op == q.Op {
+		if s.Row == row && s.Op == q.Op {
 			r.RawIn++
-			q.Issue = r.now
-			s.reqs = append(s.reqs, q)
+			q.Issue = r.Now
+			s.Reqs = append(s.Reqs, q)
 			return true
 		}
-		if r.rows[oldest].valid && s.birth < r.rows[oldest].birth {
+		if r.Rows[oldest].Valid && s.Birth < r.Rows[oldest].Birth {
 			oldest = i
 		}
 	}
@@ -275,10 +293,10 @@ func (r *RowBufferCoalescer) Enqueue(q mem.Request, wb bool) bool {
 		free = oldest
 	}
 	r.RawIn++
-	q.Issue = r.now
-	r.order++
-	r.live++
-	r.rows[free] = rowSlot{valid: true, row: row, op: q.Op, reqs: append(r.parents.Get(), q), start: r.now, birth: r.order}
+	q.Issue = r.Now
+	r.Order++
+	r.Live++
+	r.Rows[free] = RowSlot{Valid: true, Row: row, Op: q.Op, Reqs: append(r.parents.Get(), q), Start: r.Now, Birth: r.Order}
 	return true
 }
 
@@ -290,18 +308,18 @@ func (r *RowBufferCoalescer) single(q mem.Request) mem.Coalesced {
 		Size:      mem.BlockSize,
 		Op:        q.Op,
 		Parents:   append(r.parents.Get(), q),
-		Assembled: r.now,
+		Assembled: r.Now,
 		Bypassed:  true,
 	}
 }
 
 // flushSlot merges one slot's requests into row-confined packets.
 func (r *RowBufferCoalescer) flushSlot(i int) {
-	s := &r.rows[i]
-	if !s.valid {
+	s := &r.Rows[i]
+	if !s.Valid {
 		return
 	}
-	r.live--
+	r.Live--
 	// Build the block bitmap of the row and emit contiguous runs. The
 	// bitmap is reused across flushes, so clear it first.
 	blocksPerRow := r.rowBytes / mem.BlockSize
@@ -309,8 +327,8 @@ func (r *RowBufferCoalescer) flushSlot(i int) {
 	for b := range present {
 		present[b] = false
 	}
-	rowBase := s.row * uint64(r.rowBytes)
-	for _, q := range s.reqs {
+	rowBase := s.Row * uint64(r.rowBytes)
+	for _, q := range s.Reqs {
 		present[(q.Addr-rowBase)/mem.BlockSize] = true
 	}
 	for b := 0; b < blocksPerRow; {
@@ -326,11 +344,11 @@ func (r *RowBufferCoalescer) flushSlot(i int) {
 			ID:        r.nextID(),
 			Addr:      rowBase + uint64(b*mem.BlockSize),
 			Size:      uint32(run * mem.BlockSize),
-			Op:        s.op,
+			Op:        s.Op,
 			Parents:   r.parents.Get(),
-			Assembled: r.now,
+			Assembled: r.Now,
 		}
-		for _, q := range s.reqs {
+		for _, q := range s.Reqs {
 			blk := int((q.Addr - rowBase) / mem.BlockSize)
 			if blk >= b && blk < b+run {
 				pkt.Parents = append(pkt.Parents, q)
@@ -341,18 +359,18 @@ func (r *RowBufferCoalescer) flushSlot(i int) {
 		r.PacketsOut++
 		b += run
 	}
-	r.parents.Put(s.reqs)
-	*s = rowSlot{}
+	r.parents.Put(s.Reqs)
+	*s = RowSlot{}
 }
 
 // Tick implements Pipeline: timed-out slots flush.
 func (r *RowBufferCoalescer) Tick() {
-	r.now++
-	if r.live == 0 {
+	r.Now++
+	if r.Live == 0 {
 		return
 	}
-	for i := range r.rows {
-		if r.rows[i].valid && r.now-r.rows[i].start >= r.timeout {
+	for i := range r.Rows {
+		if r.Rows[i].Valid && r.Now-r.Rows[i].Start >= r.timeout {
 			r.flushSlot(i)
 		}
 	}
@@ -375,7 +393,7 @@ func (r *RowBufferCoalescer) PushFront(pkt mem.Coalesced) {
 
 // Drained implements Pipeline.
 func (r *RowBufferCoalescer) Drained() bool {
-	return r.outQ.Len() == 0 && r.live == 0
+	return r.outQ.Len() == 0 && r.Live == 0
 }
 
 // OutLen implements Pipeline.
@@ -384,15 +402,15 @@ func (r *RowBufferCoalescer) OutLen() int { return r.outQ.Len() }
 // NextWake implements Pipeline: the only self-scheduled work is flushing
 // aggregation slots whose timeout expires.
 func (r *RowBufferCoalescer) NextWake(now int64) int64 {
-	if r.live == 0 {
+	if r.Live == 0 {
 		return engine.Never
 	}
 	wake := engine.Never
-	for i := range r.rows {
-		if !r.rows[i].valid {
+	for i := range r.Rows {
+		if !r.Rows[i].Valid {
 			continue
 		}
-		if t := r.rows[i].start + r.timeout; t < wake {
+		if t := r.Rows[i].Start + r.timeout; t < wake {
 			wake = t
 		}
 	}
@@ -401,10 +419,10 @@ func (r *RowBufferCoalescer) NextWake(now int64) int64 {
 
 // SkipTo implements Pipeline.
 func (r *RowBufferCoalescer) SkipTo(now int64) {
-	if w := r.NextWake(r.now); now >= w {
+	if w := r.NextWake(r.Now); now >= w {
 		panic("coalesce: SkipTo past a row-slot timeout")
 	}
-	if now > r.now {
-		r.now = now
+	if now > r.Now {
+		r.Now = now
 	}
 }

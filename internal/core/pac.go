@@ -8,54 +8,106 @@ import (
 	"github.com/pacsim/pac/internal/mem"
 )
 
-// coalescingStream is one stage-1 aggregation slot (paper Figure 4): a
-// tagged physical page, a 64-bit block-map, the C bit, and the buffered
-// raw requests.
-type coalescingStream struct {
-	valid bool
-	// tag is mem.TaggedPPN(addr, op): the PPN with the T (type) bit
+// Stream is one stage-1 aggregation slot (paper Figure 4): a tagged
+// physical page, a 64-bit block-map, the C bit, and the buffered raw
+// requests. Slots are positional: the aggregator's free/oldest scans are
+// index-ordered, so slot indexes are state.
+type Stream struct {
+	Valid bool
+	// Tag is mem.TaggedPPN(addr, op): the PPN with the T (type) bit
 	// packed above it so one comparison covers page and operation.
-	tag   uint64
-	op    mem.Op
-	bmap  uint64
-	first int64 // cycle the stream was allocated (timeout base)
-	reqs  []mem.Request
+	Tag   uint64
+	Op    mem.Op
+	Bmap  uint64
+	First int64 // cycle the stream was allocated (timeout base)
+	Reqs  []mem.Request
 }
 
 // cBit reports whether the stream holds more than one request and should
 // therefore traverse stages 2-3 (paper §3.3.1).
-func (s *coalescingStream) cBit() bool { return len(s.reqs) > 1 }
+func (s *Stream) cBit() bool { return len(s.Reqs) > 1 }
 
-// flushedStream is a stage-2 work item: a block-map waiting to be decoded.
-type flushedStream struct {
-	op    mem.Op
-	ppn   uint64
-	bmap  uint64
-	reqs  []mem.Request
-	enter int64 // cycle the stream entered stage 2
+// FlushedStream is a stage-2 work item: a block-map waiting to be decoded.
+type FlushedStream struct {
+	Op    mem.Op
+	PPN   uint64
+	Bmap  uint64
+	Reqs  []mem.Request
+	Enter int64 // cycle the stream entered stage 2
 }
 
-// chunkItem is one non-zero partitioned chunk of a block-map, queued for
-// the shared-bus write into the block sequence buffer and then for the
+// Chunk is one non-zero partitioned chunk of a block-map, queued for the
+// shared-bus write into the block sequence buffer and then for the
 // request assembler.
-type chunkItem struct {
-	op         mem.Op
-	ppn        uint64
-	chunk      int  // chunk index within the page
-	bits       uint // the partitioned block sequence (width = MaxReqBlocks)
-	reqs       []mem.Request
-	flushEnter int64 // when the parent stream entered stage 2
-	seqEnter   int64 // when the chunk was stored into the sequence buffer
+type Chunk struct {
+	Op         mem.Op
+	PPN        uint64
+	Chunk      int  // chunk index within the page
+	Bits       uint // the partitioned block sequence (width = MaxReqBlocks)
+	Reqs       []mem.Request
+	FlushEnter int64 // when the parent stream entered stage 2
+	SeqEnter   int64 // when the chunk was stored into the sequence buffer
 }
 
-// asmJob is the request assembler's in-flight state: one popped sequence
+// AsmJob is the request assembler's in-flight state: one popped sequence
 // being turned into coalesced packets, one table lookup cycle plus one
-// cycle per emitted packet (paper §3.3.3).
-type asmJob struct {
-	item     chunkItem
+// cycle per emitted packet (paper §3.3.3). The run list is not state:
+// Lookup(Bits) is deterministic for a table built from the same Params,
+// so RestoreState repeats the lookup.
+type AsmJob struct {
+	Item     Chunk
 	runs     []Run
-	next     int  // next run to emit
-	lookedUp bool // table lookup cycle consumed
+	Next     int  // next run to emit
+	LookedUp bool // table lookup cycle consumed
+}
+
+// PACState is the mutable state of the paged adaptive coalescer.
+// Construction parameters (Params, the coalescing table) are not part of
+// it; a restore target must be built with the same Params. The queue
+// fields (MissQ, WbQ, StoreQ, SeqBuf, BypassQ, MAQ) hold the queues'
+// contents in a saved state only: a running PAC keeps its queues in ring
+// deques, whose layout is not state, and leaves them nil.
+type PACState struct {
+	Now int64
+
+	MissQ  []mem.Request
+	WbQ    []mem.Request
+	TakeWB bool // round-robin pointer between the input queues
+
+	Streams []Stream
+	// Live counts valid streams, letting the per-tick scans (timeout
+	// flush, wake computation, the idle fast path) skip an empty stage 1
+	// without walking all slots.
+	Live int
+	// TmoAt is the earliest cycle any live stream's timeout can fire —
+	// min over valid streams of First+Timeout, engine.Never when none.
+	// Maintained exactly: creation can only lower it (min update) and
+	// flushing the minimum holder triggers a recompute, so the per-tick
+	// timeout scan and NextWake read it instead of walking the slots.
+	TmoAt int64
+
+	Stage2 []FlushedStream // decoding (1 cycle, parallel across streams)
+	StoreQ []Chunk
+	SeqBuf []Chunk
+
+	Asm       AsmJob
+	AsmActive bool
+
+	BypassQ []mem.Coalesced
+	MAQ     []mem.Coalesced
+
+	// MAQ fill-latency measurement state: a window opens when a packet
+	// enters an empty production window and closes after MAQDepth
+	// packets have been produced.
+	FillStart  int64
+	FillPushes int
+	FillActive bool
+
+	LastSample int64
+
+	// Stats holds the accumulated counters; read it after (or during)
+	// a run.
+	Stats Stats
 }
 
 // PAC is the paged adaptive coalescer: input queues, the three-stage
@@ -68,52 +120,20 @@ type PAC struct {
 	p         Params
 	table     *Table
 	chunkBits int
-
-	now    int64
-	nextID func() uint64
+	nextID    func() uint64
 
 	missQ, wbQ arena.Deque[mem.Request]
-	takeWB     bool // round-robin pointer between the input queues
-
-	streams []coalescingStream
-	// live counts valid streams, letting the per-tick scans (timeout
-	// flush, wake computation, the idle fast path) skip an empty stage 1
-	// without walking all slots.
-	live int
-	// tmoAt is the earliest cycle any live stream's timeout can fire —
-	// min over valid streams of first+Timeout, engine.Never when none.
-	// Maintained exactly: creation can only lower it (min update) and
-	// flushing the minimum holder triggers a recompute, so the per-tick
-	// timeout scan and NextWake read it instead of walking the slots.
-	tmoAt int64
-
-	stage2 []flushedStream        // decoding (1 cycle, parallel across streams)
-	storeQ arena.Deque[chunkItem] // chunks awaiting the shared-bus buffer write
-	seqBuf arena.Deque[chunkItem] // the block sequence buffer (FIFO)
-
-	asm       asmJob
-	asmActive bool
-
-	bypassQ arena.Deque[mem.Coalesced] // C=0 singles and atomics heading to the MAQ
-	maq     arena.Deque[mem.Coalesced]
+	storeQ     arena.Deque[Chunk]         // chunks awaiting the shared-bus buffer write
+	seqBuf     arena.Deque[Chunk]         // the block sequence buffer (FIFO)
+	bypassQ    arena.Deque[mem.Coalesced] // C=0 singles and atomics heading to the MAQ
+	maq        arena.Deque[mem.Coalesced]
 
 	// parents backs every request-holding slice in the pipeline (stream
 	// buffers, chunk items, packet Parents); the driver recycles admitted
 	// packets' Parents into the same pool.
 	parents *arena.SlicePool[mem.Request]
 
-	// MAQ fill-latency measurement state: a window opens when a packet
-	// enters an empty production window and closes after MAQDepth
-	// packets have been produced.
-	fillStart  int64
-	fillPushes int
-	fillActive bool
-
-	lastSample int64
-
-	// Stats holds the accumulated counters; read it after (or during)
-	// a run.
-	Stats Stats
+	PACState
 }
 
 // New constructs a PAC. ids mints unique packet IDs (shared with the rest
@@ -132,8 +152,7 @@ func New(p Params, ids func() uint64) *PAC {
 		table:     NewTable(w, p.PadRuns),
 		chunkBits: w,
 		nextID:    ids,
-		streams:   make([]coalescingStream, p.Streams),
-		tmoAt:     engine.Never,
+		PACState:  PACState{Streams: make([]Stream, p.Streams), TmoAt: engine.Never},
 	}
 }
 
@@ -143,9 +162,6 @@ func (c *PAC) UseParentPool(pool *arena.SlicePool[mem.Request]) { c.parents = po
 
 // Params returns the configuration the PAC was built with.
 func (c *PAC) Params() Params { return c.p }
-
-// Now returns the current pipeline cycle.
-func (c *PAC) Now() int64 { return c.now }
 
 // Enqueue offers one LLC request (miss or write-back) to the coalescer's
 // input queues. It returns false when the corresponding queue is full, in
@@ -196,13 +212,13 @@ func (c *PAC) PushFrontMAQ(pkt mem.Coalesced) {
 // Drained reports whether no request is anywhere inside the coalescer
 // (input queues, streams, pipeline, MAQ). Used to terminate simulations.
 func (c *PAC) Drained() bool {
-	if c.missQ.Len()+c.wbQ.Len()+len(c.stage2)+c.storeQ.Len()+c.seqBuf.Len()+c.bypassQ.Len()+c.maq.Len() > 0 {
+	if c.missQ.Len()+c.wbQ.Len()+len(c.Stage2)+c.storeQ.Len()+c.seqBuf.Len()+c.bypassQ.Len()+c.maq.Len() > 0 {
 		return false
 	}
-	if c.asmActive {
+	if c.AsmActive {
 		return false
 	}
-	return c.live == 0
+	return c.Live == 0
 }
 
 // backlogged reports whether any pipeline stage holds buffered work, in
@@ -210,8 +226,8 @@ func (c *PAC) Drained() bool {
 // least records a stall counter the cycle-accurate loop would have
 // recorded too).
 func (c *PAC) backlogged() bool {
-	return c.missQ.Len()+c.wbQ.Len()+len(c.stage2)+c.storeQ.Len()+c.seqBuf.Len()+c.bypassQ.Len() > 0 ||
-		c.asmActive
+	return c.missQ.Len()+c.wbQ.Len()+len(c.Stage2)+c.storeQ.Len()+c.seqBuf.Len()+c.bypassQ.Len() > 0 ||
+		c.AsmActive
 }
 
 // NextWake implements the engine.Clocked contract for the coalescing
@@ -225,14 +241,14 @@ func (c *PAC) NextWake(now int64) int64 {
 	if c.backlogged() {
 		return now + 1
 	}
-	if c.live == 0 {
+	if c.Live == 0 {
 		return engine.Never
 	}
-	wake := c.tmoAt
+	wake := c.TmoAt
 	{
 		// Occupancy samples observe valid streams (Figure 11b), so the
 		// next sample point is a real event while any stream lives.
-		if t := c.lastSample + c.p.SampleInterval; t < wake {
+		if t := c.LastSample + c.p.SampleInterval; t < wake {
 			wake = t
 		}
 	}
@@ -246,7 +262,7 @@ func (c *PAC) NextWake(now int64) int64 {
 // those ticks perform — advancing the occupancy-sampling origin when no
 // stream is valid to observe — is reproduced in closed form.
 func (c *PAC) SkipTo(now int64) {
-	if now <= c.now {
+	if now <= c.Now {
 		return
 	}
 	if c.backlogged() {
@@ -255,21 +271,21 @@ func (c *PAC) SkipTo(now int64) {
 	// The input round-robin pointer flips every tick even when both
 	// queues are empty (nextInput toggles before popping), so a skipped
 	// stretch of odd length leaves it inverted.
-	if (now-c.now)&1 == 1 {
-		c.takeWB = !c.takeWB
+	if (now-c.Now)&1 == 1 {
+		c.TakeWB = !c.TakeWB
 	}
 	// Empty samples record nothing but still reset the sampling origin;
 	// with valid streams NextWake bounds the skip before the next sample
 	// point, making this a no-op. SampleInterval is almost always a
 	// power of two (paper: 16), so round down with a mask, not a divide.
-	if s := c.p.SampleInterval; now-c.lastSample >= s {
+	if s := c.p.SampleInterval; now-c.LastSample >= s {
 		if s&(s-1) == 0 {
-			c.lastSample += (now - c.lastSample) &^ (s - 1)
+			c.LastSample += (now - c.LastSample) &^ (s - 1)
 		} else {
-			c.lastSample += (now - c.lastSample) / s * s
+			c.LastSample += (now - c.LastSample) / s * s
 		}
 	}
-	c.now = now
+	c.Now = now
 }
 
 // Tick advances the pipeline one cycle. Stages run back-to-front so a
@@ -283,12 +299,12 @@ func (c *PAC) SkipTo(now int64) {
 // observe). This is exactly the closed form SkipTo applies per skipped
 // cycle, so the fast path cannot diverge from the stage-by-stage walk.
 func (c *PAC) Tick() {
-	c.now++
-	if c.live == 0 && !c.asmActive && len(c.stage2) == 0 &&
+	c.Now++
+	if c.Live == 0 && !c.AsmActive && len(c.Stage2) == 0 &&
 		c.missQ.Len()|c.wbQ.Len()|c.storeQ.Len()|c.seqBuf.Len()|c.bypassQ.Len() == 0 {
-		c.takeWB = !c.takeWB
-		if c.now-c.lastSample >= c.p.SampleInterval {
-			c.lastSample = c.now
+		c.TakeWB = !c.TakeWB
+		if c.Now-c.LastSample >= c.p.SampleInterval {
+			c.LastSample = c.Now
 		}
 		return
 	}
@@ -306,21 +322,21 @@ func (c *PAC) pushMAQ(pkt mem.Coalesced) bool {
 	if c.maq.Len() >= c.p.MAQDepth {
 		return false
 	}
-	if !c.fillActive {
-		c.fillStart = c.now
-		c.fillPushes = 0
-		c.fillActive = true
+	if !c.FillActive {
+		c.FillStart = c.Now
+		c.FillPushes = 0
+		c.FillActive = true
 	}
 	c.maq.PushBack(pkt)
-	c.fillPushes++
-	if c.fillPushes >= c.p.MAQDepth {
-		c.Stats.MAQFill.Add(float64(c.now - c.fillStart))
-		c.fillActive = false
+	c.FillPushes++
+	if c.FillPushes >= c.p.MAQDepth {
+		c.Stats.MAQFill.Add(float64(c.Now - c.FillStart))
+		c.FillActive = false
 	}
 	c.Stats.PacketsOut++
 	c.Stats.SizeHist.Add(pkt.Blocks())
 	for _, r := range pkt.Parents {
-		c.Stats.OverallLat.Add(float64(c.now - r.Issue))
+		c.Stats.OverallLat.Add(float64(c.Now - r.Issue))
 	}
 	return true
 }
@@ -344,34 +360,34 @@ func (c *PAC) tickMAQIntake() {
 // tickAssembler advances stage 3: pop a block sequence, spend one cycle on
 // the coalescing-table lookup, then emit one packet per cycle.
 func (c *PAC) tickAssembler() {
-	if !c.asmActive {
+	if !c.AsmActive {
 		item, ok := c.seqBuf.PopFront()
 		if !ok {
 			return
 		}
-		c.asm = asmJob{item: item, runs: c.table.Lookup(item.bits)}
-		c.asmActive = true
+		c.Asm = AsmJob{Item: item, runs: c.table.Lookup(item.Bits)}
+		c.AsmActive = true
 		// The table lookup consumes this cycle.
 		return
 	}
-	j := &c.asm
-	if !j.lookedUp {
-		j.lookedUp = true
+	j := &c.Asm
+	if !j.LookedUp {
+		j.LookedUp = true
 	}
-	if j.next >= len(j.runs) {
+	if j.Next >= len(j.runs) {
 		c.finishAsmJob()
 		c.tickAssembler() // pop the next sequence this cycle
 		return
 	}
-	run := j.runs[j.next]
-	pkt := c.assemble(j.item, run)
+	run := j.runs[j.Next]
+	pkt := c.assemble(j.Item, run)
 	if !c.pushMAQ(pkt) {
 		c.Stats.MAQStallCycles++
 		return // stall; retry next cycle
 	}
-	c.Stats.Stage3Lat.Add(float64(c.now - j.item.seqEnter))
-	j.next++
-	if j.next >= len(j.runs) {
+	c.Stats.Stage3Lat.Add(float64(c.Now - j.Item.SeqEnter))
+	j.Next++
+	if j.Next >= len(j.runs) {
 		c.finishAsmJob()
 	}
 }
@@ -379,19 +395,19 @@ func (c *PAC) tickAssembler() {
 // finishAsmJob retires the assembler job, recycling the chunk's request
 // buffer (every packet's Parents were copied out by assemble).
 func (c *PAC) finishAsmJob() {
-	c.parents.Put(c.asm.item.reqs)
-	c.asm = asmJob{}
-	c.asmActive = false
+	c.parents.Put(c.Asm.Item.Reqs)
+	c.Asm = AsmJob{}
+	c.AsmActive = false
 }
 
 // assemble builds the coalesced packet for one run of a chunk.
-func (c *PAC) assemble(item chunkItem, run Run) mem.Coalesced {
-	firstBlock := uint(item.chunk*c.chunkBits + run.Off)
-	addr := mem.BlockAddr(item.ppn, firstBlock)
+func (c *PAC) assemble(item Chunk, run Run) mem.Coalesced {
+	firstBlock := uint(item.Chunk*c.chunkBits + run.Off)
+	addr := mem.BlockAddr(item.PPN, firstBlock)
 	parents := c.parents.Get()
-	for _, r := range item.reqs {
+	for _, r := range item.Reqs {
 		b := int(mem.BlockID(r.Addr))
-		rel := b - item.chunk*c.chunkBits
+		rel := b - item.Chunk*c.chunkBits
 		if rel >= run.Off && rel < run.Off+run.Len {
 			parents = append(parents, r)
 		}
@@ -400,9 +416,9 @@ func (c *PAC) assemble(item chunkItem, run Run) mem.Coalesced {
 		ID:        c.nextID(),
 		Addr:      addr,
 		Size:      uint32(run.Len * mem.BlockSize),
-		Op:        item.op,
+		Op:        item.Op,
 		Parents:   parents,
-		Assembled: c.now,
+		Assembled: c.Now,
 	}
 }
 
@@ -413,11 +429,11 @@ func (c *PAC) tickStore() {
 	if !ok {
 		return
 	}
-	item.seqEnter = c.now
+	item.SeqEnter = c.Now
 	c.seqBuf.PushBack(item)
 	// Stage-2 latency is flush-to-stored for the stream's last chunk;
 	// record per chunk, which weights streams by their chunk count.
-	c.Stats.Stage2Lat.Add(float64(c.now - item.flushEnter))
+	c.Stats.Stage2Lat.Add(float64(c.Now - item.FlushEnter))
 }
 
 // tickDecode advances stage 2: every flushed stream decodes in one cycle
@@ -425,83 +441,83 @@ func (c *PAC) tickStore() {
 // join the store queue.
 func (c *PAC) tickDecode() {
 	// Filter in place: kept streams stay in order, decoded ones leave.
-	keep := c.stage2[:0]
-	for i := range c.stage2 {
-		f := c.stage2[i]
-		if c.now <= f.enter {
+	keep := c.Stage2[:0]
+	for i := range c.Stage2 {
+		f := c.Stage2[i]
+		if c.Now <= f.Enter {
 			keep = append(keep, f) // decode happens the cycle after entry
 			continue
 		}
 		c.decodeChunks(f)
 	}
-	for i := len(keep); i < len(c.stage2); i++ {
-		c.stage2[i] = flushedStream{} // drop recycled-buffer references
+	for i := len(keep); i < len(c.Stage2); i++ {
+		c.Stage2[i] = FlushedStream{} // drop recycled-buffer references
 	}
-	c.stage2 = keep
+	c.Stage2 = keep
 }
 
 // decodeChunks partitions a flushed stream's block-map into chunkBits-wide
 // sequences and queues the non-zero ones.
-func (c *PAC) decodeChunks(f flushedStream) {
+func (c *PAC) decodeChunks(f FlushedStream) {
 	nChunks := mem.BlocksPerPage / c.chunkBits
 	mask := uint64(1)<<uint(c.chunkBits) - 1
 	for ch := 0; ch < nChunks; ch++ {
-		bits := uint((f.bmap >> (uint(ch) * uint(c.chunkBits))) & mask)
+		bits := uint((f.Bmap >> (uint(ch) * uint(c.chunkBits))) & mask)
 		if bits == 0 {
 			continue
 		}
-		item := chunkItem{
-			op:         f.op,
-			ppn:        f.ppn,
-			chunk:      ch,
-			bits:       bits,
-			flushEnter: f.enter,
+		item := Chunk{
+			Op:         f.Op,
+			PPN:        f.PPN,
+			Chunk:      ch,
+			Bits:       bits,
+			FlushEnter: f.Enter,
 		}
 		lo, hi := ch*c.chunkBits, (ch+1)*c.chunkBits
-		item.reqs = c.parents.Get()
-		for _, r := range f.reqs {
+		item.Reqs = c.parents.Get()
+		for _, r := range f.Reqs {
 			if b := int(mem.BlockID(r.Addr)); b >= lo && b < hi {
-				item.reqs = append(item.reqs, r)
+				item.Reqs = append(item.Reqs, r)
 			}
 		}
 		c.storeQ.PushBack(item)
 	}
-	c.parents.Put(f.reqs)
+	c.parents.Put(f.Reqs)
 }
 
 // flushStream sends stream i down the pipeline (or around it, when its C
 // bit is clear) and frees the slot.
 func (c *PAC) flushStream(i int) {
-	s := &c.streams[i]
-	if !s.valid {
+	s := &c.Streams[i]
+	if !s.Valid {
 		return
 	}
-	c.live--
-	wasMin := s.first+c.p.Timeout == c.tmoAt
+	c.Live--
+	wasMin := s.First+c.p.Timeout == c.TmoAt
 	if s.cBit() {
-		c.stage2 = append(c.stage2, flushedStream{
-			op:    s.op,
-			ppn:   s.tag &^ (1 << (mem.TagTBit - mem.PageShift)),
-			bmap:  s.bmap,
-			reqs:  s.reqs,
-			enter: c.now,
+		c.Stage2 = append(c.Stage2, FlushedStream{
+			Op:    s.Op,
+			PPN:   s.Tag &^ (1 << (mem.TagTBit - mem.PageShift)),
+			Bmap:  s.Bmap,
+			Reqs:  s.Reqs,
+			Enter: c.Now,
 		})
 	} else {
 		// Single-request streams skip stages 2-3 (C bit = 0). The
 		// stream's one-element buffer moves into the packet as-is.
-		r := s.reqs[0]
+		r := s.Reqs[0]
 		c.Stats.Bypassed++
 		c.bypassQ.PushBack(mem.Coalesced{
 			ID:        c.nextID(),
 			Addr:      mem.BlockAlign(r.Addr),
 			Size:      mem.BlockSize,
-			Op:        s.op,
-			Parents:   s.reqs,
-			Assembled: c.now,
+			Op:        s.Op,
+			Parents:   s.Reqs,
+			Assembled: c.Now,
 			Bypassed:  true,
 		})
 	}
-	*s = coalescingStream{}
+	*s = Stream{}
 	if wasMin {
 		c.recomputeTimeout()
 	}
@@ -511,14 +527,14 @@ func (c *PAC) flushStream(i int) {
 // called only when the previous minimum holder was flushed.
 func (c *PAC) recomputeTimeout() {
 	t := int64(engine.Never)
-	for i := range c.streams {
-		if s := &c.streams[i]; s.valid {
-			if w := s.first + c.p.Timeout; w < t {
+	for i := range c.Streams {
+		if s := &c.Streams[i]; s.Valid {
+			if w := s.First + c.p.Timeout; w < t {
 				t = w
 			}
 		}
 	}
-	c.tmoAt = t
+	c.TmoAt = t
 }
 
 // tickAggregator advances stage 1: timeout flushes, then intake of one
@@ -528,10 +544,10 @@ func (c *PAC) tickAggregator() {
 	// Timeout: streams older than the window are forced downstream so
 	// waiting raw requests have a bounded latency. tmoAt bounds the
 	// earliest possible firing, so most ticks skip the slot walk.
-	if c.live > 0 && c.now >= c.tmoAt {
-		for i := range c.streams {
-			s := &c.streams[i]
-			if s.valid && c.now-s.first >= c.p.Timeout {
+	if c.Live > 0 && c.Now >= c.TmoAt {
+		for i := range c.Streams {
+			s := &c.Streams[i]
+			if s.Valid && c.Now-s.First >= c.p.Timeout {
 				c.Stats.TimeoutFlushes++
 				c.flushStream(i)
 			}
@@ -548,8 +564,8 @@ func (c *PAC) tickAggregator() {
 		// A fence monopolises stage 1 and pushes all previous
 		// requests into stage 2 to preserve the boundary.
 		c.Stats.Fences++
-		for i := range c.streams {
-			if c.streams[i].valid {
+		for i := range c.Streams {
+			if c.Streams[i].Valid {
 				c.Stats.FenceFlushes++
 				c.flushStream(i)
 			}
@@ -559,21 +575,21 @@ func (c *PAC) tickAggregator() {
 		// Atomics are routed directly to the memory controller.
 		c.Stats.RawIn++
 		c.Stats.Atomics++
-		r.Issue = c.now
+		r.Issue = c.Now
 		c.bypassQ.PushBack(mem.Coalesced{
 			ID:        c.nextID(),
 			Addr:      mem.BlockAlign(r.Addr),
 			Size:      mem.BlockSize,
 			Op:        mem.OpAtomic,
 			Parents:   append(c.parents.Get(), r),
-			Assembled: c.now,
+			Assembled: c.Now,
 			Bypassed:  true,
 		})
 		return
 	}
 
 	c.Stats.RawIn++
-	r.Issue = c.now
+	r.Issue = c.Now
 	tag := mem.TaggedPPN(r.Addr, r.Op)
 
 	// Parallel comparison against every active stream (one comparator
@@ -586,9 +602,9 @@ func (c *PAC) tickAggregator() {
 	oldest := -1
 	validSeen, bufferedSeen := int64(0), int64(0)
 	var pagedScan, unpagedScan int64
-	for i := range c.streams {
-		s := &c.streams[i]
-		if !s.valid {
+	for i := range c.Streams {
+		s := &c.Streams[i]
+		if !s.Valid {
 			if free < 0 {
 				free = i
 			}
@@ -596,13 +612,13 @@ func (c *PAC) tickAggregator() {
 		}
 		c.Stats.Comparisons++
 		validSeen++
-		if s.tag == tag && match < 0 {
+		if s.Tag == tag && match < 0 {
 			match = i
 			pagedScan = validSeen
 			unpagedScan = bufferedSeen + 1
 		}
-		bufferedSeen += int64(len(s.reqs))
-		if oldest < 0 || s.first < c.streams[oldest].first {
+		bufferedSeen += int64(len(s.Reqs))
+		if oldest < 0 || s.First < c.Streams[oldest].First {
 			oldest = i
 		}
 	}
@@ -614,9 +630,9 @@ func (c *PAC) tickAggregator() {
 	c.Stats.UnpagedScans += unpagedScan
 
 	if match >= 0 {
-		s := &c.streams[match]
-		s.bmap |= 1 << mem.BlockID(r.Addr)
-		s.reqs = append(s.reqs, r)
+		s := &c.Streams[match]
+		s.Bmap |= 1 << mem.BlockID(r.Addr)
+		s.Reqs = append(s.Reqs, r)
 		return
 	}
 	if free < 0 {
@@ -625,31 +641,31 @@ func (c *PAC) tickAggregator() {
 		c.flushStream(oldest)
 		free = oldest
 	}
-	c.live++
-	if t := c.now + c.p.Timeout; t < c.tmoAt {
-		c.tmoAt = t
+	c.Live++
+	if t := c.Now + c.p.Timeout; t < c.TmoAt {
+		c.TmoAt = t
 	}
-	c.streams[free] = coalescingStream{
-		valid: true,
-		tag:   tag,
-		op:    r.Op,
-		bmap:  1 << mem.BlockID(r.Addr),
-		first: c.now,
-		reqs:  append(c.parents.Get(), r),
+	c.Streams[free] = Stream{
+		Valid: true,
+		Tag:   tag,
+		Op:    r.Op,
+		Bmap:  1 << mem.BlockID(r.Addr),
+		First: c.Now,
+		Reqs:  append(c.parents.Get(), r),
 	}
 }
 
 // nextInput pops the next request, round-robin between the miss and
 // write-back queues so neither starves.
 func (c *PAC) nextInput() (mem.Request, bool) {
-	if c.takeWB {
-		c.takeWB = false
+	if c.TakeWB {
+		c.TakeWB = false
 		if r, ok := c.wbQ.PopFront(); ok {
 			return r, true
 		}
 		return c.missQ.PopFront()
 	}
-	c.takeWB = true
+	c.TakeWB = true
 	if r, ok := c.missQ.PopFront(); ok {
 		return r, true
 	}
@@ -661,12 +677,12 @@ func (c *PAC) nextInput() (mem.Request, bool) {
 // "we accumulate the number of occupied coalescing streams every 16
 // cycles").
 func (c *PAC) sampleOccupancy() {
-	if c.now-c.lastSample < c.p.SampleInterval {
+	if c.Now-c.LastSample < c.p.SampleInterval {
 		return
 	}
-	c.lastSample = c.now
-	if c.live > 0 {
-		c.Stats.Occupancy.Add(c.live)
+	c.LastSample = c.Now
+	if c.Live > 0 {
+		c.Stats.Occupancy.Add(c.Live)
 	}
 }
 

@@ -20,7 +20,7 @@ func TestDecodeChunksPartitioning(t *testing.T) {
 		bmap |= 1 << b
 		reqs = append(reqs, req(uint64(i+1), mem.BlockAddr(0x33, b), mem.OpLoad))
 	}
-	c.decodeChunks(flushedStream{op: mem.OpLoad, ppn: 0x33, bmap: bmap, reqs: reqs})
+	c.decodeChunks(FlushedStream{Op: mem.OpLoad, PPN: 0x33, Bmap: bmap, Reqs: reqs})
 	if c.storeQ.Len() != 3 {
 		t.Fatalf("decoded %d chunks, want 3", c.storeQ.Len())
 	}
@@ -28,23 +28,23 @@ func TestDecodeChunksPartitioning(t *testing.T) {
 	wantReqs := map[int]int{0: 2, 1: 1, 15: 2}
 	for i := 0; i < c.storeQ.Len(); i++ {
 		item := c.storeQ.At(i)
-		if item.bits != wantBits[item.chunk] {
-			t.Errorf("chunk %d bits = %04b, want %04b", item.chunk, item.bits, wantBits[item.chunk])
+		if item.Bits != wantBits[item.Chunk] {
+			t.Errorf("chunk %d bits = %04b, want %04b", item.Chunk, item.Bits, wantBits[item.Chunk])
 		}
-		if len(item.reqs) != wantReqs[item.chunk] {
-			t.Errorf("chunk %d carries %d reqs, want %d", item.chunk, len(item.reqs), wantReqs[item.chunk])
+		if len(item.Reqs) != wantReqs[item.Chunk] {
+			t.Errorf("chunk %d carries %d reqs, want %d", item.Chunk, len(item.Reqs), wantReqs[item.Chunk])
 		}
 	}
 }
 
 func TestAssembleParentsFiltered(t *testing.T) {
 	c := newTestPAC(nil)
-	item := chunkItem{
-		op:    mem.OpLoad,
-		ppn:   0x9,
-		chunk: 1, // blocks 4..7
-		bits:  0b0110,
-		reqs: []mem.Request{
+	item := Chunk{
+		Op:    mem.OpLoad,
+		PPN:   0x9,
+		Chunk: 1, // blocks 4..7
+		Bits:  0b0110,
+		Reqs: []mem.Request{
 			req(1, mem.BlockAddr(0x9, 5), mem.OpLoad),
 			req(2, mem.BlockAddr(0x9, 6), mem.OpLoad),
 		},
@@ -113,7 +113,7 @@ func TestTimeoutAppliesPerStream(t *testing.T) {
 		c.Tick()
 		for {
 			if _, ok := c.PopMAQ(); ok {
-				times = append(times, c.Now())
+				times = append(times, c.Now)
 			} else {
 				break
 			}

@@ -2,261 +2,115 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pacsim/pac/internal/arena"
 	"github.com/pacsim/pac/internal/mem"
 )
 
-// StreamState mirrors one stage-1 aggregation slot for serialization.
-// Slots are positional: the aggregator's free/oldest scans are
-// index-ordered, so slot indexes are observable state.
-type StreamState struct {
-	Valid bool
-	Tag   uint64
-	Op    mem.Op
-	Bmap  uint64
-	First int64
-	Reqs  []mem.Request
+// SavePackets copies a packet queue's contents front to back, Parents
+// included, so the copy shares no pooled buffer with the live queue.
+func SavePackets(q *arena.Deque[mem.Coalesced]) []mem.Coalesced {
+	out := arena.SaveDeque(q)
+	for i := range out {
+		out[i].Parents = slices.Clone(out[i].Parents)
+	}
+	return out
 }
 
-// FlushedState mirrors one stage-2 work item for serialization.
-type FlushedState struct {
-	Op    mem.Op
-	PPN   uint64
-	Bmap  uint64
-	Reqs  []mem.Request
-	Enter int64
-}
-
-// ChunkState mirrors one partitioned chunk for serialization.
-type ChunkState struct {
-	Op         mem.Op
-	PPN        uint64
-	Chunk      int
-	Bits       uint
-	Reqs       []mem.Request
-	FlushEnter int64
-	SeqEnter   int64
-}
-
-// AsmState mirrors the assembler's in-flight job. The run list is NOT
-// serialized: Lookup(bits) is deterministic for a table built from the
-// same config (and returns shared slices that must not be aliased by a
-// snapshot), so RestoreState re-runs the lookup instead.
-type AsmState struct {
-	Item     ChunkState
-	Next     int
-	LookedUp bool
-}
-
-// PACState is the serializable mid-run state of the paged adaptive
-// coalescer. Construction parameters (Params, the coalescing table)
-// come from the run config; a restore target must be built with the
-// same Params.
-type PACState struct {
-	Now int64
-
-	MissQ  []mem.Request
-	WbQ    []mem.Request
-	TakeWB bool
-
-	Streams []StreamState
-	Live    int
-	TmoAt   int64
-
-	Stage2 []FlushedState
-	StoreQ []ChunkState
-	SeqBuf []ChunkState
-
-	Asm       AsmState
-	AsmActive bool
-
-	BypassQ []mem.Coalesced
-	MAQ     []mem.Coalesced
-
-	FillStart  int64
-	FillPushes int
-	FillActive bool
-	LastSample int64
-
-	Stats Stats
-}
-
-func saveChunk(it chunkItem) ChunkState {
-	return ChunkState{
-		Op:         it.op,
-		PPN:        it.ppn,
-		Chunk:      it.chunk,
-		Bits:       it.bits,
-		Reqs:       append([]mem.Request(nil), it.reqs...),
-		FlushEnter: it.flushEnter,
-		SeqEnter:   it.seqEnter,
+// RestorePackets refills a packet queue from saved contents, drawing each
+// packet's Parents from the pool so the pipeline's recycling Puts stay
+// balanced.
+func RestorePackets(q *arena.Deque[mem.Coalesced], pkts []mem.Coalesced, pool *arena.SlicePool[mem.Request]) {
+	q.Clear()
+	for _, p := range pkts {
+		p.Parents = append(pool.Get(), p.Parents...)
+		q.PushBack(p)
 	}
 }
 
-func (c *PAC) restoreChunk(st ChunkState) chunkItem {
-	return chunkItem{
-		op:         st.Op,
-		ppn:        st.PPN,
-		chunk:      st.Chunk,
-		bits:       st.Bits,
-		reqs:       append(c.parents.Get(), st.Reqs...),
-		flushEnter: st.FlushEnter,
-		seqEnter:   st.SeqEnter,
+// saveChunks copies a chunk queue's contents, request buffers included.
+func saveChunks(q *arena.Deque[Chunk]) []Chunk {
+	out := arena.SaveDeque(q)
+	for i := range out {
+		out[i].Reqs = slices.Clone(out[i].Reqs)
 	}
+	return out
 }
 
-// SaveState copies the coalescer's mutable state. Every request slice is
+// SaveState copies the coalescer's state. Every request slice is
 // deep-copied, so the snapshot stays valid while the run continues (the
 // live pipeline recycles those buffers through its parent pool).
 func (c *PAC) SaveState() PACState {
-	st := PACState{
-		Now:        c.now,
-		MissQ:      arena.SaveDeque(&c.missQ),
-		WbQ:        arena.SaveDeque(&c.wbQ),
-		TakeWB:     c.takeWB,
-		Streams:    make([]StreamState, len(c.streams)),
-		Live:       c.live,
-		TmoAt:      c.tmoAt,
-		AsmActive:  c.asmActive,
-		FillStart:  c.fillStart,
-		FillPushes: c.fillPushes,
-		FillActive: c.fillActive,
-		LastSample: c.lastSample,
-		Stats:      c.Stats.Clone(),
+	st := c.PACState
+	st.MissQ = arena.SaveDeque(&c.missQ)
+	st.WbQ = arena.SaveDeque(&c.wbQ)
+	st.Streams = slices.Clone(c.Streams)
+	for i := range st.Streams {
+		st.Streams[i].Reqs = slices.Clone(st.Streams[i].Reqs)
 	}
-	for i := range c.streams {
-		s := &c.streams[i]
-		st.Streams[i] = StreamState{
-			Valid: s.valid,
-			Tag:   s.tag,
-			Op:    s.op,
-			Bmap:  s.bmap,
-			First: s.first,
-			Reqs:  append([]mem.Request(nil), s.reqs...),
-		}
+	st.Stage2 = slices.Clone(c.Stage2)
+	for i := range st.Stage2 {
+		st.Stage2[i].Reqs = slices.Clone(st.Stage2[i].Reqs)
 	}
-	if len(c.stage2) > 0 {
-		st.Stage2 = make([]FlushedState, len(c.stage2))
-		for i, f := range c.stage2 {
-			st.Stage2[i] = FlushedState{
-				Op:    f.op,
-				PPN:   f.ppn,
-				Bmap:  f.bmap,
-				Reqs:  append([]mem.Request(nil), f.reqs...),
-				Enter: f.enter,
-			}
-		}
-	}
-	if n := c.storeQ.Len(); n > 0 {
-		st.StoreQ = make([]ChunkState, n)
-		for i := range st.StoreQ {
-			st.StoreQ[i] = saveChunk(c.storeQ.At(i))
-		}
-	}
-	if n := c.seqBuf.Len(); n > 0 {
-		st.SeqBuf = make([]ChunkState, n)
-		for i := range st.SeqBuf {
-			st.SeqBuf[i] = saveChunk(c.seqBuf.At(i))
-		}
-	}
-	if c.asmActive {
-		st.Asm = AsmState{
-			Item:     saveChunk(c.asm.item),
-			Next:     c.asm.next,
-			LookedUp: c.asm.lookedUp,
-		}
-	}
-	if n := c.bypassQ.Len(); n > 0 {
-		st.BypassQ = make([]mem.Coalesced, n)
-		for i := range st.BypassQ {
-			p := c.bypassQ.At(i)
-			p.Parents = append([]mem.Request(nil), p.Parents...)
-			st.BypassQ[i] = p
-		}
-	}
-	if n := c.maq.Len(); n > 0 {
-		st.MAQ = make([]mem.Coalesced, n)
-		for i := range st.MAQ {
-			p := c.maq.At(i)
-			p.Parents = append([]mem.Request(nil), p.Parents...)
-			st.MAQ[i] = p
-		}
-	}
+	st.StoreQ = saveChunks(&c.storeQ)
+	st.SeqBuf = saveChunks(&c.seqBuf)
+	st.Asm.Item.Reqs = slices.Clone(c.Asm.Item.Reqs)
+	st.Asm.runs = nil
+	st.BypassQ = SavePackets(&c.bypassQ)
+	st.MAQ = SavePackets(&c.maq)
+	st.Stats = c.Stats.Clone()
 	return st
 }
 
-// RestoreState overwrites the coalescer's mutable state from a snapshot
-// taken on a PAC built with the same Params. Request buffers are drawn
-// from the parent pool so the pipeline's recycling Puts stay balanced,
-// and the assembler's run list is rebuilt with a fresh table lookup.
+// RestoreState overwrites the coalescer's state from a snapshot taken on
+// a PAC built with the same Params. Request buffers are drawn from the
+// parent pool so the pipeline's recycling Puts stay balanced, and the
+// assembler's run list is rebuilt with a fresh table lookup.
 func (c *PAC) RestoreState(st PACState) error {
-	if len(st.Streams) != len(c.streams) {
-		return fmt.Errorf("core: restoring %d streams into a %d-stream PAC", len(st.Streams), len(c.streams))
+	if len(st.Streams) != len(c.Streams) {
+		return fmt.Errorf("core: restoring %d streams into a %d-stream PAC", len(st.Streams), len(c.Streams))
 	}
-	c.now = st.Now
 	arena.RestoreDeque(&c.missQ, st.MissQ)
 	arena.RestoreDeque(&c.wbQ, st.WbQ)
-	c.takeWB = st.TakeWB
-	for i := range c.streams {
-		ss := &st.Streams[i]
-		if !ss.Valid {
-			c.streams[i] = coalescingStream{}
-			continue
+	streams := c.Streams
+	for i, s := range st.Streams {
+		if s.Valid {
+			s.Reqs = c.pooled(s.Reqs)
 		}
-		c.streams[i] = coalescingStream{
-			valid: true,
-			tag:   ss.Tag,
-			op:    ss.Op,
-			bmap:  ss.Bmap,
-			first: ss.First,
-			reqs:  append(c.parents.Get(), ss.Reqs...),
-		}
+		streams[i] = s
 	}
-	c.live = st.Live
-	c.tmoAt = st.TmoAt
-	c.stage2 = c.stage2[:0]
+	stage2 := c.Stage2[:0]
 	for _, f := range st.Stage2 {
-		c.stage2 = append(c.stage2, flushedStream{
-			op:    f.Op,
-			ppn:   f.PPN,
-			bmap:  f.Bmap,
-			reqs:  append(c.parents.Get(), f.Reqs...),
-			enter: f.Enter,
-		})
+		f.Reqs = c.pooled(f.Reqs)
+		stage2 = append(stage2, f)
 	}
-	c.storeQ.Clear()
-	for _, it := range st.StoreQ {
-		c.storeQ.PushBack(c.restoreChunk(it))
-	}
-	c.seqBuf.Clear()
-	for _, it := range st.SeqBuf {
-		c.seqBuf.PushBack(c.restoreChunk(it))
-	}
-	c.asmActive = st.AsmActive
+	c.restoreChunks(&c.storeQ, st.StoreQ)
+	c.restoreChunks(&c.seqBuf, st.SeqBuf)
 	if st.AsmActive {
-		item := c.restoreChunk(st.Asm.Item)
-		c.asm = asmJob{
-			item:     item,
-			runs:     c.table.Lookup(item.bits),
-			next:     st.Asm.Next,
-			lookedUp: st.Asm.LookedUp,
-		}
-	} else {
-		c.asm = asmJob{}
+		st.Asm.Item.Reqs = c.pooled(st.Asm.Item.Reqs)
+		st.Asm.runs = c.table.Lookup(st.Asm.Item.Bits)
 	}
-	c.bypassQ.Clear()
-	for _, p := range st.BypassQ {
-		p.Parents = append(c.parents.Get(), p.Parents...)
-		c.bypassQ.PushBack(p)
-	}
-	c.maq.Clear()
-	for _, p := range st.MAQ {
-		p.Parents = append(c.parents.Get(), p.Parents...)
-		c.maq.PushBack(p)
-	}
-	c.fillStart, c.fillPushes, c.fillActive = st.FillStart, st.FillPushes, st.FillActive
-	c.lastSample = st.LastSample
-	c.Stats = st.Stats.Clone()
+	RestorePackets(&c.bypassQ, st.BypassQ, c.parents)
+	RestorePackets(&c.maq, st.MAQ, c.parents)
+	st.Streams, st.Stage2 = streams, stage2
+	st.MissQ, st.WbQ, st.StoreQ, st.SeqBuf, st.BypassQ, st.MAQ = nil, nil, nil, nil, nil, nil
+	st.Stats = st.Stats.Clone()
+	c.PACState = st
 	return nil
+}
+
+// pooled copies reqs into a buffer from the parent pool.
+func (c *PAC) pooled(reqs []mem.Request) []mem.Request {
+	return append(c.parents.Get(), reqs...)
+}
+
+// restoreChunks refills a chunk queue, drawing request buffers from the
+// parent pool.
+func (c *PAC) restoreChunks(q *arena.Deque[Chunk], items []Chunk) {
+	q.Clear()
+	for _, it := range items {
+		it.Reqs = c.pooled(it.Reqs)
+		q.PushBack(it)
+	}
 }

@@ -127,25 +127,31 @@ func splitmix64(state *uint64) uint64 {
 // frac maps a draw onto [0,1) with 53 bits of precision.
 func frac(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
+// InjectorState is the mutable state of an Injector: the two PRNG
+// stream positions, the pending stall window, and the fault counters.
+// The plan config and vault count come from the run config.
+type InjectorState struct {
+	// Independent draw streams: per-packet faults advance PktRng once
+	// per Submit regardless of outcome, and the window schedule
+	// advances WinRng, so enabling one fault class never perturbs the
+	// draws of another.
+	PktRng uint64
+	WinRng uint64
+
+	// NextStart/NextVault describe the next pending stall window;
+	// NextStart is engine.Never when vault stalls are disabled.
+	NextStart int64
+	NextVault int
+
+	Stats Stats
+}
+
 // Injector holds one run's fault plan. It is owned by a single Runner
 // and is not safe for concurrent use, like every other component.
 type Injector struct {
 	cfg    Config
 	vaults int
-
-	// Independent draw streams: per-packet faults advance pktRng once
-	// per Submit regardless of outcome, and the window schedule
-	// advances winRng, so enabling one fault class never perturbs the
-	// draws of another.
-	pktRng uint64
-	winRng uint64
-
-	// nextStart/nextVault describe the next pending stall window;
-	// nextStart is engine.Never when vault stalls are disabled.
-	nextStart int64
-	nextVault int
-
-	stats Stats
+	InjectorState
 }
 
 // NewInjector builds the injector for one run. simSeed is the run's
@@ -162,11 +168,13 @@ func NewInjector(cfg Config, simSeed uint64, vaults int) *Injector {
 	// cfg.Seed == simSeed == 0.
 	base := simSeed*0x9e3779b97f4a7c15 + cfg.Seed
 	inj := &Injector{
-		cfg:       cfg,
-		vaults:    vaults,
-		pktRng:    base ^ 0x706b74, // "pkt"
-		winRng:    base ^ 0x77696e, // "win"
-		nextStart: engine.Never,
+		cfg:    cfg,
+		vaults: vaults,
+		InjectorState: InjectorState{
+			PktRng:    base ^ 0x706b74, // "pkt"
+			WinRng:    base ^ 0x77696e, // "win"
+			NextStart: engine.Never,
+		},
 	}
 	if cfg.VaultStallInterval > 0 {
 		inj.scheduleWindow(0)
@@ -179,9 +187,9 @@ func NewInjector(cfg Config, simSeed uint64, vaults int) *Injector {
 // the configured interval but windows never align across vault counts.
 func (inj *Injector) scheduleWindow(from int64) {
 	gap := inj.cfg.VaultStallInterval/2 +
-		int64(splitmix64(&inj.winRng)%uint64(inj.cfg.VaultStallInterval)) + 1
-	inj.nextStart = from + gap
-	inj.nextVault = int(splitmix64(&inj.winRng) % uint64(inj.vaults))
+		int64(splitmix64(&inj.WinRng)%uint64(inj.cfg.VaultStallInterval)) + 1
+	inj.NextStart = from + gap
+	inj.NextVault = int(splitmix64(&inj.WinRng) % uint64(inj.vaults))
 }
 
 // PacketFaults draws the per-packet faults for one device submission.
@@ -192,12 +200,12 @@ func (inj *Injector) scheduleWindow(from int64) {
 // is identical under both drivers — that is what makes the plan
 // driver-independent.
 func (inj *Injector) PacketFaults(reqFlits, flitCycles int64) (replay int64, poison bool) {
-	crc := frac(splitmix64(&inj.pktRng))
-	p := frac(splitmix64(&inj.pktRng))
+	crc := frac(splitmix64(&inj.PktRng))
+	p := frac(splitmix64(&inj.PktRng))
 	if inj.cfg.LinkCRCRate > 0 && crc < inj.cfg.LinkCRCRate {
 		replay = inj.cfg.LinkRetryPenalty + reqFlits*flitCycles
-		inj.stats.LinkCRCErrors++
-		inj.stats.LinkRetryCycles += replay
+		inj.Stats.LinkCRCErrors++
+		inj.Stats.LinkRetryCycles += replay
 	}
 	poison = inj.cfg.PoisonRate > 0 && p < inj.cfg.PoisonRate
 	return replay, poison
@@ -207,14 +215,14 @@ func (inj *Injector) PacketFaults(reqFlits, flitCycles int64) (replay int64, poi
 // cycle now. The driver calls it at the top of every step until ok is
 // false, then freezes the returned vault until cycle until.
 func (inj *Injector) PopWindow(now int64) (vault int, until int64, ok bool) {
-	if inj.nextStart > now {
+	if inj.NextStart > now {
 		return 0, 0, false
 	}
-	vault = inj.nextVault
-	until = inj.nextStart + inj.cfg.VaultStallCycles
-	inj.stats.VaultStalls++
-	inj.stats.VaultStallCycles += inj.cfg.VaultStallCycles
-	inj.scheduleWindow(inj.nextStart)
+	vault = inj.NextVault
+	until = inj.NextStart + inj.cfg.VaultStallCycles
+	inj.Stats.VaultStalls++
+	inj.Stats.VaultStallCycles += inj.cfg.VaultStallCycles
+	inj.scheduleWindow(inj.NextStart)
 	return vault, until, true
 }
 
@@ -223,14 +231,14 @@ func (inj *Injector) PopWindow(now int64) (vault int, until int64, ok bool) {
 // entry should re-issue once more (false once MaxReissues is reached —
 // the data is then accepted as-is rather than wedging the run).
 func (inj *Injector) NotePoisoned(prior int) bool {
-	inj.stats.PoisonedResponses++
+	inj.Stats.PoisonedResponses++
 	return prior < inj.cfg.MaxReissues
 }
 
 // NextWake implements engine.Clocked: a pending stall window bounds the
 // skip so the driver steps on the exact cycle the window opens.
 func (inj *Injector) NextWake(now int64) int64 {
-	return inj.nextStart
+	return inj.NextStart
 }
 
 // SkipTo guards the cycle-skipping contract: the driver must never skip
@@ -238,10 +246,7 @@ func (inj *Injector) NextWake(now int64) int64 {
 // on the cycle it opens. The per-packet streams need no replay — they
 // advance per submission, not per cycle.
 func (inj *Injector) SkipTo(t int64) {
-	if t >= inj.nextStart {
-		panic(fmt.Sprintf("fault: skip to %d over stall window at %d", t, inj.nextStart))
+	if t >= inj.NextStart {
+		panic(fmt.Sprintf("fault: skip to %d over stall window at %d", t, inj.NextStart))
 	}
 }
-
-// Snapshot returns the fault counters accumulated so far.
-func (inj *Injector) Snapshot() Stats { return inj.stats }

@@ -78,7 +78,7 @@ func TestDeterministicPlan(t *testing.T) {
 				windows = append(windows, int64(v), until)
 			}
 		}
-		return draws, windows, inj.Snapshot()
+		return draws, windows, inj.Stats
 	}
 	d1, w1, s1 := plan(42)
 	d2, w2, s2 := plan(42)
@@ -118,7 +118,7 @@ func TestPacketFaultRates(t *testing.T) {
 			poisons++
 		}
 	}
-	s := inj.Snapshot()
+	s := inj.Stats
 	crcRate := float64(s.LinkCRCErrors) / n
 	poisonRate := float64(poisons) / n
 	if crcRate < 0.23 || crcRate > 0.27 {
@@ -168,7 +168,7 @@ func TestWindowSchedule(t *testing.T) {
 		}
 		prev = start
 	}
-	s := inj.Snapshot()
+	s := inj.Stats
 	if s.VaultStalls != 200 || s.VaultStallCycles != 200*200 {
 		t.Errorf("stats = %+v, want 200 stalls of 200 cycles", s)
 	}
@@ -213,7 +213,7 @@ func TestNotePoisonedCap(t *testing.T) {
 	if inj.NotePoisoned(3) {
 		t.Error("prior=3 re-issued past MaxReissues=3")
 	}
-	if s := inj.Snapshot(); s.PoisonedResponses != 4 {
+	if s := inj.Stats; s.PoisonedResponses != 4 {
 		t.Errorf("PoisonedResponses = %d, want 4", s.PoisonedResponses)
 	}
 }

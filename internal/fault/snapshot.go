@@ -1,37 +1,11 @@
 package fault
 
-// InjectorState is the serializable mid-run state of an Injector: the
-// two PRNG stream positions, the pending stall window, and the fault
-// counters. The plan config and vault count come from the run config —
-// ResumeFrom rebuilds the injector with NewInjector and then restores
-// this state over it. (Named SaveState/RestoreState like the other
-// components; Snapshot is taken by the stats accessor above.)
-type InjectorState struct {
-	PktRng    uint64
-	WinRng    uint64
-	NextStart int64
-	NextVault int
-	Stats     Stats
-}
+// SaveState copies the injector's state.
+func (inj *Injector) SaveState() InjectorState { return inj.InjectorState }
 
-// SaveState copies the injector's mutable state.
-func (inj *Injector) SaveState() InjectorState {
-	return InjectorState{
-		PktRng:    inj.pktRng,
-		WinRng:    inj.winRng,
-		NextStart: inj.nextStart,
-		NextVault: inj.nextVault,
-		Stats:     inj.stats,
-	}
-}
-
-// RestoreState overwrites the injector's mutable state from a snapshot
-// taken on an injector built from the same Config, seed and vault count.
+// RestoreState overwrites the injector's state from a snapshot taken on
+// an injector built from the same Config, seed and vault count.
 func (inj *Injector) RestoreState(st InjectorState) error {
-	inj.pktRng = st.PktRng
-	inj.winRng = st.WinRng
-	inj.nextStart = st.NextStart
-	inj.nextVault = st.NextVault
-	inj.stats = st.Stats
+	inj.InjectorState = st
 	return nil
 }

@@ -165,10 +165,10 @@ func (s *Stats) TransactionEfficiency() float64 {
 	return stats.Pct(s.PayloadBytes, s.PayloadBytes+s.ControlBytes)
 }
 
-// pending is a scheduled response.
-type pending struct {
-	resp mem.Response
-	at   int64
+// Pending is a scheduled response.
+type Pending struct {
+	Resp mem.Response
+	At   int64
 }
 
 // pendingHeap is a hand-rolled binary min-heap ordered by completion
@@ -178,17 +178,17 @@ type pending struct {
 // up/down exactly (same comparisons, same swaps), so the pop order of
 // equal-cycle responses — and therefore every downstream result — is
 // bit-identical to the old implementation.
-type pendingHeap []pending
+type pendingHeap []Pending
 
 func (h pendingHeap) Len() int { return len(h) }
 
-func (h *pendingHeap) push(p pending) {
+func (h *pendingHeap) push(p Pending) {
 	*h = append(*h, p)
 	// Sift up (container/heap up()).
 	j := len(*h) - 1
 	for {
 		i := (j - 1) / 2 // parent
-		if i == j || !((*h)[j].at < (*h)[i].at) {
+		if i == j || !((*h)[j].At < (*h)[i].At) {
 			break
 		}
 		(*h)[i], (*h)[j] = (*h)[j], (*h)[i]
@@ -196,7 +196,7 @@ func (h *pendingHeap) push(p pending) {
 	}
 }
 
-func (h *pendingHeap) pop() pending {
+func (h *pendingHeap) pop() Pending {
 	old := *h
 	n := len(old) - 1
 	old[0], old[n] = old[n], old[0]
@@ -208,32 +208,43 @@ func (h *pendingHeap) pop() pending {
 			break
 		}
 		j := j1
-		if j2 := j1 + 1; j2 < n && old[j2].at < old[j1].at {
+		if j2 := j1 + 1; j2 < n && old[j2].At < old[j1].At {
 			j = j2
 		}
-		if !(old[j].at < old[i].at) {
+		if !(old[j].At < old[i].At) {
 			break
 		}
 		old[i], old[j] = old[j], old[i]
 		i = j
 	}
 	p := old[n]
-	old[n] = pending{}
+	old[n] = Pending{}
 	*h = old[:n]
 	return p
+}
+
+// DeviceState is the mutable state of a Device. Completed is the
+// pending-response heap's backing array verbatim: the heap layout (not
+// just its contents) determines the pop order of equal-cycle responses,
+// so it is state. An installed fault injector is a separate component
+// with its own state.
+type DeviceState struct {
+	// Resource availability times, in cycles. Request and response
+	// lanes of a link are independent (HMC links are full duplex).
+	LinkTxFree []int64 // per-link request-lane availability
+	LinkRxFree []int64 // per-link response-lane availability
+	VaultFree  []int64 // per-vault controller availability
+	BankFree   []int64 // per (vault,bank) row-cycle availability
+	OpenRow    []int64 // per (vault,bank) open row number (OpenPage)
+	NextLink   int     // round-robin dispatch pointer
+	Completed  pendingHeap
+	// Stats holds the accumulated device measurements.
+	Stats Stats
 }
 
 // Device is one simulated HMC.
 type Device struct {
 	cfg Config
-	// Resource availability times, in cycles. Request and response
-	// lanes of a link are independent (HMC links are full duplex).
-	linkTxFree []int64 // per-link request-lane availability
-	linkRxFree []int64 // per-link response-lane availability
-	vaultFree  []int64 // per-vault controller availability
-	bankFree   []int64 // per (vault,bank) row-cycle availability
-	openRow    []int64 // per (vault,bank) open row number (OpenPage)
-	nextLink   int     // round-robin dispatch pointer
 
 	// Geometry fast paths, precomputed by New: when RowBytes, Vaults,
 	// BanksPerVault, or Vaults/Links is a power of two the hot Submit
@@ -245,16 +256,14 @@ type Device struct {
 	bankMask   int64
 	quadShift  int
 
-	completed pendingHeap
-	popBuf    []mem.Response // reused by PopCompleted
+	popBuf []mem.Response // reused by PopCompleted
 
 	// faults, when installed, injects transaction-layer faults: CRC
 	// replays on the request link, poisoned responses, and (via
 	// FreezeVault) ECC-scrub vault stalls. nil models a perfect device.
 	faults *fault.Injector
 
-	// Stats holds the accumulated device measurements.
-	Stats Stats
+	DeviceState
 }
 
 // New constructs a device.
@@ -263,16 +272,15 @@ func New(cfg Config) *Device {
 	if cfg.RowHitCycles <= 0 {
 		cfg.RowHitCycles = cfg.RowAccessCycles / 2
 	}
-	d := &Device{
-		cfg:        cfg,
-		linkTxFree: make([]int64, cfg.Links),
-		linkRxFree: make([]int64, cfg.Links),
-		vaultFree:  make([]int64, cfg.Vaults),
-		bankFree:   make([]int64, cfg.Vaults*cfg.BanksPerVault),
-		openRow:    make([]int64, cfg.Vaults*cfg.BanksPerVault),
-	}
-	for i := range d.openRow {
-		d.openRow[i] = -1
+	d := &Device{cfg: cfg, DeviceState: DeviceState{
+		LinkTxFree: make([]int64, cfg.Links),
+		LinkRxFree: make([]int64, cfg.Links),
+		VaultFree:  make([]int64, cfg.Vaults),
+		BankFree:   make([]int64, cfg.Vaults*cfg.BanksPerVault),
+		OpenRow:    make([]int64, cfg.Vaults*cfg.BanksPerVault),
+	}}
+	for i := range d.OpenRow {
+		d.OpenRow[i] = -1
 	}
 	d.rowShift = pow2Shift(cfg.RowBytes)
 	d.vaultMask = pow2Mask(cfg.Vaults)
@@ -345,11 +353,11 @@ func (d *Device) InstallFaults(inj *fault.Injector) { d.faults = inj }
 // arriving during the window queue behind it like any other controller
 // occupancy.
 func (d *Device) FreezeVault(vault int, until int64) {
-	if vault < 0 || vault >= len(d.vaultFree) {
-		panic(fmt.Sprintf("hmc: freeze of vault %d outside [0,%d)", vault, len(d.vaultFree)))
+	if vault < 0 || vault >= len(d.VaultFree) {
+		panic(fmt.Sprintf("hmc: freeze of vault %d outside [0,%d)", vault, len(d.VaultFree)))
 	}
-	if until > d.vaultFree[vault] {
-		d.vaultFree[vault] = until
+	if until > d.VaultFree[vault] {
+		d.VaultFree[vault] = until
 	}
 }
 
@@ -429,13 +437,13 @@ func (d *Device) Submit(pkt mem.Coalesced, now int64) int64 {
 	// CRC failure replays the packet from the link's retry buffer,
 	// occupying the request lane for the replay on top of the original
 	// serialization.
-	link := d.nextLink
-	if d.nextLink++; d.nextLink == cfg.Links {
-		d.nextLink = 0
+	link := d.NextLink
+	if d.NextLink++; d.NextLink == cfg.Links {
+		d.NextLink = 0
 	}
-	start := max64(now, d.linkTxFree[link])
+	start := max64(now, d.LinkTxFree[link])
 	linkDone := start + reqFlits*cfg.LinkFlitCycles + crcReplay
-	d.linkTxFree[link] = linkDone
+	d.LinkTxFree[link] = linkDone
 
 	// 2. Crossbar: local when the link serves the vault's quadrant.
 	vault := d.vaultOfRow(rowStart)
@@ -457,10 +465,10 @@ func (d *Device) Submit(pkt mem.Coalesced, now int64) int64 {
 
 	// 3. Vault controller: serialize per-vault processing. Time spent
 	// waiting here is "request slot" occupancy.
-	ctrlStart := max64(atVault, d.vaultFree[vault])
+	ctrlStart := max64(atVault, d.VaultFree[vault])
 	rqstSlotWait := ctrlStart - atVault
 	ctrlDone := ctrlStart + cfg.VaultCtrlCycles
-	d.vaultFree[vault] = ctrlDone
+	d.VaultFree[vault] = ctrlDone
 
 	// 4. Bank. Arriving while the bank is still busy with a previous
 	// access is a bank conflict. Closed page: every access pays the
@@ -468,7 +476,7 @@ func (d *Device) Submit(pkt mem.Coalesced, now int64) int64 {
 	// the open row is fast; a miss pays precharge + activate and
 	// leaves the new row open.
 	bankIdx := vault*cfg.BanksPerVault + d.bankOfRow(rowStart)
-	bankReady := d.bankFree[bankIdx]
+	bankReady := d.BankFree[bankIdx]
 	accessStart := ctrlDone
 	if bankReady > accessStart {
 		s.BankConflicts++
@@ -479,43 +487,43 @@ func (d *Device) Submit(pkt mem.Coalesced, now int64) int64 {
 	var dataReady int64
 	rowHit := false
 	if cfg.Policy == OpenPage {
-		if d.openRow[bankIdx] == row {
+		if d.OpenRow[bankIdx] == row {
 			rowHit = true
 			s.RowHits++
 			dataReady = accessStart + cfg.RowHitCycles
-			d.bankFree[bankIdx] = dataReady
+			d.BankFree[bankIdx] = dataReady
 		} else {
 			s.RowActivations++
 			// Precharge the old row, activate the new one.
 			dataReady = accessStart + cfg.RowCycleCycles
-			d.bankFree[bankIdx] = dataReady
-			d.openRow[bankIdx] = row
+			d.BankFree[bankIdx] = dataReady
+			d.OpenRow[bankIdx] = row
 		}
 	} else {
 		s.RowActivations++
-		d.bankFree[bankIdx] = accessStart + cfg.RowCycleCycles
+		d.BankFree[bankIdx] = accessStart + cfg.RowCycleCycles
 		dataReady = accessStart + cfg.RowAccessCycles
 	}
 
 	// 5. Response: back through the crossbar and serialize on the same
 	// link's response lane. Waiting for the lane is "response slot"
 	// occupancy.
-	respStart := max64(dataReady+xbar, d.linkRxFree[link])
+	respStart := max64(dataReady+xbar, d.LinkRxFree[link])
 	rspSlotWait := respStart - (dataReady + xbar)
 	done := respStart + respFlits*cfg.LinkFlitCycles
-	d.linkRxFree[link] = done
+	d.LinkRxFree[link] = done
 
 	d.accountEnergy(pkt, reqFlits, respFlits, local, rqstSlotWait, rspSlotWait, rowHit)
 
 	s.Latency.Add(float64(done - now))
-	d.completed.push(pending{
-		resp: mem.Response{
+	d.Completed.push(Pending{
+		Resp: mem.Response{
 			ID:           pkt.ID,
 			Done:         done,
 			BankConflict: bankReady > ctrlDone,
 			Poisoned:     poison,
 		},
-		at: done,
+		At: done,
 	})
 	return done
 }
@@ -526,22 +534,22 @@ func (d *Device) Submit(pkt mem.Coalesced, now int64) int64 {
 // packets while iterating is fine (the heap has separate storage).
 func (d *Device) PopCompleted(now int64) []mem.Response {
 	d.popBuf = d.popBuf[:0]
-	for d.completed.Len() > 0 && d.completed[0].at <= now {
-		d.popBuf = append(d.popBuf, d.completed.pop().resp)
+	for d.Completed.Len() > 0 && d.Completed[0].At <= now {
+		d.popBuf = append(d.popBuf, d.Completed.pop().Resp)
 	}
 	return d.popBuf
 }
 
 // Outstanding returns the number of in-flight requests.
-func (d *Device) Outstanding() int { return d.completed.Len() }
+func (d *Device) Outstanding() int { return d.Completed.Len() }
 
 // NextCompletion returns the earliest pending completion cycle, or ok =
 // false when nothing is in flight.
 func (d *Device) NextCompletion() (int64, bool) {
-	if d.completed.Len() == 0 {
+	if d.Completed.Len() == 0 {
 		return 0, false
 	}
-	return d.completed[0].at, true
+	return d.Completed[0].At, true
 }
 
 // NextWake implements the engine.Clocked contract: the device is fully

@@ -2,75 +2,43 @@ package hmc
 
 import (
 	"fmt"
-
-	"github.com/pacsim/pac/internal/mem"
+	"slices"
 )
 
-// PendingState mirrors one scheduled response for serialization.
-type PendingState struct {
-	Resp mem.Response
-	At   int64
-}
-
-// DeviceState is the serializable mid-run state of a Device. Completed
-// holds the pending-response heap's backing array verbatim: the heap
-// layout (not just its contents) determines the pop order of equal-cycle
-// responses, so it must survive a round trip byte-for-byte. Any
-// installed fault injector is snapshotted separately by the checkpoint
-// layer and re-installed on resume.
-type DeviceState struct {
-	LinkTxFree []int64
-	LinkRxFree []int64
-	VaultFree  []int64
-	BankFree   []int64
-	OpenRow    []int64
-	NextLink   int
-	Completed  []PendingState
-	Stats      Stats
-}
-
-// SaveState copies the device's mutable state. Everything is deep-copied
-// so the snapshot stays valid while the run continues.
+// SaveState copies the device's state. Every slice is deep-copied so the
+// snapshot stays valid while the run continues.
 func (d *Device) SaveState() DeviceState {
-	st := DeviceState{
-		LinkTxFree: append([]int64(nil), d.linkTxFree...),
-		LinkRxFree: append([]int64(nil), d.linkRxFree...),
-		VaultFree:  append([]int64(nil), d.vaultFree...),
-		BankFree:   append([]int64(nil), d.bankFree...),
-		OpenRow:    append([]int64(nil), d.openRow...),
-		NextLink:   d.nextLink,
-		Stats:      d.Stats,
+	st := d.DeviceState
+	for _, s := range st.resources() {
+		*s = slices.Clone(*s)
 	}
-	if len(d.completed) > 0 {
-		st.Completed = make([]PendingState, len(d.completed))
-		for i, p := range d.completed {
-			st.Completed[i] = PendingState{Resp: p.resp, At: p.at}
-		}
-	}
+	st.Completed = append(pendingHeap(nil), d.Completed...)
 	return st
 }
 
-// RestoreState overwrites the device's mutable state from a snapshot
-// taken on an identically configured device. The pop buffer is transient
-// (consumed per PopCompleted call) and restored empty; the caller
-// re-installs the fault injector.
+// RestoreState overwrites the device's state from a snapshot taken on an
+// identically configured device. The device keeps its own storage; the
+// pop buffer is transient (consumed per PopCompleted call) and restored
+// empty. The caller re-installs the fault injector.
 func (d *Device) RestoreState(st DeviceState) error {
-	if len(st.LinkTxFree) != len(d.linkTxFree) || len(st.VaultFree) != len(d.vaultFree) || len(st.BankFree) != len(d.bankFree) {
-		return fmt.Errorf("hmc: restoring state for %d links/%d vaults/%d banks into %d/%d/%d device",
-			len(st.LinkTxFree), len(st.VaultFree), len(st.BankFree),
-			len(d.linkTxFree), len(d.vaultFree), len(d.bankFree))
+	own := d.resources()
+	for i, s := range st.resources() {
+		if len(*s) != len(*own[i]) {
+			return fmt.Errorf("hmc: restoring %d %s entries into a device with %d", len(*s), resourceNames[i], len(*own[i]))
+		}
+		copy(*own[i], *s)
+		*s = *own[i]
 	}
-	copy(d.linkTxFree, st.LinkTxFree)
-	copy(d.linkRxFree, st.LinkRxFree)
-	copy(d.vaultFree, st.VaultFree)
-	copy(d.bankFree, st.BankFree)
-	copy(d.openRow, st.OpenRow)
-	d.nextLink = st.NextLink
-	d.completed = d.completed[:0]
-	for _, p := range st.Completed {
-		d.completed = append(d.completed, pending{resp: p.Resp, at: p.At})
-	}
+	st.Completed = append(d.Completed[:0], st.Completed...)
+	d.DeviceState = st
 	d.popBuf = d.popBuf[:0]
-	d.Stats = st.Stats
 	return nil
+}
+
+var resourceNames = [5]string{"link-tx", "link-rx", "vault", "bank", "open-row"}
+
+// resources lists the state's per-resource timing tables, whose lengths
+// the device geometry fixes.
+func (st *DeviceState) resources() [5]*[]int64 {
+	return [5]*[]int64{&st.LinkTxFree, &st.LinkRxFree, &st.VaultFree, &st.BankFree, &st.OpenRow}
 }

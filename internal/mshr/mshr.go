@@ -22,46 +22,27 @@ type Subentry struct {
 }
 
 // Entry is one MSHR: an outstanding memory request plus the raw misses it
-// will satisfy.
+// will satisfy. Entries are positional: Allocate takes the first invalid
+// slot, so slot indexes — not just the set of valid entries — are part
+// of the file's state.
 type Entry struct {
-	valid bool
-	// base is the first cache-block number covered by the entry.
-	base uint64
-	// blocks is the span in cache blocks (1 for the standard file,
+	Valid bool
+	// Base is the first cache-block number covered by the entry.
+	Base uint64
+	// Blocks is the span in cache blocks (1 for the standard file,
 	// 1..4 for adaptive entries backing coalesced HMC requests).
-	blocks int
-	// op is the OP bit: loads and stores are never merged (§3.1.3).
-	op mem.Op
-	// pktID is the coalesced packet ID dispatched for this entry, used
+	Blocks int
+	// Op is the OP bit: loads and stores are never merged (§3.1.3).
+	Op mem.Op
+	// PktID is the coalesced packet ID dispatched for this entry, used
 	// to route the memory response back.
-	pktID uint64
-	// reissues counts how many times the entry's request was re-sent
+	PktID uint64
+	// Reissues counts how many times the entry's request was re-sent
 	// after a poisoned response.
-	reissues int
-	subs     []Subentry
+	Reissues int
+	// Subs are the held raw requests.
+	Subs []Subentry
 }
-
-// Valid reports whether the entry holds an outstanding request.
-func (e *Entry) Valid() bool { return e.valid }
-
-// Base returns the entry's first covered block number.
-func (e *Entry) Base() uint64 { return e.base }
-
-// Blocks returns the entry's span in cache blocks.
-func (e *Entry) Blocks() int { return e.blocks }
-
-// Op returns the entry's operation.
-func (e *Entry) Op() mem.Op { return e.op }
-
-// PacketID returns the dispatched packet's ID.
-func (e *Entry) PacketID() uint64 { return e.pktID }
-
-// ReissueCount returns how many times the entry re-issued its request
-// after poisoned responses.
-func (e *Entry) ReissueCount() int { return e.reissues }
-
-// Subentries returns the held raw requests.
-func (e *Entry) Subentries() []Subentry { return e.subs }
 
 // Config parameterises an MSHR file.
 type Config struct {
@@ -80,32 +61,47 @@ type Config struct {
 	MaxBlocks int
 }
 
-// File is a set of MSHRs.
-type File struct {
-	cfg     Config
-	entries []Entry
-	free    int
-	// gen counts mutations that can change a lookupMerge outcome (entry
+// Stats are the MSHR file's counters.
+type Stats struct {
+	// Merges counts raw requests absorbed into outstanding entries.
+	Merges int64
+	// Allocations counts entries allocated (= memory dispatches).
+	Allocations int64
+	// MergeFails counts merges refused for full subentry lists.
+	MergeFails int64
+	// Comparisons counts entry comparisons during lookups.
+	Comparisons int64
+	// Reissues counts entries re-keyed after poisoned responses.
+	Reissues int64
+}
+
+// FileState is the mutable state of an MSHR file: the File runs on it,
+// and SaveState/RestoreState copy it whole.
+type FileState struct {
+	Entries []Entry
+	Free    int
+	// Gen counts mutations that can change a lookupMerge outcome (entry
 	// allocation, release, re-keying, subentry absorption). Callers use
 	// it to memoize ProbeMerge results: a probe of the same packet at
 	// the same generation must return the same verdict.
-	gen uint64
-	// nvalid counts valid entries and sigCnt is a counting Bloom filter
+	Gen uint64
+	// NValid counts valid entries and SigCnt is a counting Bloom filter
 	// over every (covered block, op) pair of those entries (incremented
 	// on allocate, decremented on release — never rebuilt). A probe
 	// whose base block's counter is zero cannot merge anywhere, and the
-	// scan it skips would have compared exactly nvalid entries — so the
+	// scan it skips would have compared exactly NValid entries — so the
 	// fast path returns the same counter deltas as the walk. False
 	// positives just fall through to the scan. uint16 cannot saturate:
 	// at most Entries*MaxBlocks increments can share one slot.
-	nvalid int
-	sigCnt [64]uint16
-	// Stats.
-	Merges      int64 // raw requests absorbed into existing entries
-	Allocations int64 // entries allocated (each implies a memory dispatch)
-	MergeFails  int64 // merges refused because the target entry was full
-	Comparisons int64 // entry comparisons performed during lookups
-	Reissues    int64 // entries re-keyed after a poisoned response
+	NValid int
+	SigCnt [64]uint16
+	Stats
+}
+
+// File is a set of MSHRs.
+type File struct {
+	cfg Config
+	FileState
 }
 
 // New constructs an MSHR file.
@@ -119,29 +115,25 @@ func New(cfg Config) *File {
 	if cfg.MaxBlocks <= 0 {
 		cfg.MaxBlocks = 4
 	}
-	return &File{cfg: cfg, entries: make([]Entry, cfg.Entries), free: cfg.Entries}
+	return &File{cfg: cfg, FileState: FileState{Entries: make([]Entry, cfg.Entries), Free: cfg.Entries}}
 }
 
 // Size returns the number of MSHRs.
-func (f *File) Size() int { return len(f.entries) }
+func (f *File) Size() int { return len(f.Entries) }
 
 // Available returns the number of free MSHRs.
-func (f *File) Available() int { return f.free }
+func (f *File) Available() int { return f.Free }
 
 // Full reports whether every MSHR is occupied.
-func (f *File) Full() bool { return f.free == 0 }
-
-// Gen returns the file's mutation generation; it changes whenever a
-// future lookupMerge could answer differently than it would have before.
-func (f *File) Gen() uint64 { return f.gen }
+func (f *File) Full() bool { return f.Free == 0 }
 
 // Entry exposes entry i for inspection.
-func (f *File) Entry(i int) *Entry { return &f.entries[i] }
+func (f *File) Entry(i int) *Entry { return &f.Entries[i] }
 
 // spanContains reports whether entry e covers every block of [base,
 // base+blocks).
 func (e *Entry) spanContains(base uint64, blocks int) bool {
-	return base >= e.base && base+uint64(blocks) <= e.base+uint64(e.blocks)
+	return base >= e.Base && base+uint64(blocks) <= e.Base+uint64(e.Blocks)
 }
 
 // sigSlot hashes one (block, op) pair to its filter slot.
@@ -152,8 +144,8 @@ func sigSlot(block uint64, op mem.Op) int {
 // addSig registers entry e's covered blocks in the counting filter
 // (delta +1) or withdraws them (delta -1).
 func (f *File) addSig(e *Entry, delta int) {
-	for b := e.base; b < e.base+uint64(e.blocks); b++ {
-		f.sigCnt[sigSlot(b, e.op)] += uint16(delta)
+	for b := e.Base; b < e.Base+uint64(e.Blocks); b++ {
+		f.SigCnt[sigSlot(b, e.Op)] += uint16(delta)
 	}
 }
 
@@ -169,22 +161,22 @@ func (f *File) lookupMerge(pkt mem.Coalesced) (entry int, cmp, fails int64, ok b
 	}
 	base := mem.BlockNumber(pkt.Addr)
 	blocks := pkt.Blocks()
-	if f.sigCnt[sigSlot(base, pkt.Op)] == 0 {
+	if f.SigCnt[sigSlot(base, pkt.Op)] == 0 {
 		// No valid entry covers the packet's base block under this op,
 		// so nothing can span-contain it: the walk below would have
 		// compared every valid entry and matched none.
-		return 0, int64(f.nvalid), 0, false
+		return 0, int64(f.NValid), 0, false
 	}
-	for i := range f.entries {
-		e := &f.entries[i]
-		if !e.valid {
+	for i := range f.Entries {
+		e := &f.Entries[i]
+		if !e.Valid {
 			continue
 		}
 		cmp++
-		if e.op != pkt.Op || !e.spanContains(base, blocks) {
+		if e.Op != pkt.Op || !e.spanContains(base, blocks) {
 			continue
 		}
-		if len(e.subs)+len(pkt.Parents) > f.cfg.MaxSubentries {
+		if len(e.Subs)+len(pkt.Parents) > f.cfg.MaxSubentries {
 			return 0, cmp, 1, false
 		}
 		return i, cmp, 0, true
@@ -204,15 +196,15 @@ func (f *File) TryMerge(pkt mem.Coalesced) (entry int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	e := &f.entries[i]
+	e := &f.Entries[i]
 	for _, r := range pkt.Parents {
-		e.subs = append(e.subs, Subentry{
+		e.Subs = append(e.Subs, Subentry{
 			Req:   r,
-			Index: uint8(mem.BlockNumber(r.Addr) - e.base),
+			Index: uint8(mem.BlockNumber(r.Addr) - e.Base),
 		})
 	}
 	f.Merges += int64(len(pkt.Parents))
-	f.gen++
+	f.Gen++
 	return i, true
 }
 
@@ -232,7 +224,7 @@ func (f *File) ProbeMerge(pkt mem.Coalesced) (ok bool, comparisons, mergeFails i
 // dispatch to memory. Returns ok=false when the file is full (the cache
 // blocks, per the paper's workflow §3.2).
 func (f *File) Allocate(pkt mem.Coalesced) (entry int, ok bool) {
-	if f.free == 0 {
+	if f.Free == 0 {
 		return 0, false
 	}
 	blocks := pkt.Blocks()
@@ -243,31 +235,31 @@ func (f *File) Allocate(pkt mem.Coalesced) (entry int, ok bool) {
 	} else if blocks != 1 {
 		panic(fmt.Sprintf("mshr: conventional MSHR cannot hold %d-block request", blocks))
 	}
-	for i := range f.entries {
-		e := &f.entries[i]
-		if e.valid {
+	for i := range f.Entries {
+		e := &f.Entries[i]
+		if e.Valid {
 			continue
 		}
 		base := mem.BlockNumber(pkt.Addr)
 		*e = Entry{
-			valid:  true,
-			base:   base,
-			blocks: blocks,
-			op:     pkt.Op,
-			pktID:  pkt.ID,
-			subs:   e.subs[:0], // recycle the subentry backing array
+			Valid:  true,
+			Base:   base,
+			Blocks: blocks,
+			Op:     pkt.Op,
+			PktID:  pkt.ID,
+			Subs:   e.Subs[:0], // recycle the subentry backing array
 		}
 		for _, r := range pkt.Parents {
-			e.subs = append(e.subs, Subentry{
+			e.Subs = append(e.Subs, Subentry{
 				Req:   r,
 				Index: uint8(mem.BlockNumber(r.Addr) - base),
 			})
 		}
-		f.free--
-		f.nvalid++
+		f.Free--
+		f.NValid++
 		f.addSig(e, 1)
 		f.Allocations++
-		f.gen++
+		f.Gen++
 		return i, true
 	}
 	panic("mshr: free count inconsistent with entries")
@@ -279,16 +271,16 @@ func (f *File) Allocate(pkt mem.Coalesced) (entry int, ok bool) {
 // an entry, so callers must consume (or copy) it before driving the file
 // again.
 func (f *File) Release(entry int) []Subentry {
-	e := &f.entries[entry]
-	if !e.valid {
+	e := &f.Entries[entry]
+	if !e.Valid {
 		panic(fmt.Sprintf("mshr: releasing invalid entry %d", entry))
 	}
 	f.addSig(e, -1)
-	subs := e.subs
-	*e = Entry{subs: subs[:0]}
-	f.free++
-	f.nvalid--
-	f.gen++
+	subs := e.Subs
+	*e = Entry{Subs: subs[:0]}
+	f.Free++
+	f.NValid--
+	f.Gen++
 	return subs
 }
 
@@ -297,21 +289,21 @@ func (f *File) Release(entry int) []Subentry {
 // and the retransmitted packet's response routes back to it. Returns
 // the entry's updated re-issue count.
 func (f *File) Reissue(entry int, pktID uint64) int {
-	e := &f.entries[entry]
-	if !e.valid {
+	e := &f.Entries[entry]
+	if !e.Valid {
 		panic(fmt.Sprintf("mshr: re-issuing invalid entry %d", entry))
 	}
-	e.pktID = pktID
-	e.reissues++
+	e.PktID = pktID
+	e.Reissues++
 	f.Reissues++
-	f.gen++
-	return e.reissues
+	f.Gen++
+	return e.Reissues
 }
 
 // FindByPacket returns the entry holding the given dispatched packet ID.
 func (f *File) FindByPacket(pktID uint64) (entry int, ok bool) {
-	for i := range f.entries {
-		if f.entries[i].valid && f.entries[i].pktID == pktID {
+	for i := range f.Entries {
+		if f.Entries[i].Valid && f.Entries[i].PktID == pktID {
 			return i, true
 		}
 	}

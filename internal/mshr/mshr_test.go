@@ -41,10 +41,10 @@ func TestAllocateAndRelease(t *testing.T) {
 		t.Fatalf("Available = %d, want 1", f.Available())
 	}
 	e := f.Entry(i)
-	if !e.Valid() || e.Base() != mem.BlockNumber(0x1000) || e.Blocks() != 2 || e.Op() != mem.OpLoad {
+	if !e.Valid || e.Base != mem.BlockNumber(0x1000) || e.Blocks != 2 || e.Op != mem.OpLoad {
 		t.Fatalf("bad entry: %+v", e)
 	}
-	subs := e.Subentries()
+	subs := e.Subs
 	if len(subs) != 2 || subs[0].Index != 0 || subs[1].Index != 1 {
 		t.Fatalf("bad subentries: %+v", subs)
 	}
@@ -52,7 +52,7 @@ func TestAllocateAndRelease(t *testing.T) {
 	if len(got) != 2 || got[0].Req.ID != 10 {
 		t.Fatalf("Release returned %+v", got)
 	}
-	if f.Available() != 2 || f.Entry(i).Valid() {
+	if f.Available() != 2 || f.Entry(i).Valid {
 		t.Fatal("entry not freed")
 	}
 }
@@ -79,7 +79,7 @@ func TestMergeInSpanSameOp(t *testing.T) {
 	if !ok {
 		t.Fatal("in-span same-op merge refused")
 	}
-	subs := f.Entry(i).Subentries()
+	subs := f.Entry(i).Subs
 	if len(subs) != 2 || subs[1].Index != 2 {
 		t.Fatalf("merged subentry index wrong: %+v", subs)
 	}
@@ -219,7 +219,7 @@ func TestAvailableInvariant(t *testing.T) {
 		}
 		valid := 0
 		for i := 0; i < f.Size(); i++ {
-			if f.Entry(i).Valid() {
+			if f.Entry(i).Valid {
 				valid++
 			}
 		}

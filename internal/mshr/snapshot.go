@@ -1,98 +1,32 @@
 package mshr
 
-import (
-	"fmt"
+import "fmt"
 
-	"github.com/pacsim/pac/internal/mem"
-)
-
-// EntryState mirrors one MSHR for serialization. Entries are positional:
-// Allocate scans for the first invalid slot, so slot indexes — not just
-// the set of valid entries — are part of the observable state.
-type EntryState struct {
-	Valid    bool
-	Base     uint64
-	Blocks   int
-	Op       mem.Op
-	PktID    uint64
-	Reissues int
-	Subs     []Subentry
-}
-
-// FileState is the serializable mid-run state of an MSHR file.
-type FileState struct {
-	Entries []EntryState
-	Free    int
-	Gen     uint64
-	NValid  int
-	SigCnt  [64]uint16
-
-	Merges      int64
-	Allocations int64
-	MergeFails  int64
-	Comparisons int64
-	Reissues    int64
-}
-
-// SaveState copies the file's mutable state. Subentry slices are copied,
-// so the snapshot stays valid while the run continues.
+// SaveState copies the file's state. Subentry slices are copied, so the
+// snapshot stays valid while the run continues.
 func (f *File) SaveState() FileState {
-	st := FileState{
-		Entries:     make([]EntryState, len(f.entries)),
-		Free:        f.free,
-		Gen:         f.gen,
-		NValid:      f.nvalid,
-		SigCnt:      f.sigCnt,
-		Merges:      f.Merges,
-		Allocations: f.Allocations,
-		MergeFails:  f.MergeFails,
-		Comparisons: f.Comparisons,
-		Reissues:    f.Reissues,
-	}
-	for i := range f.entries {
-		e := &f.entries[i]
-		es := EntryState{
-			Valid:    e.valid,
-			Base:     e.base,
-			Blocks:   e.blocks,
-			Op:       e.op,
-			PktID:    e.pktID,
-			Reissues: e.reissues,
-		}
-		if len(e.subs) > 0 {
-			es.Subs = append([]Subentry(nil), e.subs...)
-		}
-		st.Entries[i] = es
+	st := f.FileState
+	st.Entries = append([]Entry(nil), f.Entries...)
+	for i := range st.Entries {
+		st.Entries[i].Subs = append([]Subentry(nil), st.Entries[i].Subs...)
 	}
 	return st
 }
 
-// RestoreState overwrites the file's mutable state from a snapshot taken
-// on an identically configured file. Subentry backing arrays are
-// recycled where possible.
+// RestoreState overwrites the file's state from a snapshot taken on an
+// identically configured file. The file keeps its own entry array and
+// subentry backing arrays, so the snapshot is never aliased.
 func (f *File) RestoreState(st FileState) error {
-	if len(st.Entries) != len(f.entries) {
-		return fmt.Errorf("mshr: restoring %d entries into a %d-entry file", len(st.Entries), len(f.entries))
+	if len(st.Entries) != len(f.Entries) {
+		return fmt.Errorf("mshr: restoring %d entries into a %d-entry file", len(st.Entries), len(f.Entries))
 	}
-	for i := range f.entries {
-		e := &f.entries[i]
-		es := &st.Entries[i]
-		subs := append(e.subs[:0], es.Subs...)
-		*e = Entry{
-			valid:    es.Valid,
-			base:     es.Base,
-			blocks:   es.Blocks,
-			op:       es.Op,
-			pktID:    es.PktID,
-			reissues: es.Reissues,
-			subs:     subs,
-		}
+	entries := f.Entries
+	for i := range entries {
+		subs := append(entries[i].Subs[:0], st.Entries[i].Subs...)
+		entries[i] = st.Entries[i]
+		entries[i].Subs = subs
 	}
-	f.free = st.Free
-	f.gen = st.Gen
-	f.nvalid = st.NValid
-	f.sigCnt = st.SigCnt
-	f.Merges, f.Allocations, f.MergeFails = st.Merges, st.Allocations, st.MergeFails
-	f.Comparisons, f.Reissues = st.Comparisons, st.Reissues
+	st.Entries = entries
+	f.FileState = st
 	return nil
 }

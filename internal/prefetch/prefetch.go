@@ -33,26 +33,32 @@ func DefaultConfig() Config {
 	return Config{Enabled: true, Degree: 3, Threshold: 2, MaxStride: 4, Streams: 12}
 }
 
-// streamEntry is one tracked miss stream of one core. Real benchmarks
+// StreamEntry is one tracked miss stream of one core. Real benchmarks
 // interleave several concurrent streams (STREAM's three arrays, SP's five
 // solution arrays), so each core gets a small table of entries matched by
-// block proximity — the classic reference-prediction table.
-type streamEntry struct {
-	lastBlock  uint64
-	stride     int64
-	confidence int
-	lru        uint64
-	valid      bool
+// block proximity — the classic reference-prediction table. Entries are
+// positional: victim selection scans slots in index order.
+type StreamEntry struct {
+	LastBlock  uint64
+	Stride     int64
+	Confidence int
+	LRU        uint64
+	Valid      bool
+}
+
+// PrefetcherState is the mutable state of a Prefetcher.
+type PrefetcherState struct {
+	Tables [][]StreamEntry // [core][entry]
+	Clock  uint64
+	// Issued counts prefetch candidates emitted.
+	Issued int64
 }
 
 // Prefetcher detects per-core strided miss streams.
 type Prefetcher struct {
 	cfg    Config
-	tables [][]streamEntry // [core][entry]
-	clock  uint64
 	outBuf []uint64 // backs Observe's result, reused per call
-	// Issued counts prefetch candidates emitted.
-	Issued int64
+	PrefetcherState
 }
 
 // sameSign reports whether two non-zero strides point the same way.
@@ -73,12 +79,12 @@ func New(cfg Config, cores int) *Prefetcher {
 		cfg.Streams = 12
 	}
 	p := &Prefetcher{
-		cfg:    cfg,
-		tables: make([][]streamEntry, cores),
-		outBuf: make([]uint64, 0, cfg.Degree),
+		cfg:             cfg,
+		outBuf:          make([]uint64, 0, cfg.Degree),
+		PrefetcherState: PrefetcherState{Tables: make([][]StreamEntry, cores)},
 	}
-	for i := range p.tables {
-		p.tables[i] = make([]streamEntry, cfg.Streams)
+	for i := range p.Tables {
+		p.Tables[i] = make([]StreamEntry, cfg.Streams)
 	}
 	return p
 }
@@ -92,8 +98,8 @@ func (p *Prefetcher) Observe(core int, block uint64) []uint64 {
 	if !p.cfg.Enabled {
 		return nil
 	}
-	p.clock++
-	table := p.tables[core]
+	p.Clock++
+	table := p.Tables[core]
 
 	// Find the stream this miss belongs to: the entry whose last block
 	// is within MaxStride of it.
@@ -101,49 +107,49 @@ func (p *Prefetcher) Observe(core int, block uint64) []uint64 {
 	victim := 0
 	for i := range table {
 		e := &table[i]
-		if !e.valid {
+		if !e.Valid {
 			victim = i
 			continue
 		}
-		d := int64(block) - int64(e.lastBlock)
+		d := int64(block) - int64(e.LastBlock)
 		if d >= -p.cfg.MaxStride && d <= p.cfg.MaxStride {
 			match = i
 			break
 		}
-		if table[victim].valid && e.lru < table[victim].lru {
+		if table[victim].Valid && e.LRU < table[victim].LRU {
 			victim = i
 		}
 	}
 
 	if match < 0 {
-		table[victim] = streamEntry{lastBlock: block, lru: p.clock, valid: true}
+		table[victim] = StreamEntry{LastBlock: block, LRU: p.Clock, Valid: true}
 		return nil
 	}
 
 	e := &table[match]
-	e.lru = p.clock
-	stride := int64(block) - int64(e.lastBlock)
-	e.lastBlock = block
+	e.LRU = p.Clock
+	stride := int64(block) - int64(e.LastBlock)
+	e.LastBlock = block
 	if stride == 0 {
 		return nil // same block: no direction information
 	}
 	switch {
-	case stride == e.stride:
-		e.confidence++
-	case e.confidence >= p.cfg.Threshold && sameSign(stride, e.stride):
+	case stride == e.Stride:
+		e.Confidence++
+	case e.Confidence >= p.cfg.Threshold && sameSign(stride, e.Stride):
 		// Confirmed stream jumping over prefetched blocks (the
 		// demand stream hits what we fetched and next misses a few
 		// blocks ahead): still the same stream. Keep the base
 		// stride and keep streaming.
-		e.confidence++
+		e.Confidence++
 	default:
-		e.stride = stride
-		e.confidence = 1
+		e.Stride = stride
+		e.Confidence = 1
 	}
-	if e.confidence < p.cfg.Threshold {
+	if e.Confidence < p.cfg.Threshold {
 		return nil
 	}
-	step := e.stride
+	step := e.Stride
 	out := p.outBuf[:0]
 	next := int64(block)
 	for i := 0; i < p.cfg.Degree; i++ {

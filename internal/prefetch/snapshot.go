@@ -1,72 +1,35 @@
 package prefetch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// StreamEntryState mirrors one reference-prediction-table entry for
-// serialization. Entries are positional: victim selection scans slots in
-// index order, so indexes are observable state.
-type StreamEntryState struct {
-	LastBlock  uint64
-	Stride     int64
-	Confidence int
-	LRU        uint64
-	Valid      bool
-}
-
-// PrefetcherState is the serializable mid-run state of a Prefetcher.
-type PrefetcherState struct {
-	Tables [][]StreamEntryState
-	Clock  uint64
-	Issued int64
-}
-
-// SaveState copies the prefetcher's mutable state. The output buffer is
+// SaveState copies the prefetcher's state. The output buffer is
 // per-Observe scratch and is not part of it.
 func (p *Prefetcher) SaveState() PrefetcherState {
-	st := PrefetcherState{
-		Tables: make([][]StreamEntryState, len(p.tables)),
-		Clock:  p.clock,
-		Issued: p.Issued,
-	}
-	for c, table := range p.tables {
-		rows := make([]StreamEntryState, len(table))
-		for i, e := range table {
-			rows[i] = StreamEntryState{
-				LastBlock:  e.lastBlock,
-				Stride:     e.stride,
-				Confidence: e.confidence,
-				LRU:        e.lru,
-				Valid:      e.valid,
-			}
-		}
-		st.Tables[c] = rows
+	st := p.PrefetcherState
+	st.Tables = make([][]StreamEntry, len(p.Tables))
+	for c, table := range p.Tables {
+		st.Tables[c] = slices.Clone(table)
 	}
 	return st
 }
 
-// RestoreState overwrites the prefetcher's mutable state from a snapshot
-// taken on an identically configured prefetcher.
+// RestoreState overwrites the prefetcher's state from a snapshot taken on
+// an identically configured prefetcher, keeping its own tables.
 func (p *Prefetcher) RestoreState(st PrefetcherState) error {
-	if len(st.Tables) != len(p.tables) {
-		return fmt.Errorf("prefetch: restoring %d core tables into %d-core prefetcher", len(st.Tables), len(p.tables))
+	if len(st.Tables) != len(p.Tables) {
+		return fmt.Errorf("prefetch: restoring %d core tables into %d-core prefetcher", len(st.Tables), len(p.Tables))
 	}
 	for c, rows := range st.Tables {
-		table := p.tables[c]
-		if len(rows) != len(table) {
-			return fmt.Errorf("prefetch: restoring %d entries into %d-entry table", len(rows), len(table))
+		if len(rows) != len(p.Tables[c]) {
+			return fmt.Errorf("prefetch: restoring %d entries into %d-entry table", len(rows), len(p.Tables[c]))
 		}
-		for i, e := range rows {
-			table[i] = streamEntry{
-				lastBlock:  e.LastBlock,
-				stride:     e.Stride,
-				confidence: e.Confidence,
-				lru:        e.LRU,
-				valid:      e.Valid,
-			}
-		}
+		copy(p.Tables[c], rows)
 	}
-	p.clock = st.Clock
+	st.Tables = p.Tables
+	p.PrefetcherState = st
 	p.outBuf = p.outBuf[:0]
-	p.Issued = st.Issued
 	return nil
 }

@@ -4,38 +4,17 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/pacsim/pac/internal/cache"
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/core"
 	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/hmc"
-	"github.com/pacsim/pac/internal/mem"
 	"github.com/pacsim/pac/internal/mshr"
 	"github.com/pacsim/pac/internal/prefetch"
 	"github.com/pacsim/pac/internal/vm"
-	"github.com/pacsim/pac/internal/workload"
 )
-
-// OutReq mirrors one parked LLC output for serialization.
-type OutReq struct {
-	Req mem.Request
-	WB  bool
-}
-
-// CoreCheckpoint is one core's mid-run state. PendingOut holds only the
-// not-yet-placed tail of the core's parked outputs; the outstanding set
-// is serialized as sorted IDs so encodings are canonical.
-type CoreCheckpoint struct {
-	Issued      int
-	Done        bool
-	Pending     workload.Access
-	HasPending  bool
-	PendingOut  []OutReq
-	Outstanding []uint64
-	NextIssue   int64
-}
 
 // Checkpoint is a complete, self-contained snapshot of a running
 // simulation at a step boundary: resuming from it (ResumeFrom) and
@@ -53,7 +32,7 @@ type Checkpoint struct {
 	Now       int64
 	NextID    uint64
 
-	Cores  []CoreCheckpoint
+	Cores  []coreState // each core's saved state (coreState.save)
 	Hier   cache.HierarchyState
 	Pf     prefetch.PrefetcherState
 	Spaces []vm.SpaceState
@@ -92,8 +71,8 @@ func (r *Runner) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Signature: r.cfg.signature(),
 		Now:       r.now,
-		NextID:    r.m.nextID,
-		Cores:     make([]CoreCheckpoint, len(r.cores)),
+		NextID:    r.nextID,
+		Cores:     make([]coreState, len(r.cores)),
 		Hier:      r.hier.SaveState(),
 		Pf:        r.pf.SaveState(),
 		File:      r.file.SaveState(),
@@ -102,26 +81,7 @@ func (r *Runner) Checkpoint() *Checkpoint {
 	}
 	ck.Res.LoadLatencyHist = r.res.LoadLatencyHist.Clone()
 	for i := range r.cores {
-		c := &r.cores[i]
-		cc := CoreCheckpoint{
-			Issued:     c.issued,
-			Done:       c.done,
-			Pending:    c.pending,
-			HasPending: c.hasPending,
-			NextIssue:  c.nextIssue,
-		}
-		if tail := c.pendingOut[c.outHead:]; len(tail) > 0 {
-			cc.PendingOut = make([]OutReq, len(tail))
-			for j, o := range tail {
-				cc.PendingOut[j] = OutReq{Req: o.req, WB: o.wb}
-			}
-		}
-		if c.outstanding.Len() > 0 {
-			keys := c.outstanding.AppendKeys(nil)
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			cc.Outstanding = keys
-		}
-		ck.Cores[i] = cc
+		ck.Cores[i] = r.cores[i].save()
 	}
 	for _, sp := range r.spaces {
 		ck.Spaces = append(ck.Spaces, sp.SaveState())
@@ -147,6 +107,36 @@ func (r *Runner) Checkpoint() *Checkpoint {
 		panic(fmt.Sprintf("sim: checkpoint of unknown pipeline type %T", r.pipe))
 	}
 	return ck
+}
+
+// save copies the core's state: the not-yet-placed tail of its parked
+// outputs, and its outstanding IDs sorted so encodings are canonical.
+func (c *coreState) save() coreState {
+	st := *c
+	st.PendingOut = slices.Clone(c.PendingOut[c.outHead:])
+	st.outHead = 0
+	st.Outstanding = c.outstanding.AppendKeys(nil)
+	slices.Sort(st.Outstanding)
+	st.outstanding = nil
+	return st
+}
+
+// restore overwrites the core's state from a saved one, keeping the
+// core's identity, its parked-output buffer and its outstanding set.
+func (c *coreState) restore(st coreState) {
+	st.proc, st.localIdx = c.proc, c.localIdx
+	st.PendingOut = append(c.PendingOut[:0], st.PendingOut...)
+	st.outHead = 0
+	c.outstanding.Clear()
+	for _, id := range st.Outstanding {
+		c.outstanding.Add(id)
+	}
+	st.outstanding, st.Outstanding = c.outstanding, nil
+	// Force wake re-evaluation: the cached wake is a pure latency
+	// shortcut, and zero means "recompute" (the same reset a
+	// completion applies).
+	st.wake = 0
+	*c = st
 }
 
 // emitCheckpoint takes a snapshot and hands it to the configured sink,
@@ -252,30 +242,9 @@ func (r *Runner) restore(ck *Checkpoint) error {
 	}
 
 	for i := range r.cores {
-		c := &r.cores[i]
-		cc := &ck.Cores[i]
-		c.issued = cc.Issued
-		c.done = cc.Done
-		c.pending = cc.Pending
-		c.hasPending = cc.HasPending
-		c.pendingOut = c.pendingOut[:0]
-		for _, o := range cc.PendingOut {
-			c.pendingOut = append(c.pendingOut, outReq{req: o.Req, wb: o.WB})
-		}
-		c.outHead = 0
-		c.outstanding.Clear()
-		for _, id := range cc.Outstanding {
-			c.outstanding.Add(id)
-		}
-		c.nextIssue = cc.NextIssue
-		// Force per-core wake re-evaluation: the cached wake is a pure
-		// latency shortcut, and zero means "recompute" (the same reset a
-		// completion applies).
-		c.wake = 0
+		r.cores[i].restore(ck.Cores[i])
 	}
-
-	m := r.m
-	m.nextID = ck.NextID
+	r.nextID = ck.NextID
 	r.now = ck.Now
 	r.res = ck.Res
 	r.res.LoadLatencyHist = ck.Res.LoadLatencyHist.Clone()
@@ -289,8 +258,8 @@ func (r *Runner) restore(ck *Checkpoint) error {
 	// regardless of other cores' calls) makes per-core fast-forward exact.
 	for i := range r.cores {
 		c := &r.cores[i]
-		for k := 0; k < c.issued; k++ {
-			m.gens[c.proc].Next(c.localIdx)
+		for k := 0; k < c.Issued; k++ {
+			r.gens[c.proc].Next(c.localIdx)
 		}
 	}
 	return nil

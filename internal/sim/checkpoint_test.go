@@ -10,13 +10,17 @@ import (
 )
 
 // checkpointedRun executes cfg with checkpointing at the given cadence
-// and returns the result plus every emitted checkpoint, each gob
-// round-tripped so the test also proves the encoding is lossless.
+// and returns the result plus every emitted checkpoint. The checkpoints
+// are gob round-tripped only after the run has finished, so the test
+// also proves that a checkpoint stays valid while the run continues (it
+// shares no buffer the run recycles) and that the encoding is lossless.
 func checkpointedRun(t *testing.T, cfg Config, every int64) (*Result, []*Checkpoint) {
 	t.Helper()
 	var cks []*Checkpoint
 	cfg.CheckpointEvery = every
-	cfg.CheckpointSink = func(ck *Checkpoint) {
+	cfg.CheckpointSink = func(ck *Checkpoint) { cks = append(cks, ck) }
+	res := run(t, cfg)
+	for i, ck := range cks {
 		var buf bytes.Buffer
 		if err := EncodeCheckpoint(&buf, ck); err != nil {
 			t.Fatalf("EncodeCheckpoint: %v", err)
@@ -25,9 +29,8 @@ func checkpointedRun(t *testing.T, cfg Config, every int64) (*Result, []*Checkpo
 		if err != nil {
 			t.Fatalf("DecodeCheckpoint: %v", err)
 		}
-		cks = append(cks, dec)
+		cks[i] = dec
 	}
-	res := run(t, cfg)
 	return res, cks
 }
 
@@ -305,5 +308,70 @@ func TestDecodeCheckpointCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(bytes.NewReader(nil)); err == nil {
 		t.Error("DecodeCheckpoint accepted an empty stream")
+	}
+}
+
+// encodedCheckpoints runs cfg with checkpointing at the given cadence and
+// returns each emitted checkpoint's gob encoding, keyed by its cycle.
+func encodedCheckpoints(t *testing.T, cfg Config, every int64, resume *Checkpoint) map[int64][]byte {
+	t.Helper()
+	out := make(map[int64][]byte)
+	cfg.CheckpointEvery = every
+	cfg.CheckpointSink = func(ck *Checkpoint) {
+		var buf bytes.Buffer
+		if err := EncodeCheckpoint(&buf, ck); err != nil {
+			t.Fatalf("EncodeCheckpoint: %v", err)
+		}
+		out[ck.Now] = buf.Bytes()
+	}
+	r, err := NewRunner(cfg)
+	if resume != nil {
+		r, err = ResumeFrom(cfg, resume)
+	}
+	if err != nil {
+		t.Fatalf("building runner: %v", err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return out
+}
+
+// TestCheckpointCanonical proves a checkpoint's bytes depend only on the
+// simulated state: a run resumed from any checkpoint emits, at every
+// later cycle, exactly the bytes the uninterrupted run emitted there. A
+// container whose iteration order depends on its insertion history (the
+// hierarchy's pending-fill set) must be saved in sorted order for this
+// to hold. The reference stepper visits every cycle, so both runs
+// checkpoint at the same cycles.
+func TestCheckpointCanonical(t *testing.T) {
+	for _, bench := range []string{"STREAM", "BFS"} {
+		for _, mode := range allModes {
+			bench, mode := bench, mode
+			t.Run(fmt.Sprintf("%s/%s", bench, mode), func(t *testing.T) {
+				cfg := smallConfig(bench, mode)
+				cfg.AccessesPerCore = 1_200
+				cfg.ReferenceStepper = true
+				every := cadenceFor(run(t, cfg).Cycles)
+				want := encodedCheckpoints(t, cfg, every, nil)
+				_, cks := checkpointedRun(t, cfg, every)
+				compared := 0
+				for _, ck := range cks {
+					for at, got := range encodedCheckpoints(t, cfg, every, ck) {
+						w, ok := want[at]
+						if !ok {
+							t.Fatalf("resumed run checkpointed at cycle %d, the uninterrupted run did not", at)
+						}
+						if !bytes.Equal(got, w) {
+							t.Errorf("checkpoint at cycle %d, resumed from %d: bytes differ from the uninterrupted run's", at, ck.Now)
+						}
+						compared++
+					}
+				}
+				if compared == 0 {
+					t.Fatal("no resumed run emitted a checkpoint; test is vacuous")
+				}
+			})
+		}
 	}
 }

@@ -129,7 +129,7 @@ func (r *Runner) skipTo(t int64) {
 	}
 	for i := range r.cores {
 		c := &r.cores[i]
-		if c.hasPending && c.pending.Op != mem.OpFence {
+		if c.HasPending && c.Pending.Op != mem.OpFence {
 			r.res.CoreStallCycles += k
 		}
 	}
@@ -167,7 +167,7 @@ func (r *Runner) stepEvents() {
 			// that zero the cache. The one side effect the skipped
 			// call would have had is the per-cycle stall count of a
 			// budget-blocked access.
-			if c.hasPending && c.pending.Op != mem.OpFence {
+			if c.HasPending && c.Pending.Op != mem.OpFence {
 				r.res.CoreStallCycles++
 			}
 		} else {
@@ -189,7 +189,7 @@ func (r *Runner) stepEvents() {
 // byte-identical to re-running the scan; the counters skipTo applies
 // from cmp/fails are the same ones a fresh probe would have returned.
 func (r *Runner) headProbe(pkt mem.Coalesced) (ok bool, cmp, fails int64) {
-	if g := r.file.Gen(); !r.probeValid || r.probeGen != g || r.probeHeadID != pkt.ID {
+	if g := r.file.Gen; !r.probeValid || r.probeGen != g || r.probeHeadID != pkt.ID {
 		r.probeOK, r.probeCmp, r.probeFails = r.file.ProbeMerge(pkt)
 		r.probeGen, r.probeHeadID, r.probeValid = g, pkt.ID, true
 	}
@@ -206,8 +206,8 @@ func (r *Runner) coreWakeOf(c *coreState, now int64) int64 {
 	case c.parked() > 0:
 		// Parked LLC outputs are offered to the pipeline every cycle.
 		return now + 1
-	case c.hasPending:
-		if c.pending.Op == mem.OpFence ||
+	case c.HasPending:
+		if c.Pending.Op == mem.OpFence ||
 			c.outstanding.Len() < r.cfg.MaxOutstandingLoads {
 			// Fences retry against the pipeline each cycle; a stalled
 			// access with budget again can issue now.
@@ -216,15 +216,15 @@ func (r *Runner) coreWakeOf(c *coreState, now int64) int64 {
 		// Blocked on the outstanding-load budget: sleeps until a
 		// completion (the device wake) releases a fill.
 		return engine.Never
-	case c.done:
+	case c.Done:
 		// Finished trace; nothing left to issue.
 		return engine.Never
-	case c.issued >= r.cfg.AccessesPerCore:
+	case c.Issued >= r.cfg.AccessesPerCore:
 		// Will mark itself done on the next step.
 		return now + 1
-	case c.nextIssue > now+1:
+	case c.NextIssue > now+1:
 		// Pacing: ALU work between memory accesses.
-		return c.nextIssue
+		return c.NextIssue
 	default:
 		return now + 1
 	}

@@ -4,36 +4,13 @@ import (
 	"github.com/pacsim/pac/internal/cache"
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/core"
+	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/hmc"
 	"github.com/pacsim/pac/internal/mshr"
 	"github.com/pacsim/pac/internal/prefetch"
 	"github.com/pacsim/pac/internal/vm"
 	"github.com/pacsim/pac/internal/workload"
 )
-
-// machine is the constructed component graph of one simulation
-// configuration: everything NewRunner builds for a run. Its pooled
-// buffers come from the run's Scratch and go back to it when the run
-// releases (Runner.release).
-type machine struct {
-	// nextID is the shared packet/request ID counter. It lives on the
-	// machine because the pipeline components capture the minting
-	// closure at construction.
-	nextID uint64
-
-	gens   []workload.Generator
-	hier   *cache.Hierarchy
-	pf     *prefetch.Prefetcher
-	spaces []*vm.AddressSpace
-	pipe   coalesce.Pipeline
-	pac    *core.PAC // nil unless Mode == ModePAC
-	file   *mshr.File
-	dev    *hmc.Device
-	cores  []coreState
-
-	// benchNames backs Result.Benchmarks.
-	benchNames []string
-}
 
 // buildGenerators constructs the per-process workload generators.
 func buildGenerators(cfg *Config) ([]workload.Generator, error) {
@@ -53,80 +30,79 @@ func buildGenerators(cfg *Config) ([]workload.Generator, error) {
 	return gens, nil
 }
 
-// buildMachine constructs the component graph for a normalized config.
-// Reusable buffers come from scratch; the machine owns them until the
-// run releases them.
-func buildMachine(cfg *Config, scratch *Scratch) (*machine, error) {
-	m := &machine{}
-	ids := func() uint64 { m.nextID++; return m.nextID }
+// buildMachine constructs the component graph for the runner's
+// normalized config onto the runner. Reusable buffers come from the
+// runner's Scratch; the runner owns them until it releases them.
+func (r *Runner) buildMachine() error {
+	cfg, scratch := &r.cfg, r.scratch
+	ids := func() uint64 { r.nextID++; return r.nextID }
 
 	if cfg.Generators != nil {
-		m.gens = cfg.Generators
+		r.gens = cfg.Generators
 	} else {
 		gens, err := buildGenerators(cfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.gens = gens
+		r.gens = gens
 	}
 	for p, spec := range cfg.Procs {
 		for i := 0; i < spec.Cores; i++ {
-			m.cores = append(m.cores, coreState{
+			r.cores = append(r.cores, coreState{
 				proc:        p,
 				localIdx:    i,
 				outstanding: scratch.getSet(),
-				pendingOut:  scratch.getOutBuf(),
+				PendingOut:  scratch.getOutBuf(),
 				// Stagger core start-up so identical per-core
 				// loops do not issue in lock-step bursts.
-				nextIssue: int64(len(m.cores)) * 29,
+				NextIssue: int64(len(r.cores)) * 29,
 			})
 		}
 	}
 
-	m.hier = cache.NewHierarchy(cfg.Hierarchy)
-	m.hier.UseScratch(scratch.getFillSet())
-	m.pf = prefetch.New(cfg.Prefetch, len(m.cores))
+	r.hier = cache.NewHierarchy(cfg.Hierarchy)
+	r.hier.UseScratch(scratch.getFillSet())
+	r.pf = prefetch.New(cfg.Prefetch, len(r.cores))
 	if cfg.Virtualize {
 		for p := range cfg.Procs {
-			m.spaces = append(m.spaces, vm.New(p, cfg.Seed, 0))
+			r.spaces = append(r.spaces, vm.New(p, cfg.Seed, 0))
 		}
 	}
 	switch cfg.Mode {
 	case coalesce.ModePAC:
-		m.pac = core.New(cfg.PAC, ids)
-		m.pac.UseParentPool(scratch.parents)
-		m.pipe = coalesce.PACAdapter{PAC: m.pac}
+		r.pac = core.New(cfg.PAC, ids)
+		r.pac.UseParentPool(scratch.parents)
+		r.pipe = coalesce.PACAdapter{PAC: r.pac}
 	case coalesce.ModeSortNet:
 		sc := coalesce.NewSortingCoalescer(cfg.PAC.Streams, cfg.PAC.Timeout,
 			cfg.PAC.Device.MaxReqBlocks(), ids)
 		sc.UseParentPool(scratch.parents)
-		m.pipe = sc
+		r.pipe = sc
 	case coalesce.ModeRowBuf:
 		rb := coalesce.NewRowBufferCoalescer(cfg.HMC.RowBytes, cfg.PAC.Streams,
 			cfg.PAC.Timeout, ids)
 		rb.UseParentPool(scratch.parents)
-		m.pipe = rb
+		r.pipe = rb
 	default:
 		pt := coalesce.NewPassthrough(cfg.PAC.InputQueueDepth, ids)
 		pt.UseParentPool(scratch.parents)
-		m.pipe = pt
+		r.pipe = pt
 	}
-	m.file = mshr.New(mshr.Config{
+	r.file = mshr.New(mshr.Config{
 		Entries:       cfg.MSHRs,
 		MaxSubentries: cfg.MaxSubentries,
 		Adaptive:      cfg.Mode.AdaptiveMSHR(),
 		MaxBlocks:     cfg.PAC.Device.MaxReqBlocks(),
 	})
-	m.dev = hmc.New(cfg.HMC)
-
-	m.benchNames = make([]string, len(cfg.Procs))
-	for i, p := range cfg.Procs {
-		m.benchNames[i] = p.Benchmark
+	r.dev = hmc.New(cfg.HMC)
+	if cfg.Faults.Enabled() {
+		r.faults = fault.NewInjector(cfg.Faults, cfg.Seed, cfg.HMC.Vaults)
+		r.dev.InstallFaults(r.faults)
 	}
-	return m, nil
+	return nil
 }
 
 // nextAccess yields core c's next workload access.
 func (r *Runner) nextAccess(c *coreState) workload.Access {
-	return r.m.gens[c.proc].Next(c.localIdx)
+	return r.gens[c.proc].Next(c.localIdx)
 }

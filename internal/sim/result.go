@@ -1,40 +1,24 @@
 package sim
 
 import (
+	"github.com/pacsim/pac/internal/cache"
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/core"
 	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/hmc"
+	"github.com/pacsim/pac/internal/mshr"
 	"github.com/pacsim/pac/internal/stats"
 )
 
-// CacheStats is a snapshot of the hierarchy counters.
-type CacheStats struct {
-	// Accesses counts CPU data accesses (fences excluded).
-	Accesses int64
-	// L1Hits, LLCHits and LLCMisses partition cacheable accesses;
-	// PendingHits are LLC hits on blocks whose fill was in flight
-	// (they emit mergeable requests).
-	L1Hits, LLCHits, LLCMisses, PendingHits int64
-	// Uncached counts atomics routed around the hierarchy.
-	Uncached int64
-	// WriteBacks counts dirty LLC evictions sent to memory.
-	WriteBacks int64
-}
-
-// MSHRStats is a snapshot of the MSHR file counters.
-type MSHRStats struct {
-	// Merges counts raw requests absorbed into outstanding entries.
-	Merges int64
-	// Allocations counts entries allocated (= memory dispatches).
-	Allocations int64
-	// MergeFails counts merges refused for full subentry lists.
-	MergeFails int64
-	// Comparisons counts entry comparisons during lookups.
-	Comparisons int64
-	// Reissues counts entries re-keyed after poisoned responses.
-	Reissues int64
-}
+// CacheStats and MSHRStats are snapshots of the hierarchy and MSHR file
+// counters. They are defined on the components' Stats types rather than
+// aliased to them, so the gob type names inside encoded Results (durable
+// store entries, checkpoints) stay CacheStats and MSHRStats and a stored
+// result re-encodes byte-identically.
+type (
+	CacheStats cache.Stats
+	MSHRStats  mshr.Stats
+)
 
 // Result carries everything measured during one simulation run.
 type Result struct {
@@ -89,25 +73,11 @@ type Result struct {
 // collect snapshots component state into the result.
 func (r *Runner) collect() {
 	r.res.Cycles = r.now
-	r.res.Cache = CacheStats{
-		Accesses:    r.hier.Accesses,
-		L1Hits:      r.hier.L1Hits,
-		LLCHits:     r.hier.LLCHits,
-		LLCMisses:   r.hier.LLCMisses,
-		PendingHits: r.hier.PendingHits,
-		Uncached:    r.hier.Uncached,
-		WriteBacks:  r.hier.WriteBacks,
-	}
-	r.res.MSHR = MSHRStats{
-		Merges:      r.file.Merges,
-		Allocations: r.file.Allocations,
-		MergeFails:  r.file.MergeFails,
-		Comparisons: r.file.Comparisons,
-		Reissues:    r.file.Reissues,
-	}
+	r.res.Cache = CacheStats(r.hier.Stats)
+	r.res.MSHR = MSHRStats(r.file.Stats)
 	r.res.HMC = r.dev.Stats
 	if r.faults != nil {
-		r.res.Faults = r.faults.Snapshot()
+		r.res.Faults = r.faults.Stats
 	}
 	if r.pac != nil {
 		r.pacStats = r.pac.Stats

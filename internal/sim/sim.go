@@ -230,31 +230,37 @@ func (c *Config) normalize() error {
 // outReq is an LLC-level request parked on a core while the coalescer
 // input queues are full.
 type outReq struct {
-	req mem.Request
-	wb  bool
+	Req mem.Request
+	WB  bool
 }
 
-// coreState tracks one core's progress through its trace.
+// coreState tracks one core's progress through its trace. A checkpoint
+// saves it whole (Checkpoint.Cores): the exported fields are the saved
+// state, the unexported ones are fixed by the config or rebuilt on
+// restore.
 type coreState struct {
 	proc     int
 	localIdx int // core index within its process
-	issued   int
-	done     bool
-	// pending is a trace access stalled before reaching the hierarchy
+	Issued   int
+	Done     bool
+	// Pending is a trace access stalled before reaching the hierarchy
 	// (outstanding-load limit, or a fence awaiting queue space); it is
 	// stored by value so a stall never allocates.
-	pending    workload.Access
-	hasPending bool
-	// pendingOut[outHead:] are hierarchy outputs awaiting coalescer
-	// queue space; the buffer is reused once fully placed.
-	pendingOut []outReq
+	Pending    workload.Access
+	HasPending bool
+	// PendingOut[outHead:] are hierarchy outputs awaiting coalescer
+	// queue space; the buffer is reused once fully placed. A saved
+	// state holds only that tail.
+	PendingOut []outReq
 	outHead    int
 	// outstanding holds in-flight load/atomic request IDs; at the
-	// limit the core stalls.
+	// limit the core stalls. The set's layout is not state: a saved
+	// core holds the IDs, sorted, in Outstanding instead.
 	outstanding *arena.SmallSet
-	// nextIssue is the earliest cycle the core may issue its next
+	Outstanding []uint64
+	// NextIssue is the earliest cycle the core may issue its next
 	// trace access (IssueInterval pacing).
-	nextIssue int64
+	NextIssue int64
 	// wake caches coreWakeOf for the event driver: while it is in the
 	// future, issueCore would change nothing except the stall counter,
 	// so stepEvents skips the call. Any out-of-band mutation of core
@@ -264,20 +270,18 @@ type coreState struct {
 }
 
 // parked reports how many hierarchy outputs still await queue space.
-func (c *coreState) parked() int { return len(c.pendingOut) - c.outHead }
+func (c *coreState) parked() int { return len(c.PendingOut) - c.outHead }
 
 // blocked reports whether the core still has queued work it must place
 // before issuing new accesses.
-func (c *coreState) blocked() bool { return c.parked() > 0 || c.hasPending }
+func (c *coreState) blocked() bool { return c.parked() > 0 || c.HasPending }
 
-// Runner executes one configured simulation.
-//
-// The component graph itself lives on the Runner's machine (r.m); the
-// mirrored fields below are aliases installed by NewRunner so the hot
-// paths reach components through one pointer load instead of two.
+// Runner executes one configured simulation: the component graph
+// buildMachine constructs, the per-core state, and the driver's own
+// bookkeeping.
 type Runner struct {
 	cfg    Config
-	m      *machine
+	gens   []workload.Generator
 	hier   *cache.Hierarchy
 	pf     *prefetch.Prefetcher
 	spaces []*vm.AddressSpace // per-process page tables (Virtualize)
@@ -286,6 +290,11 @@ type Runner struct {
 	file   *mshr.File
 	dev    *hmc.Device
 	faults *fault.Injector // nil unless cfg.Faults is enabled
+
+	// nextID is the shared packet/request ID counter; the pipeline
+	// components mint from it through the closure buildMachine hands
+	// them.
+	nextID uint64
 
 	cores []coreState
 	now   int64
@@ -352,26 +361,15 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.ckptNext = cfg.CheckpointEvery
 	}
 
-	m, err := buildMachine(&cfg, r.scratch)
-	if err != nil {
+	if err := r.buildMachine(); err != nil {
 		return nil, err
-	}
-	r.m = m
-	r.hier = m.hier
-	r.pf = m.pf
-	r.spaces = m.spaces
-	r.pipe = m.pipe
-	r.pac = m.pac
-	r.file = m.file
-	r.dev = m.dev
-	r.cores = m.cores
-	if cfg.Faults.Enabled() {
-		r.faults = fault.NewInjector(cfg.Faults, cfg.Seed, cfg.HMC.Vaults)
-		r.dev.InstallFaults(r.faults)
 	}
 
 	r.res.Mode = cfg.Mode
-	r.res.Benchmarks = m.benchNames
+	r.res.Benchmarks = make([]string, len(cfg.Procs))
+	for i, p := range cfg.Procs {
+		r.res.Benchmarks[i] = p.Benchmark
+	}
 	r.res.LoadLatencyHist.Grow(r.scratch.histHint)
 	r.groupBuf = r.scratch.getOutBuf()
 	return r, nil
@@ -413,7 +411,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 	}
 	var fs fault.Stats
 	if r.faults != nil {
-		fs = r.faults.Snapshot()
+		fs = r.faults.Stats
 	}
 	if err != nil {
 		kind := telemetry.KindSimFailed
@@ -464,7 +462,7 @@ func (r *Runner) release() {
 		c := &r.cores[i]
 		r.scratch.putSet(c.outstanding)
 		if c.parked() == 0 {
-			r.scratch.putOutBuf(c.pendingOut)
+			r.scratch.putOutBuf(c.PendingOut)
 		}
 	}
 	r.scratch.putFillSet(r.hier.TakeScratch())
@@ -511,7 +509,7 @@ func (r *Runner) finished() bool {
 	}
 	for i := range r.cores {
 		c := &r.cores[i]
-		if !c.done || c.outstanding.Len() > 0 || c.blocked() {
+		if !c.Done || c.outstanding.Len() > 0 || c.blocked() {
 			return false
 		}
 	}
@@ -571,11 +569,11 @@ func (r *Runner) drainCompletions() {
 			panic(fmt.Sprintf("sim: response for unknown packet %d", resp.ID))
 		}
 		e := r.file.Entry(entry)
-		if resp.Poisoned && r.faults != nil && r.faults.NotePoisoned(e.ReissueCount()) {
+		if resp.Poisoned && r.faults != nil && r.faults.NotePoisoned(e.Reissues) {
 			r.reissue(entry, e)
 			continue
 		}
-		base, blocks := e.Base(), e.Blocks()
+		base, blocks := e.Base, e.Blocks
 		for _, sub := range r.file.Release(entry) {
 			r.completeRaw(sub.Req)
 		}
@@ -627,12 +625,12 @@ func (r *Runner) admit(pkt mem.Coalesced) bool {
 // crossbar and the bank again, and counts in both MemPackets and the
 // device's request statistics.
 func (r *Runner) reissue(entry int, e *mshr.Entry) {
-	r.m.nextID++
+	r.nextID++
 	pkt := mem.Coalesced{
-		ID:        r.m.nextID,
-		Addr:      e.Base() << mem.BlockShift,
-		Size:      uint32(e.Blocks() * mem.BlockSize),
-		Op:        e.Op(),
+		ID:        r.nextID,
+		Addr:      e.Base << mem.BlockShift,
+		Size:      uint32(e.Blocks * mem.BlockSize),
+		Op:        e.Op,
 		Assembled: r.now,
 	}
 	r.file.Reissue(entry, pkt.ID)
@@ -659,42 +657,42 @@ func (r *Runner) issueCore(i int) {
 	c := &r.cores[i]
 
 	// Parked LLC outputs must be placed before anything else.
-	for c.outHead < len(c.pendingOut) {
-		o := c.pendingOut[c.outHead]
-		if !r.enqueue(o.req, o.wb) {
+	for c.outHead < len(c.PendingOut) {
+		o := c.PendingOut[c.outHead]
+		if !r.enqueue(o.Req, o.WB) {
 			r.res.CoreStallCycles++
 			return
 		}
 		c.outHead++
 	}
 	if c.outHead > 0 {
-		c.pendingOut = c.pendingOut[:0]
+		c.PendingOut = c.PendingOut[:0]
 		c.outHead = 0
 	}
 
 	var a workload.Access
-	if c.hasPending {
-		a = c.pending
-		c.hasPending = false
+	if c.HasPending {
+		a = c.Pending
+		c.HasPending = false
 	} else {
-		if c.done {
+		if c.Done {
 			return
 		}
-		if c.issued >= r.cfg.AccessesPerCore {
-			c.done = true
+		if c.Issued >= r.cfg.AccessesPerCore {
+			c.Done = true
 			return
 		}
-		if r.now < c.nextIssue {
+		if r.now < c.NextIssue {
 			return // pacing: ALU work between memory accesses
 		}
 		a = r.nextAccess(c)
-		c.issued++
-		c.nextIssue = r.now + int64(r.cfg.IssueInterval)
+		c.Issued++
+		c.NextIssue = r.now + int64(r.cfg.IssueInterval)
 	}
 
 	if !r.issueAccess(i, a) {
-		c.pending = a
-		c.hasPending = true
+		c.Pending = a
+		c.HasPending = true
 		r.res.CoreStallCycles++
 	}
 }
@@ -721,7 +719,7 @@ func (r *Runner) issueAccess(coreIdx int, a workload.Access) bool {
 		addr = r.spaces[c.proc].Translate(addr)
 	}
 	out := &r.outcome
-	r.hier.AccessInto(out, coreIdx, addr, a.Op, c.proc, r.now, &r.m.nextID)
+	r.hier.AccessInto(out, coreIdx, addr, a.Op, c.proc, r.now, &r.nextID)
 
 	// From here on the cache state is updated, so the access always
 	// "succeeds"; any outputs that cannot be queued now are parked on
@@ -759,7 +757,7 @@ func (r *Runner) appendPrefetch(group []outReq, coreIdx int, c *coreState, blk u
 	if r.dev.Outstanding() >= r.cfg.PrefetchThrottle {
 		return group // device congested: demand traffic first
 	}
-	pfReq, wbs, ok := r.hier.Prefetch(blk<<mem.BlockShift, coreIdx, c.proc, r.now, &r.m.nextID)
+	pfReq, wbs, ok := r.hier.Prefetch(blk<<mem.BlockShift, coreIdx, c.proc, r.now, &r.nextID)
 	if !ok {
 		return group
 	}
@@ -782,14 +780,14 @@ func (r *Runner) route(c *coreState, group []outReq) {
 	lone := len(group) == 1 && r.pac != nil && !r.cfg.DisableNetworkCtrl &&
 		r.pac.MAQEmpty() && r.pac.InputBacklog() == 0 && !r.file.Full()
 	for _, o := range group {
-		r.observe(o.req)
-		if o.req.Op == mem.OpAtomic || (lone && o.req.Op != mem.OpFence) {
-			if r.directAdmit(o.req, o.wb) {
+		r.observe(o.Req)
+		if o.Req.Op == mem.OpAtomic || (lone && o.Req.Op != mem.OpFence) {
+			if r.directAdmit(o.Req, o.WB) {
 				continue
 			}
 		}
-		if !r.enqueue(o.req, o.wb) {
-			c.pendingOut = append(c.pendingOut, o)
+		if !r.enqueue(o.Req, o.WB) {
+			c.PendingOut = append(c.PendingOut, o)
 		}
 	}
 }
@@ -798,9 +796,9 @@ func (r *Runner) route(c *coreState, group []outReq) {
 // single-block packet, skipping the coalescing network. It returns false
 // when no MSHR is free (the caller falls back to the pipeline).
 func (r *Runner) directAdmit(req mem.Request, wb bool) bool {
-	r.m.nextID++
+	r.nextID++
 	pkt := mem.Coalesced{
-		ID:        r.m.nextID,
+		ID:        r.nextID,
 		Addr:      mem.BlockAlign(req.Addr),
 		Size:      mem.BlockSize,
 		Op:        req.Op,
