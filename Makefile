@@ -47,8 +47,7 @@ smoke-cluster:
 	scripts/smoke_cluster.sh
 
 # End-to-end durable-store smoke: simulate → restart pacd → repeat is a
-# disk hit; warm boot seeds the memo; on a 3-node fleet a cold node
-# answers from a peer's store. Emits BENCH_store.json.
+# disk hit that runs no simulation.
 smoke-store:
 	scripts/smoke_store.sh
 

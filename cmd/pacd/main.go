@@ -7,15 +7,13 @@
 //	pacd -addr :8080
 //	pacd -addr :8080 -quick -pprof
 //	pacd -cores 8 -accesses 100000 -parallel 8 -queue 32
-//	pacd -store /var/lib/pacd -store-warm 256
-//	pacd -store /var/lib/pacd -peers http://b1:8081,http://b2:8082
+//	pacd -store /var/lib/pacd -store-max-bytes 268435456
 //
 // With -store, completed simulation results persist in a crash-safe,
 // content-addressed store under the given directory: restarts answer
-// repeat requests from disk (and warm the session cache from the index,
-// bounded by -store-warm), fleet peers exchange entries over GET
-// /v1/store/{key}, and -store-max-bytes/-store-max-entries cap the
-// on-disk footprint with LRU eviction.
+// repeat requests from disk, and -store-max-bytes/-store-max-entries cap
+// the on-disk footprint with LRU eviction. A node's store holds only what
+// that node computed; a node that lacks a result simulates it.
 //
 // With -wal, every accepted job is journaled to a write-ahead log before
 // it runs: a daemon killed mid-job replays the unfinished work at the
@@ -45,7 +43,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -74,10 +71,8 @@ func main() {
 
 		// Durable result store; empty -store keeps the daemon memory-only.
 		storeDir     = flag.String("store", "", "directory of the durable content-addressed result store (empty disables)")
-		storeWarm    = flag.Int("store-warm", 256, "max store entries that seed the session cache at boot (0 disables)")
 		storeBytes   = flag.Int64("store-max-bytes", 1<<30, "byte cap on stored entries, LRU-evicted beyond it (negative = no cap)")
 		storeEntries = flag.Int("store-max-entries", 1<<16, "count cap on stored entries, LRU-evicted beyond it (negative = no cap)")
-		peers        = flag.String("peers", "", "comma-separated base URLs of fleet peers to ask on a store miss")
 
 		// Crash-safe job durability; empty -wal keeps jobs in memory only.
 		walPath   = flag.String("wal", "", "write-ahead job journal file; unfinished jobs replay at boot (empty disables)")
@@ -141,12 +136,6 @@ func main() {
 		}
 		log.Printf("pacd: store %s (%d entries, %d bytes)", *storeDir, resultStore.Len(), resultStore.Bytes())
 	}
-	var peerURLs []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerURLs = append(peerURLs, p)
-		}
-	}
 
 	// The journal opens before the server so boot replay sees the orphans
 	// of the previous process; it shares the registry for pac_wal_*.
@@ -180,18 +169,11 @@ func main() {
 		NodeID:          *node,
 		Registry:        registry,
 		Store:           resultStore,
-		StoreWarm:       *storeWarm,
-		Peers:           peerURLs,
 		WAL:             jobWAL,
 		Recovered:       recovered,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
 	})
-	if resultStore != nil {
-		if v, ok := srv.Registry().Value("pac_store_warmed_total"); ok {
-			log.Printf("pacd: store warm-up seeded %d session entries", int(v))
-		}
-	}
 
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -19,13 +19,9 @@
 // against this base to compute the same canonical routing key the
 // backends key their session pools with (README "Running a pacd fleet").
 //
-// When the backends run with -store, the gateway enables fleet cache
-// exchange automatically: every forwarded simulate request carries an
-// X-Pac-Peers header naming the key's other live ring candidates, so a
-// backend that misses its local store fetches the entry from a peer via
-// GET /v1/store/{key} instead of re-simulating. No gateway flag is
-// needed; responses report the source in X-Pac-Cache (memo|disk|peer|
-// miss).
+// Each backend answers from its own session memo and, with -store, its
+// own durable store; a backend that has neither simulates. Responses
+// report the source in X-Pac-Cache (memo|disk|miss).
 //
 // Endpoints:
 //

@@ -48,7 +48,7 @@ type result struct {
 	cached    bool
 	backend   string
 	// cache is the X-Pac-Cache source of a synchronous response
-	// (memo|disk|peer|miss; empty on a 202 or an old backend).
+	// (memo|disk|miss; empty on a 202).
 	cache string
 }
 
@@ -199,8 +199,8 @@ func main() {
 		},
 		"backends": backends,
 		// Per-source hit split from the X-Pac-Cache headers: how many
-		// answers came from the session memo, the durable store, a fleet
-		// peer's store, or a fresh simulation.
+		// answers came from the session memo, the durable store, or a
+		// fresh simulation.
 		"cacheSources": cacheSources,
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -221,7 +221,7 @@ func main() {
 		float64(okCount.Load())/elapsed.Seconds(), percentile(lat, 0.99), ratio)
 	if len(cacheSources) > 0 {
 		var parts []string
-		for _, src := range []string{"memo", "disk", "peer", "miss"} {
+		for _, src := range []string{"memo", "disk", "miss"} {
 			if n := cacheSources[src]; n > 0 {
 				parts = append(parts, fmt.Sprintf("%s %d", src, n))
 			}

@@ -239,34 +239,6 @@ func (s *Session) Lookup(bench string, mode coalesce.Mode) (*sim.Result, []byte,
 	return e.val, js, true
 }
 
-// Seed installs an already-completed result into the memo — the durable
-// result store's path back into a session, at warm boot and on peer
-// cache hits. The entry is created pre-resolved, so later Result calls
-// for the combination return res without running a simulation. rendered,
-// when non-nil, is the caller's json.Marshal of res and becomes the
-// entry's cached rendering; nil leaves it to be rendered on first use. A
-// combination that already has a memo entry (completed or in flight) is
-// left untouched and Seed reports false.
-func (s *Session) Seed(bench string, mode coalesce.Mode, res *sim.Result, rendered []byte) bool {
-	if res == nil {
-		return false
-	}
-	k := simKey{bench, mode, varDefault}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.sims[k]; exists {
-		return false
-	}
-	done := make(chan struct{})
-	close(done)
-	e := &memoEntry[*sim.Result]{done: done, val: res, cancel: func() {}}
-	if rendered != nil {
-		e.render.Do(func() { e.rendered = rendered })
-	}
-	s.sims[k] = e
-	return true
-}
-
 // result is the context-free recall used by the experiment drivers;
 // their cancellation happens through Precompute, which executes every
 // declared need with the caller's context before the tables render.

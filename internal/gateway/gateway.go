@@ -547,16 +547,7 @@ func (g *Gateway) dispatch(ctx context.Context, key, method, path, query string,
 				return proxyResult{}, err
 			}
 		}
-		// Simulate dispatches carry cache-exchange hints: the other live
-		// ring candidates for this key, so a backend that misses its
-		// local store can fetch the entry from a peer that has it (the
-		// failover node that served the key while this one was down)
-		// instead of re-simulating.
-		var peers []string
-		if path == "/v1/simulate" {
-			peers = g.peerHints(order, b)
-		}
-		resp, err := g.forward(ctx, b, method, path, query, body, hdr, peers...)
+		resp, err := g.forward(ctx, b, method, path, query, body, hdr)
 		if err != nil {
 			if ctx.Err() != nil {
 				return proxyResult{}, ctx.Err()
@@ -623,26 +614,8 @@ func (g *Gateway) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// peerHints lists the live candidates other than the target backend,
-// bounded to the nearest few — the fleet store-exchange hint set.
-func (g *Gateway) peerHints(order []*backend, target *backend) []string {
-	const maxHints = 3
-	var peers []string
-	for _, c := range order {
-		if c == target {
-			continue
-		}
-		peers = append(peers, c.name)
-		if len(peers) == maxHints {
-			break
-		}
-	}
-	return peers
-}
-
-// forward performs one backend exchange. peers, when non-empty, rides
-// the X-Pac-Peers header as store-exchange hints.
-func (g *Gateway) forward(ctx context.Context, b *backend, method, path, query string, body []byte, hdr http.Header, peers ...string) (*http.Response, error) {
+// forward performs one backend exchange.
+func (g *Gateway) forward(ctx context.Context, b *backend, method, path, query string, body []byte, hdr http.Header) (*http.Response, error) {
 	url := b.name + path
 	if query != "" {
 		url += "?" + query
@@ -661,9 +634,6 @@ func (g *Gateway) forward(ctx context.Context, b *backend, method, path, query s
 		}
 	}
 	req.Header.Set(server.ForwardedByHeader, "pacgw")
-	if len(peers) > 0 {
-		req.Header.Set(server.PeersHeader, strings.Join(peers, ","))
-	}
 	return g.cfg.Client.Do(req)
 }
 

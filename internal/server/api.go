@@ -166,9 +166,9 @@ type SimulateResult struct {
 	Mode       string `json:"mode"`
 	ConfigHash string `json:"configHash"`
 	// Cached reports whether the result was served without running a new
-	// simulation (from the memo, the durable store, or a fleet peer).
+	// simulation (from the memo or the durable store).
 	Cached bool `json:"cached"`
-	// Cache names the source the result came from: memo|disk|peer|miss.
+	// Cache names the source the result came from: memo|disk|miss.
 	// The same value rides the X-Pac-Cache header on synchronous
 	// responses.
 	Cache  string `json:"cache"`
@@ -270,7 +270,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	sj, err := s.buildSimulateRun(req, peerList(s.cfg.Peers, r.Header.Get(PeersHeader)))
+	sj, err := s.buildSimulateRun(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -337,15 +337,14 @@ type simulateJob struct {
 	// reads the store only for a key the store holds, so the handler's
 	// probe leaves a miss to be counted once, by the job that resolves it.
 	local func(resident bool) (*simulateAnswer, bool)
-	// run is the job closure: local, then fleet peers, then a fresh
-	// simulation.
+	// run is the job closure: local, then a fresh simulation.
 	run func(ctx context.Context) (any, error)
 }
 
 // buildSimulateRun resolves a simulate request — validation, session,
 // SimKey and payload, each exactly once — into its resolution chain. The
 // HTTP handler and the boot replay share this one path.
-func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulateJob, error) {
+func (s *Server) buildSimulateRun(req SimulateRequest) (simulateJob, error) {
 	opts, bench, mode, err := s.validate(req)
 	if err != nil {
 		return simulateJob{}, err
@@ -360,16 +359,15 @@ func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulate
 		return newSimulateAnswer(bench, mode, hash, source, result)
 	}
 	// Resolve the cache source cheapest-first: session memo, local
-	// durable store, fleet peers, then a fresh simulation. Every source
-	// answers with stored bytes: the memo entry's rendering of its result,
-	// or the store entry's answer section, so a hit decodes and marshals
-	// nothing. A disk hit does not seed the memo — answering from disk
-	// again costs about what a memo hit does. Peer hits are seeded, and
-	// concurrent misses for the same key still share one run: Seed is a
-	// no-op against an in-flight entry and Result joins it. This layering
-	// also makes WAL replay effectively exactly-once: a job that finished
-	// between its terminal record being lost and the crash re-runs as a
-	// memo/disk hit, not a second simulation.
+	// durable store, then a fresh simulation. Every hit answers with
+	// stored bytes: the memo entry's rendering of its result, or the
+	// store entry's answer section, so a hit decodes and marshals nothing.
+	// A disk hit does not seed the memo — answering from disk again costs
+	// about what a memo hit does. Concurrent misses for the same key share
+	// one run. This layering also makes WAL replay effectively
+	// exactly-once: a job that finished between its terminal record being
+	// lost and the crash re-runs as a memo/disk hit, not a second
+	// simulation.
 	local := func(resident bool) (*simulateAnswer, bool) {
 		if res, js, ok := sess.Lookup(bench, mode); ok {
 			s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
@@ -388,17 +386,12 @@ func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (simulate
 		if ans, ok := local(false); ok {
 			return ans, nil
 		}
-		source := CacheMiss
-		if v, ok := s.peerLookup(ctx, peers, hash, optsKey, bench, mode); ok {
-			sess.Seed(bench, mode, v.Entry.Result, v.Answer)
-			source = CachePeer
-		}
 		res, js, err := sess.ResultJSON(ctx, bench, mode)
 		if err != nil {
 			return nil, err
 		}
 		s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
-		return answer(source, js), nil
+		return answer(CacheMiss, js), nil
 	}
 	meta := jobMeta{bench: bench, mode: mode.String()}
 	return simulateJob{payload: payload, meta: meta, local: local, run: run}, nil

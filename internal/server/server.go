@@ -13,7 +13,6 @@
 //	GET    /v1/jobs/{id}[?wait=30s]  job state, optionally long-polling
 //	GET    /v1/jobs/{id}/events      SSE progress stream
 //	DELETE /v1/jobs/{id}             cancel a queued or running job
-//	GET    /v1/store/{key}           raw durable-store entry (peer exchange)
 //	GET    /healthz                  liveness
 //	GET    /metrics                  Prometheus text exposition
 //	/debug/pprof/*                   optional (Config.EnablePprof)
@@ -101,22 +100,12 @@ type Config struct {
 	// Empty (the default) keeps single-node behaviour unchanged.
 	NodeID string
 	// Store, when set, is the durable content-addressed result store:
-	// simulate requests consult it on a memo miss, completed results are
-	// written through, GET /v1/store/{key} serves raw entries to fleet
-	// peers, and the session pool is warmed from its index at boot. Nil
+	// simulate requests consult it on a memo miss and completed results
+	// are written through. It holds only entries this node wrote. Nil
 	// (the default) keeps the daemon memory-only. The caller owns the
 	// store's lifecycle (cmd/pacd opens it before New and closes it
 	// after Drain).
 	Store *store.Store
-	// StoreWarm bounds how many store entries seed the session pool at
-	// boot (most recently used first). Zero or negative disables
-	// warm-up.
-	StoreWarm int
-	// Peers lists base URLs of fleet peers to ask on a local store miss
-	// (in addition to any per-request X-Pac-Peers hints from a gateway).
-	Peers []string
-	// PeerTimeout caps each peer store fetch (default 3s).
-	PeerTimeout time.Duration
 	// WAL, when set, is the write-ahead job journal: every accepted job
 	// is journaled before it is acknowledged and each lifecycle
 	// transition is recorded, so a crashed daemon re-enqueues its
@@ -176,9 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.Parallel <= 0 {
 		c.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 3 * time.Second
-	}
 	if c.CheckpointDir != "" && c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2_000_000
 	}
@@ -191,41 +177,33 @@ func (c Config) withDefaults() Config {
 // Server wires the job manager, the session pool, the durable store,
 // and the HTTP mux.
 type Server struct {
-	cfg        Config
-	reg        *telemetry.Registry
-	hooks      *telemetry.Hooks
-	pool       *sessionPool
-	jobs       *jobManager
-	store      *store.Store
-	ckpts      *checkpointStore
-	peerClient *http.Client
-	peerHits   *telemetry.Counter
-	peerMisses *telemetry.Counter
-	mux        http.Handler
-	start      time.Time
-	// ready closes once async boot (store warm-up, WAL replay) finishes;
-	// /readyz answers 503 until then. draining flips on Drain so the
-	// gateway's readiness probes route around a stopping node before its
-	// listener goes away.
+	cfg   Config
+	reg   *telemetry.Registry
+	hooks *telemetry.Hooks
+	pool  *sessionPool
+	jobs  *jobManager
+	store *store.Store
+	ckpts *checkpointStore
+	mux   http.Handler
+	start time.Time
+	// ready closes once async boot (WAL replay) finishes; /readyz
+	// answers 503 until then. draining flips on Drain so the gateway's
+	// readiness probes route around a stopping node before its listener
+	// goes away.
 	ready    chan struct{}
 	draining atomic.Bool
 }
 
 // New builds a ready-to-serve server; callers mount Handler on an
 // http.Server and call Drain on shutdown. The listener can be mounted
-// immediately: boot work that takes real time — store warm-up and WAL
-// replay — runs asynchronously, with /readyz reporting 503 until it
-// finishes (Ready exposes the same signal programmatically).
+// immediately: boot work that takes real time — WAL replay — runs
+// asynchronously, with /readyz reporting 503 until it finishes (Ready
+// exposes the same signal programmatically).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, reg: cfg.Registry, store: cfg.Store, start: time.Now(),
 		ready: make(chan struct{})}
 	s.hooks = telemetry.InstrumentedHooks(s.reg)
-	s.peerClient = &http.Client{Timeout: cfg.PeerTimeout}
-	s.peerHits = s.reg.Counter("pac_store_peer_hits_total",
-		"Store misses answered by a fleet peer's store.")
-	s.peerMisses = s.reg.Counter("pac_store_peer_misses_total",
-		"Peer store lookups that found no peer with the entry.")
 	if cfg.CheckpointDir != "" {
 		s.ckpts = newCheckpointStore(cfg.CheckpointDir, s.reg)
 	}
@@ -239,16 +217,13 @@ func New(cfg Config) *Server {
 	s.mux = s.routes()
 	go func() {
 		defer close(s.ready)
-		if s.store != nil && cfg.StoreWarm > 0 {
-			s.warmFromStore(cfg.StoreWarm)
-		}
 		s.replayWAL(cfg.Recovered)
 	}()
 	return s
 }
 
-// Ready returns a channel closed once boot (store warm-up, WAL replay)
-// finishes and /readyz starts answering 200.
+// Ready returns a channel closed once boot (WAL replay) finishes and
+// /readyz starts answering 200.
 func (s *Server) Ready() <-chan struct{} { return s.ready }
 
 // replayWAL re-enqueues the journaled, non-terminal jobs wal.Open
@@ -268,7 +243,7 @@ func (s *Server) replayWAL(recovered []wal.Job) {
 			var req SimulateRequest
 			var sj simulateJob
 			if err = json.Unmarshal(rj.Payload, &req); err == nil {
-				sj, err = s.buildSimulateRun(req, s.cfg.Peers)
+				sj, err = s.buildSimulateRun(req)
 				if err == nil {
 					run, meta = sj.run, sj.meta
 				}
@@ -330,7 +305,6 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/experiments", s.handleListExperiments)
 	mux.HandleFunc("POST /v1/experiments/{id}/run", s.handleRunExperiment)
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("GET /v1/store/{key}", s.handleStoreGet)
 	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
@@ -427,8 +401,6 @@ func routeLabel(path string) string {
 			return "/v1/experiments/{id}/run"
 		}
 		return "/v1/experiments"
-	case strings.HasPrefix(path, "/v1/store/"):
-		return "/v1/store/{key}"
 	case strings.HasPrefix(path, "/debug/pprof"):
 		return "/debug/pprof"
 	case path == "/v1/simulate", path == "/healthz", path == "/readyz", path == "/metrics":
@@ -451,9 +423,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is the routing probe: liveness (/healthz) says the
 // process is up, readiness says it should receive traffic. It answers
-// 503 while boot work (store warm-up, WAL replay) is still running and
-// again once Drain begins, so a gateway ejects the node before its
-// listener disappears.
+// 503 while boot work (WAL replay) is still running and again once Drain
+// begins, so a gateway ejects the node before its listener disappears.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	status := ""
 	if s.draining.Load() {

@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/experiments"
@@ -78,8 +79,8 @@ func TestStoreDiskHitAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restarted" daemon: same store directory, warm-up disabled so the
-	// repeat request exercises the disk path rather than the memo.
+	// "Restarted" daemon: same store directory, empty memo, so the repeat
+	// request exercises the disk path.
 	reg2 := telemetry.NewRegistry()
 	st2 := openTestStore(t, dir, reg2)
 	srv2 := newTestServer(t, func(c *Config) { c.Registry = reg2; c.Store = st2 })
@@ -115,164 +116,71 @@ func TestStoreDiskHitAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestStoreWarmBoot verifies -store-warm: a daemon booted over a
-// populated store answers the very first request from the memo, with the
-// byte-identical result and zero simulation runs.
-func TestStoreWarmBoot(t *testing.T) {
-	dir := t.TempDir()
-	req := SimulateRequest{Benchmark: "GS", Mode: "dmc"}
+// TestReplayedJobAnswersFromOrphanEntry is crash recovery across the
+// store and the job journal: the simulation's result reached the store,
+// but the crash came before both the store's journal append (so the
+// entry file is an orphan) and the job's terminal WAL record. On reboot
+// the store adopts the orphan and the replayed job completes as a disk
+// hit without simulating again.
+func TestReplayedJobAnswersFromOrphanEntry(t *testing.T) {
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	req := SimulateRequest{Benchmark: "STREAM", Mode: "pac"}
 
 	reg1 := telemetry.NewRegistry()
-	st1 := openTestStore(t, dir, reg1)
+	st1 := openTestStore(t, storeDir, reg1)
 	srv1 := newTestServer(t, func(c *Config) { c.Registry = reg1; c.Store = st1 })
 	res1, _ := simulateOK(t, srv1, req)
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	reg2 := telemetry.NewRegistry()
-	st2 := openTestStore(t, dir, reg2)
-	srv2 := newTestServer(t, func(c *Config) {
-		c.Registry = reg2
-		c.Store = st2
-		c.StoreWarm = 16
-	})
-	<-srv2.Ready() // warm-up runs during async boot
-	if warmed, _ := reg2.Value("pac_store_warmed_total"); warmed < 1 {
-		t.Fatalf("pac_store_warmed_total = %v, want >= 1", warmed)
+	// Lose the index record: the entry file is left as an orphan.
+	if err := os.Remove(filepath.Join(storeDir, "index.journal")); err != nil {
+		t.Fatal(err)
 	}
-	started0, _ := reg2.Value(telemetry.MetricSimsStarted)
-	res2, src := simulateOK(t, srv2, req)
-	if src != CacheMemo {
-		t.Errorf("first request after warm boot = %q, want %q", src, CacheMemo)
-	}
-	if started, _ := reg2.Value(telemetry.MetricSimsStarted); started != started0 {
-		t.Errorf("warm-booted request started %v new simulations", started-started0)
-	}
-	if !reflect.DeepEqual(res1["result"], res2["result"]) {
-		t.Error("warm-booted result differs from the fresh simulation")
-	}
-}
-
-// TestPeerCacheExchange: node B misses locally but is configured with
-// node A as a peer; A has the entry, so B answers with cache=peer,
-// persists the entry in its own store, and never simulates.
-func TestPeerCacheExchange(t *testing.T) {
-	req := SimulateRequest{Benchmark: "FFT", Mode: "pac"}
-
-	regA := telemetry.NewRegistry()
-	stA := openTestStore(t, t.TempDir(), regA)
-	srvA := newTestServer(t, func(c *Config) { c.Registry = regA; c.Store = stA })
-	resA, _ := simulateOK(t, srvA, req)
-	key := resA["configHash"].(string)
-
-	tsA := httptest.NewServer(srvA.Handler())
-	defer tsA.Close()
-
-	regB := telemetry.NewRegistry()
-	stB := openTestStore(t, t.TempDir(), regB)
-	srvB := newTestServer(t, func(c *Config) {
-		c.Registry = regB
-		c.Store = stB
-		c.Peers = []string{tsA.URL}
-		c.PeerTimeout = 5 * time.Second
-	})
-	startedB0, _ := regB.Value(telemetry.MetricSimsStarted)
-	resB, src := simulateOK(t, srvB, req)
-	if src != CachePeer || resB["cache"] != CachePeer || resB["cached"] != true {
-		t.Fatalf("peer run: header %q result cache %v cached %v", src, resB["cache"], resB["cached"])
-	}
-	if started, _ := regB.Value(telemetry.MetricSimsStarted); started != startedB0 {
-		t.Errorf("peer hit started %v new simulations on B", started-startedB0)
-	}
-	if hits, _ := regB.Value("pac_store_peer_hits_total"); hits != 1 {
-		t.Errorf("pac_store_peer_hits_total = %v, want 1", hits)
-	}
-	if !stB.Has(key) {
-		t.Error("peer-fetched entry not persisted in B's local store")
-	}
-	if !reflect.DeepEqual(resA["result"], resB["result"]) {
-		t.Error("peer-served result differs from A's simulation")
-	}
-
-	// B's copy is byte-identical to A's on the wire.
-	blobA, okA := stA.GetRaw(key)
-	blobB, okB := stB.GetRaw(key)
-	if !okA || !okB || string(blobA) != string(blobB) {
-		t.Error("peer exchange did not replicate identical envelope bytes")
-	}
-}
-
-// TestPeerLookupFailureFallsBack: dead or entry-less peers must degrade
-// to a fresh simulation, not an error.
-func TestPeerLookupFailureFallsBack(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	st := openTestStore(t, t.TempDir(), reg)
-	srv := newTestServer(t, func(c *Config) {
-		c.Registry = reg
-		c.Store = st
-		c.Peers = []string{"http://127.0.0.1:1"} // nothing listens here
-		c.PeerTimeout = 200 * time.Millisecond
-	})
-	res, src := simulateOK(t, srv, SimulateRequest{Benchmark: "STREAM", Mode: "pac"})
-	if src != CacheMiss || res["cached"] != false {
-		t.Fatalf("dead-peer run: header %q cached %v", src, res["cached"])
-	}
-	if misses, _ := reg.Value("pac_store_peer_misses_total"); misses != 1 {
-		t.Errorf("pac_store_peer_misses_total = %v, want 1", misses)
-	}
-}
-
-// TestStoreEndpoint covers GET /v1/store/{key} itself: the raw envelope
-// round-trips, and bad keys / absent entries / storeless daemons answer
-// 400/404.
-func TestStoreEndpoint(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	st := openTestStore(t, t.TempDir(), reg)
-	srv := newTestServer(t, func(c *Config) { c.Registry = reg; c.Store = st })
-	res, _ := simulateOK(t, srv, SimulateRequest{Benchmark: "STREAM", Mode: "pac"})
-	key := res["configHash"].(string)
-
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/store/" + key)
+	payload, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET store entry = %d", resp.StatusCode)
+	const id = "n1-j000003"
+	w1, _ := openTestWAL(t, walDir, telemetry.NewRegistry())
+	if err := w1.Submit(id, "simulate", payload); err != nil {
+		t.Fatal(err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("Content-Type = %q", ct)
+	if err := w1.Running(id); err != nil {
+		t.Fatal(err)
 	}
-	blob := make([]byte, 0, 1<<20)
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		blob = append(blob, buf[:n]...)
-		if rerr != nil {
-			break
-		}
-	}
-	e, err := store.DecodeEntry(key, blob)
-	if err != nil {
-		t.Fatalf("served envelope invalid: %v", err)
-	}
-	if e.Benchmark != "STREAM" || e.Mode != "PAC" {
-		t.Errorf("entry identity = %s/%s", e.Benchmark, e.Mode)
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	if code, _, _ := do(t, srv.Handler(), "GET", "/v1/store/ffffffffffffffff", nil); code != http.StatusNotFound {
-		t.Errorf("absent key = %d, want 404", code)
+	reg := telemetry.NewRegistry()
+	st := openTestStore(t, storeDir, reg)
+	if !st.Has(res1["configHash"].(string)) {
+		t.Fatal("orphan entry not adopted at Open")
 	}
-	if code, _, _ := do(t, srv.Handler(), "GET", "/v1/store/NOT-HEX", nil); code != http.StatusBadRequest {
-		t.Errorf("malformed key = %d, want 400", code)
+	w2, recovered := openTestWAL(t, walDir, reg)
+	started0, _ := reg.Value(telemetry.MetricSimsStarted)
+	srv := newTestServer(t, func(c *Config) {
+		c.Registry = reg
+		c.NodeID = "n1"
+		c.Store = st
+		c.WAL = w2
+		c.Recovered = recovered
+	})
+	<-srv.Ready()
+	job := waitForStatus(t, srv.Handler(), id, "")
+	if job["status"] != string(StatusDone) {
+		t.Fatalf("replayed job ended %v, error %v", job["status"], job["error"])
 	}
-
-	bare := newTestServer(t, nil) // no store configured
-	if code, _, _ := do(t, bare.Handler(), "GET", "/v1/store/"+key, nil); code != http.StatusNotFound {
-		t.Errorf("storeless daemon = %d, want 404", code)
+	res := job["result"].(map[string]any)
+	if res["cache"] != CacheDisk {
+		t.Errorf("replayed job answered from %v, want %s", res["cache"], CacheDisk)
+	}
+	if started, _ := reg.Value(telemetry.MetricSimsStarted); started != started0 {
+		t.Errorf("replay started %v new simulations", started-started0)
+	}
+	if !reflect.DeepEqual(res["result"], res1["result"]) {
+		t.Error("replayed result differs from the original simulation")
 	}
 }
 
@@ -290,58 +198,6 @@ func TestAsyncSimulateOmitsCacheHeader(t *testing.T) {
 		t.Errorf("202 carried %s: %q", CacheHeader, h)
 	}
 	waitForStatus(t, srv.Handler(), job["id"].(string), StatusDone)
-}
-
-// TestPeerAnswerVerified: a peer whose envelope carries a valid checksum
-// and identity but an answer section that disagrees with its own gob
-// result — a checksum is not a signature — never gets those bytes served
-// or stored verbatim. The fetching node answers with its own rendering
-// of the decoded result and stores a rebuilt envelope.
-func TestPeerAnswerVerified(t *testing.T) {
-	req := SimulateRequest{Benchmark: "FFT", Mode: "pac"}
-	regA := telemetry.NewRegistry()
-	stA := openTestStore(t, t.TempDir(), regA)
-	srvA := newTestServer(t, func(c *Config) { c.Registry = regA; c.Store = stA })
-	resA, _ := simulateOK(t, srvA, req)
-	key := resA["configHash"].(string)
-
-	// Replace A's entry with one whose answer section lies.
-	e, ok := stA.Get(key)
-	if !ok {
-		t.Fatal("A did not store its result")
-	}
-	if err := stA.PutAnswer(e, []byte(`{"Cycles":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	forged, _ := stA.GetRaw(key)
-	tsA := httptest.NewServer(srvA.Handler())
-	defer tsA.Close()
-
-	regB := telemetry.NewRegistry()
-	stB := openTestStore(t, t.TempDir(), regB)
-	srvB := newTestServer(t, func(c *Config) {
-		c.Registry = regB
-		c.Store = stB
-		c.Peers = []string{tsA.URL}
-		c.PeerTimeout = 5 * time.Second
-	})
-	for _, want := range []string{CachePeer, CacheMemo} {
-		resB, src := simulateOK(t, srvB, req)
-		if src != want {
-			t.Fatalf("served from %q, want %q", src, want)
-		}
-		if !reflect.DeepEqual(resA["result"], resB["result"]) {
-			t.Fatalf("%s answer differs from A's simulation: %v", want, resB["result"])
-		}
-	}
-	blobB, ok := stB.GetRaw(key)
-	if !ok || bytes.Equal(blobB, forged) {
-		t.Fatal("B stored the peer's envelope verbatim")
-	}
-	want, _ := json.Marshal(e.Result)
-	if a, ok := stB.Answer(key); !ok || !bytes.Equal(a.JSON, want) {
-		t.Errorf("B's stored answer %s, want its rendering of the result", a.JSON)
-	}
 }
 
 // TestSimulateReplySplicesResult: a synchronous simulate reply keeps the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"hash/crc32"
 	"os"
@@ -75,21 +74,20 @@ func journalCRC(body string) string {
 }
 
 // FuzzEntry holds the envelope readers to their contract under hostile
-// input. DecodeEntry, decodeAnswer (the hit path's checksum-only read)
-// and Verify must never panic. Every blob DecodeEntry accepts must also
-// be accepted by decodeAnswer with the same identity, and by Verify,
-// whose kept envelope must answer with this node's rendering of the
-// result; Verify keeps the blob verbatim exactly when it is version 2 and
-// its answer section is that rendering. An accepted blob taken as it came
-// re-encodes byte-identically.
+// input. DecodeEntry, openEnvelope (Answer's checksum-only read) and
+// verifyOrphan must never panic, and only a version-2 envelope is ever
+// accepted: the version-1 seed (the same bytes as testdata/v1.res) and
+// its mutations are rejected by all three. Every blob DecodeEntry accepts
+// is accepted by openEnvelope with the same identity. verifyOrphan
+// accepts exactly the blobs DecodeEntry accepts whose answer section is
+// the rendering of their decoded result, so a forged answer (the third
+// seed) is never adopted. An accepted blob re-encodes byte-identically.
 //
 // With reseal set, the payload checksum is recomputed before decoding, so
 // mutations reach the section and gob parsers instead of stopping at the
 // SHA-256 check. Such a blob may carry a non-canonical gob stream (gob
 // decodes several encodings of one value), so for it the byte-identity
 // property is checked on its re-encoding, which must be a fixed point.
-// The seed corpus under testdata/fuzz/FuzzEntry holds a version-1
-// envelope (the same bytes as testdata/v1.res) and a version-2 one.
 func FuzzEntry(f *testing.F) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1.res"))
 	if err != nil {
@@ -112,46 +110,35 @@ func FuzzEntry(f *testing.F) {
 			blob = resealed(blob)
 		}
 		e, err := DecodeEntry("", blob)
-		a, aerr := decodeAnswer("", blob)
-		v, verr := Verify("", blob)
+		env, eerr := openEnvelope("", blob)
+		verr := verifyOrphan("", blob)
+		if h := len(magic); len(blob) >= h+2 && binary.BigEndian.Uint16(blob[h:]) != version &&
+			(err == nil || eerr == nil || verr == nil) {
+			t.Fatalf("version-%d envelope accepted", binary.BigEndian.Uint16(blob[h:]))
+		}
 		if err != nil {
 			if verr == nil {
-				t.Fatalf("Verify accepted a blob DecodeEntry rejects (%v)", err)
+				t.Fatalf("verifyOrphan accepted a blob DecodeEntry rejects (%v)", err)
 			}
 			return
 		}
-		want, err := json.Marshal(e.Result)
-		if err != nil {
-			// A result JSON cannot carry (a NaN mean) has no answer to
-			// render: Verify must refuse it, as must the answer reader of
-			// a version-1 envelope, which renders.
-			if env, _ := openEnvelope("", blob); verr == nil || (env.version == versionV1 && aerr == nil) {
-				t.Fatalf("unrenderable result accepted (render: %v)", err)
-			}
-			return
+		if eerr != nil {
+			t.Fatalf("DecodeEntry accepted a blob openEnvelope rejects (%v)", eerr)
 		}
-		if aerr != nil || verr != nil {
-			t.Fatalf("DecodeEntry accepted a blob decodeAnswer (%v) or Verify (%v) rejects", aerr, verr)
-		}
+		a := env.answer
 		if a.OptionsHash != e.OptionsHash || a.Benchmark != e.Benchmark || a.Mode != e.Mode {
 			t.Fatalf("answer identity %s/%s/%s, entry %s/%s/%s",
 				a.OptionsHash, a.Benchmark, a.Mode, e.OptionsHash, e.Benchmark, e.Mode)
 		}
-		if !bytes.Equal(v.Answer, want) {
-			t.Fatal("Verify's answer is not the rendering of the decoded result")
+		// A result JSON cannot carry (a NaN mean) has no rendering, so its
+		// answer section cannot be one.
+		want, merr := json.Marshal(e.Result)
+		if consistent := merr == nil && bytes.Equal(a.JSON, want); consistent != (verr == nil) {
+			t.Fatalf("verifyOrphan err=%v for an envelope whose answer is its rendering=%v", verr, consistent)
 		}
-		kept, err := decodeAnswer("", v.blob)
-		if err != nil || !bytes.Equal(kept.JSON, want) ||
-			kept.OptionsHash != e.OptionsHash || kept.Benchmark != e.Benchmark || kept.Mode != e.Mode {
-			t.Fatalf("kept envelope answers inconsistently (%v)", err)
-		}
-		// The kept envelope's own re-encoding is a fixed point: decoding it
-		// and encoding again reproduces it byte for byte.
-		ke, err := DecodeEntry("", v.blob)
-		if err != nil {
-			t.Fatalf("kept envelope does not decode: %v", err)
-		}
-		re, err := encodeEntry(ke, kept.JSON)
+		// The re-encoding is a fixed point: decoding it and encoding again
+		// reproduces it byte for byte.
+		re, err := encodeEntry(e, a.JSON)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,42 +146,13 @@ func FuzzEntry(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded envelope does not decode: %v", err)
 		}
-		if re3, err := encodeEntry(re2, kept.JSON); err != nil || !bytes.Equal(re3, re) {
+		if re3, err := encodeEntry(re2, a.JSON); err != nil || !bytes.Equal(re3, re) {
 			t.Fatalf("re-encoding is not byte-identical (%v)", err)
 		}
-		env, _ := openEnvelope("", blob)
-		if stale := env.version != version || !bytes.Equal(a.JSON, want); v.Rebuilt != stale {
-			t.Fatalf("Verify rebuilt=%v for a version-%d envelope whose answer matches=%v",
-				v.Rebuilt, env.version, bytes.Equal(a.JSON, want))
-		}
-		if reseal {
-			return
-		}
-		if re := reencode(t, blob, e, a); !bytes.Equal(re, blob) {
+		if !reseal && !bytes.Equal(re, blob) {
 			t.Fatal("accepted envelope does not re-encode byte-identically")
 		}
 	})
-}
-
-// reencode encodes e again in blob's own envelope version.
-func reencode(t *testing.T, blob []byte, e Entry, a Answer) []byte {
-	t.Helper()
-	env, err := openEnvelope("", blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.version == version {
-		re, err := encodeEntry(e, a.JSON)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return re
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		t.Fatal(err)
-	}
-	return seal(e.Key, versionV1, payload.Bytes())
 }
 
 // resealed returns blob with its payload length and checksum recomputed

@@ -4,9 +4,8 @@
 // address (server.SimKey), committed crash-safely via temp-file + rename,
 // and tracked by an append-only index journal that is replayed and
 // compacted on boot. Identical configurations resolve to identical,
-// durably stored results — the property that lets a restarted daemon (or
-// a cold fleet peer) answer repeat requests from disk instead of
-// re-simulating.
+// durably stored results — the property that lets a restarted daemon
+// answer repeat requests from disk instead of re-simulating.
 //
 // Layout inside the store directory:
 //
@@ -18,7 +17,7 @@
 //	               entry
 //
 // An envelope is a header (magic, version, key, payload length, payload
-// SHA-256) and the checksummed payload. A version-2 payload is
+// SHA-256) and the checksummed payload. The payload (version 2) is
 //
 //	u16 len | options hash | u16 len | benchmark | u16 len | mode
 //	u32 len | answer: the compact JSON of the result
@@ -26,18 +25,18 @@
 //
 // so a hit is answered by Answer (read, verify the checksum, return the
 // stored bytes) without decoding the gob. DecodeEntry still decodes the
-// whole entry and checks the identity section against it. Version-1
-// payloads (the gob Entry alone) stay readable; their answer is rendered
-// from the decoded result. Envelopes from outside this node's write path
-// — ring peers, PutRaw, orphan files — go through Verify, which keeps
-// one verbatim only when its answer section equals this node's own
-// rendering of its result, and rebuilds it otherwise.
+// whole entry and checks the identity section against it. Any other
+// version, the retired version 1 (the gob Entry alone) included, reads as
+// corrupt.
 //
-// Corrupt or truncated entries and journal lines are detected by
-// checksum, counted in pac_store_corrupt_total, and skipped — never
-// fatal. A crash between an entry rename and its journal append is
-// recovered on the next Open: orphan entry files that pass Verify are
-// adopted back into the index.
+// The store is one trust domain: it holds and serves only envelopes this
+// node wrote. Corrupt or truncated entries and journal lines are detected
+// by checksum, counted in pac_store_corrupt_total, and removed or skipped
+// — never fatal; the result is recomputed on the next miss. A crash
+// between an entry rename and its journal append is recovered on the
+// next Open: an orphan entry file is adopted back into the index only
+// when it decodes and its answer section is the rendering of its own
+// result (verifyOrphan), and discarded otherwise.
 //
 // The store is safe for concurrent use. Entry files are immutable once
 // renamed into place, so readers never see torn writes; concurrent
@@ -68,9 +67,9 @@ import (
 )
 
 // Entry is one stored simulation result with the identity needed to
-// verify and re-seed it: the content address it lives under, the
-// canonical options hash plus benchmark/mode it answers, and the full
-// normalized options a warm-booting daemon rebuilds the session from.
+// verify it: the content address it lives under, the canonical options
+// hash plus benchmark/mode it answers, and the full normalized options it
+// ran under.
 type Entry struct {
 	// Key is the content address (server.SimKey) the entry is stored
 	// under; DecodeEntry verifies it against the envelope header.
@@ -83,7 +82,7 @@ type Entry struct {
 	Benchmark string
 	Mode      string
 	// Options are the fully-specified normalized options the result ran
-	// under, sufficient to reconstruct the owning session at warm boot.
+	// under.
 	Options experiments.Options
 	// Result is the completed simulation result, fault stats and
 	// skipped-cycle bookkeeping included.
@@ -124,10 +123,9 @@ var ErrCorrupt = errors.New("store: corrupt entry")
 
 // Envelope constants: an 8-byte magic, a version, the key, the payload
 // length, the payload's SHA-256, then the payload (see the package
-// comment for the two versions' payloads).
+// comment for its sections).
 const (
 	magic      = "PACSTOR1"
-	versionV1  = 1
 	version    = 2
 	journal    = "index.journal"
 	entryExt   = ".res"
@@ -222,8 +220,8 @@ func (s *Store) entryPath(key string) string {
 }
 
 // ValidKey reports whether key is a plausible content address: non-empty
-// lowercase hex, bounded length. It is the only key shape the store (and
-// the /v1/store/{key} endpoint) accepts, which keeps keys path-safe.
+// lowercase hex, bounded length. It is the only key shape the store
+// accepts, which keeps keys path-safe.
 func ValidKey(key string) bool {
 	if key == "" || len(key) > maxKeyLen {
 		return false
@@ -319,23 +317,16 @@ func (s *Store) reconcile() error {
 		if _, exists := s.entries[key]; exists {
 			continue
 		}
-		// Orphan: verify before adopting, as any envelope from outside the
-		// write path; delete when corrupt, rewrite when Verify rebuilt it.
+		// Orphan: adopt it only when it checks out, else count and remove
+		// it so the key is recomputed on its next miss.
 		blob, err := os.ReadFile(s.entryPath(key))
 		if err != nil {
 			continue
 		}
-		v, err := Verify(key, blob)
-		if err != nil {
+		if verifyOrphan(key, blob) != nil {
 			s.corrupt.Inc()
 			os.Remove(s.entryPath(key))
 			continue
-		}
-		if v.Rebuilt {
-			if err := s.writeEntryFile(key, v.blob); err != nil {
-				continue
-			}
-			size = int64(len(v.blob))
 		}
 		s.seq++
 		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq}
@@ -463,19 +454,18 @@ type Answer struct {
 // envelope is an entry file whose header and checksum verified, split
 // into its sections.
 type envelope struct {
-	version uint16
-	key     string
-	// answer holds the identity and answer sections (version 2 only).
+	key string
+	// answer holds the identity and answer sections.
 	answer Answer
 	// entry is the gob-encoded Entry.
 	entry []byte
 }
 
-// EncodeEntry serializes an entry into its version-2 envelope, rendering
-// the answer section from e.Result.
+// EncodeEntry serializes an entry into its envelope, rendering the
+// answer section from e.Result.
 func EncodeEntry(e Entry) ([]byte, error) { return encodeEntry(e, nil) }
 
-// encodeEntry builds a version-2 envelope. answer is the rendering of
+// encodeEntry builds an envelope. answer is the rendering of
 // e.Result the caller already holds; nil renders it here.
 func encodeEntry(e Entry, answer []byte) ([]byte, error) {
 	if !ValidKey(e.Key) {
@@ -507,16 +497,16 @@ func encodeEntry(e Entry, answer []byte) ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
 		return nil, fmt.Errorf("store: encoding entry: %w", err)
 	}
-	return seal(e.Key, version, payload.Bytes()), nil
+	return seal(e.Key, payload.Bytes()), nil
 }
 
 // seal frames a payload: magic, version, key, payload length, payload
 // SHA-256, payload.
-func seal(key string, v uint16, payload []byte) []byte {
+func seal(key string, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	out := make([]byte, 0, len(magic)+2+2+len(key)+8+len(sum)+len(payload))
 	out = append(out, magic...)
-	out = binary.BigEndian.AppendUint16(out, v)
+	out = binary.BigEndian.AppendUint16(out, version)
 	out = binary.BigEndian.AppendUint16(out, uint16(len(key)))
 	out = append(out, key...)
 	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
@@ -528,9 +518,8 @@ func seal(key string, v uint16, payload []byte) []byte {
 func corrupt(msg string) error { return fmt.Errorf("%w: %s", ErrCorrupt, msg) }
 
 // openEnvelope validates an envelope's header (magic, version, key
-// match, length) and checksum, and splits a version-2 payload into its
-// sections. It decodes no gob. An empty wantKey skips the key
-// comparison.
+// match, length) and checksum, and splits the payload into its sections.
+// It decodes no gob. An empty wantKey skips the key comparison.
 func openEnvelope(wantKey string, blob []byte) (envelope, error) {
 	if len(blob) < len(magic)+2+2 {
 		return envelope{}, corrupt("short header")
@@ -540,7 +529,7 @@ func openEnvelope(wantKey string, blob []byte) (envelope, error) {
 	}
 	blob = blob[len(magic):]
 	v := binary.BigEndian.Uint16(blob)
-	if v != versionV1 && v != version {
+	if v != version {
 		return envelope{}, corrupt(fmt.Sprintf("unsupported version %d", v))
 	}
 	blob = blob[2:]
@@ -565,10 +554,6 @@ func openEnvelope(wantKey string, blob []byte) (envelope, error) {
 	if sha256.Sum256(blob) != sum {
 		return envelope{}, corrupt("checksum mismatch")
 	}
-	env := envelope{version: v, key: key, entry: blob}
-	if v == versionV1 {
-		return env, nil
-	}
 	var fields [3]string
 	for i := range fields {
 		if len(blob) < 2 {
@@ -590,14 +575,15 @@ func openEnvelope(wantKey string, blob []byte) (envelope, error) {
 	if uint64(len(blob)) < n {
 		return envelope{}, corrupt("truncated answer")
 	}
-	env.answer = Answer{OptionsHash: fields[0], Benchmark: fields[1], Mode: fields[2], JSON: blob[:n:n]}
-	env.entry = blob[n:]
-	return env, nil
+	return envelope{
+		key:    key,
+		answer: Answer{OptionsHash: fields[0], Benchmark: fields[1], Mode: fields[2], JSON: blob[:n:n]},
+		entry:  blob[n:],
+	}, nil
 }
 
 // decode gob-decodes the envelope's entry and checks it against the
-// envelope: the same key and, for version 2, the same identity as the
-// identity section.
+// envelope: the same key and the same identity as the identity section.
 func (env envelope) decode() (Entry, error) {
 	var e Entry
 	if err := gob.NewDecoder(bytes.NewReader(env.entry)).Decode(&e); err != nil {
@@ -606,8 +592,7 @@ func (env envelope) decode() (Entry, error) {
 	if e.Key != env.key {
 		return Entry{}, corrupt("payload/envelope key mismatch")
 	}
-	if a := env.answer; env.version == version &&
-		(a.OptionsHash != e.OptionsHash || a.Benchmark != e.Benchmark || a.Mode != e.Mode) {
+	if a := env.answer; a.OptionsHash != e.OptionsHash || a.Benchmark != e.Benchmark || a.Mode != e.Mode {
 		return Entry{}, corrupt("identity section/payload mismatch")
 	}
 	return e, nil
@@ -624,71 +609,29 @@ func DecodeEntry(wantKey string, blob []byte) (Entry, error) {
 	return env.decode()
 }
 
-// decodeAnswer validates an envelope and returns its answer — the hit
-// path's read. A version-2 envelope is verified by its checksum alone and
-// its identity and answer sections returned as stored, with no gob
-// decode; the returned JSON aliases blob. A version-1 envelope is decoded
-// in full and its answer rendered from the result.
-func decodeAnswer(wantKey string, blob []byte) (Answer, error) {
-	env, err := openEnvelope(wantKey, blob)
+// verifyOrphan checks an orphan entry file — one the journal never
+// recorded, left by a crash between its rename and its journal append —
+// before Open adopts it: DecodeEntry must accept it, and its answer
+// section must be the rendering of its own decoded result. A checksum is
+// not a signature, so an envelope whose answer disagrees with its result
+// is never served; it is discarded and recomputed on the next miss.
+func verifyOrphan(key string, blob []byte) error {
+	env, err := openEnvelope(key, blob)
 	if err != nil {
-		return Answer{}, err
-	}
-	if env.version == version {
-		return env.answer, nil
+		return err
 	}
 	e, err := env.decode()
 	if err != nil {
-		return Answer{}, err
+		return err
 	}
 	js, err := json.Marshal(e.Result)
 	if err != nil {
-		return Answer{}, fmt.Errorf("store: rendering answer: %w", err)
+		return corrupt("rendering answer: " + err.Error())
 	}
-	return Answer{OptionsHash: e.OptionsHash, Benchmark: e.Benchmark, Mode: e.Mode, JSON: js}, nil
-}
-
-// Verified is an envelope that passed Verify; Store.PutVerified commits
-// it.
-type Verified struct {
-	Entry Entry
-	// Answer is this node's own rendering of Entry.Result.
-	Answer []byte
-	// Rebuilt reports that the verified envelope is not kept as it came:
-	// it was not version 2, or its answer section differed from Answer,
-	// so the envelope to store was re-encoded from Entry.
-	Rebuilt bool
-	blob    []byte
-}
-
-// Verify validates an envelope that came from outside this node's write
-// path: a ring peer's, a PutRaw caller's, or an orphan file found at
-// Open. On top of DecodeEntry's checks it renders the decoded result
-// itself. The envelope is kept verbatim only when it is version 2 and its
-// answer section equals that rendering; otherwise it is rebuilt from the
-// decoded entry. A checksum is not a signature, so a peer can never plant
-// answer bytes that this node then serves as its own.
-func Verify(wantKey string, blob []byte) (Verified, error) {
-	env, err := openEnvelope(wantKey, blob)
-	if err != nil {
-		return Verified{}, err
+	if !bytes.Equal(env.answer.JSON, js) {
+		return corrupt("answer section differs from the result")
 	}
-	e, err := env.decode()
-	if err != nil {
-		return Verified{}, err
-	}
-	js, err := json.Marshal(e.Result)
-	if err != nil {
-		return Verified{}, fmt.Errorf("store: rendering answer: %w", err)
-	}
-	v := Verified{Entry: e, Answer: js, blob: blob}
-	if env.version != version || !bytes.Equal(env.answer.JSON, js) {
-		if v.blob, err = encodeEntry(e, js); err != nil {
-			return Verified{}, err
-		}
-		v.Rebuilt = true
-	}
-	return v, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -707,31 +650,7 @@ func (s *Store) PutAnswer(e Entry, answer []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.commit(e.Key, blob)
-}
-
-// PutRaw commits an envelope that came from elsewhere (the peer-exchange
-// path). It goes through Verify first, so a corrupt blob never enters the
-// store and an answer section that disagrees with the envelope's own
-// result is never kept.
-func (s *Store) PutRaw(key string, blob []byte) error {
-	v, err := Verify(key, blob)
-	if err != nil {
-		return err
-	}
-	return s.PutVerified(v)
-}
-
-// PutVerified commits the envelope Verify chose to keep.
-func (s *Store) PutVerified(v Verified) error {
-	if v.blob == nil {
-		return errors.New("store: envelope was not verified")
-	}
-	return s.commit(v.Entry.Key, v.blob)
-}
-
-// commit durably writes a validated envelope and indexes it.
-func (s *Store) commit(key string, blob []byte) error {
+	key := e.Key
 	if err := s.writeEntryFile(key, blob); err != nil {
 		return err
 	}
@@ -742,10 +661,10 @@ func (s *Store) commit(key string, blob []byte) error {
 	}
 	size := int64(len(blob))
 	s.seq++
-	if e, exists := s.entries[key]; exists {
-		s.bytes += size - e.size
-		e.size = size
-		e.seq = s.seq
+	if ie, exists := s.entries[key]; exists {
+		s.bytes += size - ie.size
+		ie.size = size
+		ie.seq = s.seq
 	} else {
 		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq}
 		s.bytes += size
@@ -796,7 +715,7 @@ func (s *Store) writeEntryFile(key string, blob []byte) error {
 // counted, removed, and reported as a miss — never an error. A hit
 // refreshes the key's LRU recency.
 func (s *Store) Get(key string) (Entry, bool) {
-	blob, ok := s.getRaw(key)
+	blob, ok := s.readEntry(key)
 	if !ok {
 		return Entry{}, false
 	}
@@ -808,46 +727,29 @@ func (s *Store) Get(key string) (Entry, bool) {
 	return e, true
 }
 
-// Answer loads the entry for key as its answer (decodeAnswer): for a
-// version-2 file, a read and a checksum, nothing decoded. It counts and
-// refreshes recency exactly as Get does. The JSON is copied out of the
-// file buffer, so a caller that keeps it (a finished job does) does not
-// keep the whole envelope alive.
+// Answer loads the entry for key as its answer: a read and a checksum,
+// the identity and answer sections returned as stored, nothing decoded.
+// It counts, discards corrupt files and refreshes recency exactly as Get
+// does. The JSON is copied out of the file buffer, so a caller that keeps
+// it (a finished job does) does not keep the whole envelope alive.
 func (s *Store) Answer(key string) (Answer, bool) {
-	blob, ok := s.getRaw(key)
+	blob, ok := s.readEntry(key)
 	if !ok {
 		return Answer{}, false
 	}
-	a, err := decodeAnswer(key, blob)
-	if errors.Is(err, ErrCorrupt) {
-		s.discardCorrupt(key)
-	}
+	env, err := openEnvelope(key, blob)
 	if err != nil {
+		s.discardCorrupt(key)
 		return Answer{}, false
 	}
+	a := env.answer
 	a.JSON = bytes.Clone(a.JSON)
 	return a, true
 }
 
-// GetRaw returns the raw envelope bytes for key after the same
-// checksum-only verification Answer does — the peer-exchange serving path
-// (GET /v1/store/{key} streams these bytes verbatim, checksum included,
-// so the fetching node can re-verify them).
-func (s *Store) GetRaw(key string) ([]byte, bool) {
-	blob, ok := s.getRaw(key)
-	if !ok {
-		return nil, false
-	}
-	if _, err := openEnvelope(key, blob); err != nil {
-		s.discardCorrupt(key)
-		return nil, false
-	}
-	return blob, true
-}
-
-// getRaw reads the entry bytes and refreshes LRU recency; the caller
+// readEntry reads the entry bytes and refreshes LRU recency; the caller
 // validates the envelope.
-func (s *Store) getRaw(key string) ([]byte, bool) {
+func (s *Store) readEntry(key string) ([]byte, bool) {
 	if !ValidKey(key) {
 		s.misses.Inc()
 		return nil, false
@@ -892,32 +794,6 @@ func (s *Store) discardCorrupt(key string) {
 	}
 }
 
-// Peek loads and validates the entry for key without counting hit/miss
-// metrics or refreshing LRU recency — the warm-boot read path, which
-// must not masquerade as serving traffic. Corrupt entries are still
-// counted and discarded.
-func (s *Store) Peek(key string) (Entry, bool) {
-	if !ValidKey(key) {
-		return Entry{}, false
-	}
-	s.mu.Lock()
-	_, exists := s.entries[key]
-	s.mu.Unlock()
-	if !exists {
-		return Entry{}, false
-	}
-	blob, err := os.ReadFile(s.entryPath(key))
-	if err != nil {
-		return Entry{}, false
-	}
-	e, derr := DecodeEntry(key, blob)
-	if derr != nil {
-		s.discardCorrupt(key)
-		return Entry{}, false
-	}
-	return e, true
-}
-
 // Has reports whether key is resident, without touching metrics or LRU
 // order.
 func (s *Store) Has(key string) bool {
@@ -925,23 +801,6 @@ func (s *Store) Has(key string) bool {
 	defer s.mu.Unlock()
 	_, ok := s.entries[key]
 	return ok
-}
-
-// Keys returns every resident key, most recently used first — the warm
-// boot order.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ordered := make([]*idxEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		ordered = append(ordered, e)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq > ordered[j].seq })
-	keys := make([]string, len(ordered))
-	for i, e := range ordered {
-		keys[i] = e.key
-	}
-	return keys
 }
 
 // Len returns the resident entry count.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -112,9 +111,14 @@ func TestReopenReplaysJournal(t *testing.T) {
 	if s2.Len() != 5 {
 		t.Fatalf("reopened Len = %d, want 5", s2.Len())
 	}
-	keys := s2.Keys()
-	if keys[0] != key(0) {
-		t.Fatalf("MRU key after reopen = %s, want %s (touched last)", keys[0], key(0))
+	var mru *idxEntry
+	for _, e := range s2.entries {
+		if mru == nil || e.seq > mru.seq {
+			mru = e
+		}
+	}
+	if mru.key != key(0) {
+		t.Fatalf("MRU key after reopen = %s, want %s (touched last)", mru.key, key(0))
 	}
 	for i := 0; i < 5; i++ {
 		e, ok := s2.Get(key(i))
@@ -347,37 +351,6 @@ func TestCompactionShrinksJournal(t *testing.T) {
 	}
 }
 
-func TestGetRawRoundTripsThroughPutRaw(t *testing.T) {
-	dir1, dir2 := t.TempDir(), t.TempDir()
-	a := mustOpen(t, Config{Dir: dir1})
-	b := mustOpen(t, Config{Dir: dir2})
-	if err := a.Put(testEntry(key(0), 777)); err != nil {
-		t.Fatal(err)
-	}
-	blob, ok := a.GetRaw(key(0))
-	if !ok {
-		t.Fatal("GetRaw missed")
-	}
-	// The peer path: node b validates and stores a's bytes verbatim.
-	if err := b.PutRaw(key(0), blob); err != nil {
-		t.Fatalf("PutRaw: %v", err)
-	}
-	blob2, ok := b.GetRaw(key(0))
-	if !ok || !bytes.Equal(blob, blob2) {
-		t.Fatal("peer copy is not byte-identical")
-	}
-	e, ok := b.Get(key(0))
-	if !ok || e.Result.Cycles != 777 {
-		t.Fatalf("peer copy decode: ok=%v e=%+v", ok, e)
-	}
-	// A tampered blob must be rejected before it can enter the store.
-	bad := append([]byte(nil), blob...)
-	bad[len(bad)-4] ^= 0x01
-	if err := b.PutRaw(key(1), bad); err == nil {
-		t.Fatal("PutRaw accepted a corrupt blob")
-	}
-}
-
 func TestRejectsInvalidKeys(t *testing.T) {
 	s := mustOpen(t, Config{Dir: t.TempDir()})
 	for _, k := range []string{"", "UPPER", "../escape", "a b", strings.Repeat("a", maxKeyLen+1)} {
@@ -504,65 +477,48 @@ func metricValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 // fixtureKey is the key testdata/v1.res was written under.
 const fixtureKey = "5eed0000000000a1"
 
-// TestV1EntryStillServes: testdata/v1.res is an entry file written by the
-// version-1 envelope (the gob entry alone, no answer section). A store
-// directory holding it keeps working: the entry still Gets, its disk-hit
-// answer — rendered from the decoded result — decodes equal to that
-// result, and the file is neither rewritten nor discarded.
-func TestV1EntryStillServes(t *testing.T) {
+// TestV1EntryDiscarded: testdata/v1.res is an entry file written by the
+// retired version-1 envelope (the gob entry alone, no answer section).
+// Whether the journal indexes it or it is an orphan, Open succeeds, and
+// the file is counted as corrupt, removed, and missed on the next read,
+// so the result is recomputed.
+func TestV1EntryDiscarded(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "v1.res"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env, err := openEnvelope(fixtureKey, blob); err != nil || env.version != versionV1 {
-		t.Fatalf("fixture is not a version-1 envelope: version %d, %v", env.version, err)
+	if v := binary.BigEndian.Uint16(blob[len(magic):]); v != 1 {
+		t.Fatalf("fixture is a version-%d envelope, want version 1", v)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, fixtureKey+entryExt), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	record := formatRecord("put", fixtureKey, int64(len(blob)))
-	if err := os.WriteFile(filepath.Join(dir, journal), []byte(record), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	s := mustOpen(t, Config{Dir: dir, Registry: reg})
-
-	e, ok := s.Get(fixtureKey)
-	if !ok {
-		t.Fatal("version-1 entry does not Get")
-	}
-	if e.Benchmark != "STREAM" || e.Mode != "PAC" || e.Result == nil || e.Result.Cycles == 0 {
-		t.Fatalf("version-1 entry decoded as %s/%s %+v", e.Benchmark, e.Mode, e.Result)
-	}
-	a, ok := s.Answer(fixtureKey)
-	if !ok {
-		t.Fatal("version-1 entry has no answer")
-	}
-	if a.OptionsHash != e.OptionsHash || a.Benchmark != e.Benchmark || a.Mode != e.Mode {
-		t.Errorf("answer identity %s/%s/%s, entry %s/%s/%s",
-			a.OptionsHash, a.Benchmark, a.Mode, e.OptionsHash, e.Benchmark, e.Mode)
-	}
-	want, err := json.Marshal(e.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got, wantV any
-	if err := json.Unmarshal(a.JSON, &got); err != nil {
-		t.Fatalf("answer is not JSON: %v", err)
-	}
-	json.Unmarshal(want, &wantV)
-	if !reflect.DeepEqual(got, wantV) {
-		t.Error("version-1 answer differs from its decoded result")
-	}
-	if raw, ok := s.GetRaw(fixtureKey); !ok || !bytes.Equal(raw, blob) {
-		t.Error("version-1 entry not served verbatim to peers")
-	}
-	if onDisk, _ := os.ReadFile(filepath.Join(dir, fixtureKey+entryExt)); !bytes.Equal(onDisk, blob) {
-		t.Error("version-1 entry file rewritten")
-	}
-	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 0 {
-		t.Errorf("pac_store_corrupt_total = %v, want 0", got)
+	for _, indexed := range []bool{true, false} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fixtureKey+entryExt)
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if indexed {
+			record := formatRecord("put", fixtureKey, int64(len(blob)))
+			if err := os.WriteFile(filepath.Join(dir, journal), []byte(record), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := telemetry.NewRegistry()
+		s := mustOpen(t, Config{Dir: dir, Registry: reg})
+		if _, ok := s.Answer(fixtureKey); ok {
+			t.Fatalf("indexed=%v: version-1 entry answered", indexed)
+		}
+		if _, ok := s.Get(fixtureKey); ok {
+			t.Fatalf("indexed=%v: version-1 entry decoded", indexed)
+		}
+		if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
+			t.Errorf("indexed=%v: pac_store_corrupt_total = %v, want 1", indexed, got)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("indexed=%v: version-1 entry file not removed", indexed)
+		}
+		if s.Len() != 0 {
+			t.Errorf("indexed=%v: Len = %d, want 0", indexed, s.Len())
+		}
 	}
 }
 
@@ -615,12 +571,12 @@ func TestDecodeEntryChecksIdentitySection(t *testing.T) {
 	lEnv, _ := openEnvelope(key(0), lying)
 	sections := payloadOf(lying)
 	sections = sections[:len(sections)-len(lEnv.entry)]
-	blob := seal(key(0), version, append(append([]byte(nil), sections...), gEnv.entry...))
+	blob := seal(key(0), append(append([]byte(nil), sections...), gEnv.entry...))
 	if _, err := DecodeEntry(key(0), blob); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("identity mismatch decoded: %v", err)
 	}
-	if _, err := Verify(key(0), blob); err == nil {
-		t.Fatal("Verify accepted an identity mismatch")
+	if err := verifyOrphan(key(0), blob); err == nil {
+		t.Fatal("verifyOrphan accepted an identity mismatch")
 	}
 }
 
@@ -630,12 +586,10 @@ func payloadOf(blob []byte) []byte {
 	return blob[h:]
 }
 
-// TestForeignAnswerNeverKept: an envelope with a valid checksum and
-// identity whose answer section disagrees with its own result — what a
-// faulty or hostile peer could send — is rebuilt by PutRaw and by orphan
-// adoption, so the store answers with its own rendering of the result,
-// never with the planted bytes. A version-1 envelope from outside is
-// rebuilt as version 2.
+// TestForeignAnswerNeverKept: an orphan entry file with a valid checksum
+// and identity whose answer section disagrees with its own result — bytes
+// this node's write path never produces — is counted and removed at Open,
+// never adopted, so its planted answer is never served.
 func TestForeignAnswerNeverKept(t *testing.T) {
 	forged, err := encodeEntry(testEntry(key(0), 777), []byte(`{"Cycles":1}`))
 	if err != nil {
@@ -644,70 +598,39 @@ func TestForeignAnswerNeverKept(t *testing.T) {
 	if _, err := DecodeEntry(key(0), forged); err != nil {
 		t.Fatalf("forged envelope is not well-formed: %v", err)
 	}
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1.res"))
-	if err != nil {
+	if err := verifyOrphan(key(0), forged); err == nil {
+		t.Fatal("verifyOrphan accepted a forged answer")
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, key(0)+entryExt)
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name, key string
-		blob      []byte
-	}{{"forged", key(0), forged}, {"version 1", fixtureKey, v1}} {
-		v, err := Verify(tc.key, tc.blob)
-		if err != nil || !v.Rebuilt {
-			t.Fatalf("%s: Verify rebuilt=%v err=%v", tc.name, v.Rebuilt, err)
-		}
-
-		// Through PutRaw, the peer-exchange path.
-		s := mustOpen(t, Config{Dir: t.TempDir()})
-		if err := s.PutRaw(tc.key, tc.blob); err != nil {
-			t.Fatalf("%s: PutRaw: %v", tc.name, err)
-		}
-		checkRebuilt(t, s, tc.key, tc.blob)
-
-		// As an orphan file found at Open.
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, tc.key+entryExt), tc.blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		checkRebuilt(t, mustOpen(t, Config{Dir: dir}), tc.key, tc.blob)
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: dir, Registry: reg})
+	if a, ok := s.Answer(key(0)); ok {
+		t.Fatalf("forged orphan answered %s", a.JSON)
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
+		t.Errorf("pac_store_corrupt_total = %v, want 1", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("forged orphan not removed")
 	}
 }
 
-// checkRebuilt asserts the store holds a version-2 rebuild of foreign,
-// answering with its own rendering of the decoded result.
-func checkRebuilt(t *testing.T, s *Store, key string, foreign []byte) {
-	t.Helper()
-	raw, ok := s.GetRaw(key)
-	if !ok {
-		t.Fatal("entry not stored")
-	}
-	if bytes.Equal(raw, foreign) {
-		t.Fatal("foreign envelope stored verbatim")
-	}
-	if env, _ := openEnvelope(key, raw); env.version != version {
-		t.Fatalf("stored envelope is version %d", env.version)
-	}
-	e, ok := s.Get(key)
-	if !ok {
-		t.Fatal("rebuilt entry does not Get")
-	}
-	want, _ := json.Marshal(e.Result)
-	if a, ok := s.Answer(key); !ok || !bytes.Equal(a.JSON, want) {
-		t.Fatalf("answer %s, want %s", a.JSON, want)
-	}
-}
-
-// TestGetRawVerifiesChecksum: GetRaw, which serves peers, verifies the
+// TestAnswerVerifiesChecksum: Answer, the hit path's read, verifies the
 // envelope by its checksum alone, which still catches a bit flip in the
 // middle of the payload.
-func TestGetRawVerifiesChecksum(t *testing.T) {
+func TestAnswerVerifiesChecksum(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: dir, Registry: reg})
 	if err := s.Put(testEntry(key(0), 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetRaw(key(0)); !ok {
-		t.Fatal("GetRaw missed")
+	if _, ok := s.Answer(key(0)); !ok {
+		t.Fatal("Answer missed")
 	}
 	path := filepath.Join(dir, key(0)+entryExt)
 	blob, _ := os.ReadFile(path)
@@ -715,7 +638,10 @@ func TestGetRawVerifiesChecksum(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetRaw(key(0)); ok {
-		t.Fatal("GetRaw served a corrupt envelope")
+	if _, ok := s.Answer(key(0)); ok {
+		t.Fatal("Answer served a corrupt envelope")
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
+		t.Errorf("pac_store_corrupt_total = %v, want 1", got)
 	}
 }

@@ -323,8 +323,7 @@ func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 // Durable result store (cmd/pacd -store): a crash-safe, content-addressed
 // store of completed simulation results keyed by the canonical options
 // hash + sim key. Attach one to ServerConfig.Store so restarts answer
-// repeat requests from disk and fleet peers exchange entries over GET
-// /v1/store/{key}. See internal/store and DESIGN.md §11.
+// repeat requests from disk. See internal/store and DESIGN.md §11.
 type (
 	// StoreConfig parameterises OpenStore.
 	StoreConfig = store.Config

@@ -1,29 +1,18 @@
 #!/usr/bin/env bash
-# End-to-end durable-store smoke. Phase 1 (single node): simulate, restart
-# pacd over the same store directory, and require the repeat request to be
-# a disk hit with zero new simulation runs; restart again with warm-up on
-# and require a memo hit straight from boot. Phase 2 (3-node fleet): kill
-# a key's owning node, let a survivor simulate + store the key, bring the
-# owner back with an EMPTY store, and require it to answer from the
-# survivor's store over peer exchange (X-Pac-Cache: peer). Emits
-# BENCH_store.json (warm-boot latency, hit latencies, disk-hit ratio).
+# End-to-end durable-store smoke (single node): simulate, restart pacd
+# over the same store directory, and require the repeat request to be a
+# disk hit with zero new simulation runs.
 #
-# Usage: scripts/smoke_store.sh [pacd-port [gw-port b0-port b1-port b2-port]]
+# Usage: scripts/smoke_store.sh [pacd-port]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 P0="${1:-${PACD_PORT:-18095}}"
-GW_PORT="${2:-18096}"
-B0_PORT="${3:-18097}"
-B1_PORT="${4:-18098}"
-B2_PORT="${5:-18099}"
 D="http://127.0.0.1:$P0"
-GW="http://127.0.0.1:$GW_PORT"
 
 BINDIR="$(mktemp -d)"
 STOREDIR="$(mktemp -d)"
-FLEETDIR="$(mktemp -d)"
 LOGDIR="$(mktemp -d)"
 PIDS=()
 
@@ -34,7 +23,7 @@ cleanup() {
       wait "$pid" 2>/dev/null || true
     fi
   done
-  rm -rf "$BINDIR" "$STOREDIR" "$FLEETDIR" "$LOGDIR"
+  rm -rf "$BINDIR" "$STOREDIR" "$LOGDIR"
 }
 trap cleanup EXIT
 
@@ -48,7 +37,6 @@ fail() {
 }
 
 go build -o "$BINDIR/pacd" ./cmd/pacd
-go build -o "$BINDIR/pacgw" ./cmd/pacgw
 
 wait_up() { # wait_up URL PID NAME
   local up=""
@@ -75,10 +63,7 @@ cache_header() { awk 'tolower($1) == "x-pac-cache:" {print $2}' "$1" | tr -d '\r
 
 body='{"benchmark": "GS", "mode": "pac"}'
 
-# ---------------------------------------------------------------------
-# Phase 1: single-node durability across restarts.
-
-"$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" -store-warm 0 \
+"$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" \
   >"$LOGDIR/pacd1.log" 2>&1 &
 D_PID=$!
 PIDS+=("$D_PID")
@@ -101,8 +86,8 @@ status=0; wait "$D_PID" || status=$?
 grep -q "drained cleanly" "$LOGDIR/pacd1.log" || fail "boot-1 drain not clean"
 [ -s "$STOREDIR/index.journal" ] || fail "no index journal after clean shutdown"
 
-# Boot 2: warm-up disabled, so the repeat request must hit the DISK path.
-"$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" -store-warm 0 \
+# Boot 2: an empty memo, so the repeat request must hit the DISK path.
+"$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" \
   >"$LOGDIR/pacd2.log" 2>&1 &
 D_PID=$!
 PIDS+=("$D_PID")
@@ -123,137 +108,4 @@ echo "smoke-store: restart + disk hit ok (${disk_ms}ms, hits=$hits, sims=0)"
 
 kill -TERM "$D_PID"
 wait "$D_PID" || fail "pacd boot 2 did not drain cleanly"
-
-# Boot 3: warm-up on — the session memo is seeded from the index, so the
-# very first request is a memo hit.
-"$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" -store-warm 256 \
-  >"$LOGDIR/pacd3.log" 2>&1 &
-D_PID=$!
-PIDS+=("$D_PID")
-wait_up "$D" "$D_PID" "pacd (boot 3)"
-
-warmed=$(metric "$D" pac_store_warmed_total)
-[ "$warmed" != "0" ] || fail "warm boot seeded 0 entries"
-warm_s=$(metric "$D" pac_store_warm_seconds)
-hdr="$(mktemp)"
-t0=$(now_ms)
-third=$(simulate "$D" "$body" "$hdr")
-memo_ms=$(( $(now_ms) - t0 ))
-echo "$third" | grep -q '"status": "done"' || fail "warm-boot simulate did not finish: $third"
-[ "$(cache_header "$hdr")" = "memo" ] || fail "warm-boot cache source '$(cache_header "$hdr")', want memo"
-rm -f "$hdr"
-[ "$(metric "$D" pac_sims_started_total)" = "0" ] || fail "warm boot still ran a simulation"
-echo "smoke-store: warm boot ok (warmed=$warmed in ${warm_s}s, memo hit ${memo_ms}ms)"
-
-kill -TERM "$D_PID"
-wait "$D_PID" || fail "pacd boot 3 did not drain cleanly"
-
-# ---------------------------------------------------------------------
-# Phase 2: 3-node fleet, cold node answers from a peer's store.
-
-B=(b0 b1 b2)
-PORTS=("$B0_PORT" "$B1_PORT" "$B2_PORT")
-declare -A B_PID
-start_backend() { # start_backend INDEX STORE_SUFFIX
-  local i="$1" dir="$FLEETDIR/${B[$1]}$2"
-  mkdir -p "$dir"
-  "$BINDIR/pacd" -addr "127.0.0.1:${PORTS[$i]}" -quick -node "${B[$i]}" \
-    -store "$dir" -store-warm 0 >>"$LOGDIR/${B[$i]}.log" 2>&1 &
-  B_PID[$i]=$!
-  PIDS+=("${B_PID[$i]}")
-  wait_up "http://127.0.0.1:${PORTS[$i]}" "${B_PID[$i]}" "pacd ${B[$i]}"
-}
-for i in 0 1 2; do start_backend "$i" ""; done
-
-BACKENDS="http://127.0.0.1:$B0_PORT,http://127.0.0.1:$B1_PORT,http://127.0.0.1:$B2_PORT"
-"$BINDIR/pacgw" -addr "127.0.0.1:$GW_PORT" -backends "$BACKENDS" -quick \
-  -health-interval 200ms -fail-after 2 -recover-after 2 >"$LOGDIR/pacgw.log" 2>&1 &
-GW_PID=$!
-PIDS+=("$GW_PID")
-wait_up "$GW" "$GW_PID" "pacgw"
-curl -fsS "$GW/healthz" | grep -q '"backendsUp": 3' || fail "gateway does not see 3 backends"
-echo "smoke-store: fleet of 3 + gateway up"
-
-# Route one key, note its owner.
-fleet_body='{"benchmark": "STREAM", "mode": "pac"}'
-hdr="$(mktemp)"
-resp=$(simulate "$GW" "$fleet_body" "$hdr")
-echo "$resp" | grep -q '"status": "done"' || fail "fleet simulate did not finish: $resp"
-owner=$(awk 'tolower($1) == "x-pac-backend:" {print $2}' "$hdr" | tr -d '\r')
-[ "$(cache_header "$hdr")" = "miss" ] || fail "fleet first simulate not a miss"
-rm -f "$hdr"
-owner_i=""
-for i in 0 1 2; do
-  [ "$owner" = "http://127.0.0.1:${PORTS[$i]}" ] && owner_i=$i
-done
-[ -n "$owner_i" ] || fail "unrecognised owner '$owner'"
-echo "smoke-store: key owned by ${B[$owner_i]}"
-
-# Kill the owner; a survivor simulates the key and stores it durably.
-kill -9 "${B_PID[$owner_i]}"
-wait "${B_PID[$owner_i]}" 2>/dev/null || true
-for _ in $(seq 1 100); do
-  [ "$(metric "$GW" pac_gw_ejections_total)" != "0" ] && break
-  sleep 0.1
-done
-[ "$(metric "$GW" pac_gw_ejections_total)" != "0" ] || fail "owner kill never ejected"
-hdr="$(mktemp)"
-resp=$(simulate "$GW" "$fleet_body" "$hdr")
-echo "$resp" | grep -q '"status": "done"' || fail "failover simulate did not finish: $resp"
-survivor=$(awk 'tolower($1) == "x-pac-backend:" {print $2}' "$hdr" | tr -d '\r')
-[ "$survivor" != "$owner" ] || fail "dead owner still serving"
-rm -f "$hdr"
-echo "smoke-store: failover node $survivor simulated + stored the key"
-
-# Owner returns COLD: same node name and port, empty store. After the
-# gateway reinstates it, the key routes home; the cold node misses memo
-# and disk and must answer from the survivor's store via peer exchange.
-start_backend "$owner_i" "-cold"
-for _ in $(seq 1 150); do
-  curl -fsS "$GW/healthz" | grep -q '"backendsUp": 3' && break
-  sleep 0.1
-done
-curl -fsS "$GW/healthz" | grep -q '"backendsUp": 3' || fail "revived owner never reinstated"
-
-hdr="$(mktemp)"
-t0=$(now_ms)
-resp=$(simulate "$GW" "$fleet_body" "$hdr")
-peer_ms=$(( $(now_ms) - t0 ))
-echo "$resp" | grep -q '"status": "done"' || fail "cold-owner simulate did not finish: $resp"
-served=$(awk 'tolower($1) == "x-pac-backend:" {print $2}' "$hdr" | tr -d '\r')
-[ "$served" = "$owner" ] || fail "key did not route home after recovery (served by $served)"
-src=$(cache_header "$hdr")
-[ "$src" = "peer" ] || fail "cold owner cache source '$src', want peer"
-rm -f "$hdr"
-peer_hits=$(metric "$owner" pac_store_peer_hits_total)
-[ "$peer_hits" != "0" ] || fail "pac_store_peer_hits_total did not move on the cold owner"
-[ "$(metric "$owner" pac_sims_started_total)" = "0" ] || fail "cold owner re-simulated instead of peer-fetching"
-echo "smoke-store: cold node answered from peer store ok (${peer_ms}ms, peer_hits=$peer_hits)"
-
-# ---------------------------------------------------------------------
-# Benchmark artifact.
-store_hits=$(metric "$owner" pac_store_hits_total)
-store_misses=$(metric "$owner" pac_store_misses_total)
-total=$((store_hits + store_misses))
-ratio=0
-[ "$total" != "0" ] && ratio=$(awk -v h="$store_hits" -v t="$total" 'BEGIN {printf "%.4f", h/t}')
-cat > BENCH_store.json <<EOF
-{
-  "schema": "pac-bench-store/v1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "singleNode": {
-    "missLatencyMs": $miss_ms,
-    "diskHitLatencyMs": $disk_ms,
-    "memoHitLatencyMs": $memo_ms,
-    "warmBootSeconds": $warm_s,
-    "warmedEntries": $warmed
-  },
-  "fleet": {
-    "peerHitLatencyMs": $peer_ms,
-    "coldOwnerPeerHits": $peer_hits,
-    "coldOwnerStoreHitRatio": $ratio
-  }
-}
-EOF
-echo "smoke-store: wrote BENCH_store.json (miss ${miss_ms}ms -> disk ${disk_ms}ms -> memo ${memo_ms}ms, peer ${peer_ms}ms)"
 echo "smoke-store: PASS"
