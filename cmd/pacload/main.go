@@ -84,12 +84,7 @@ func main() {
 	if *hotKeys < 1 {
 		*hotKeys = 1
 	}
-	// Hot bodies: a fixed, repeating set (seed 0 inherits the fleet base
-	// options, so the whole hot set lives in the base session caches).
-	hotBodies := make([][]byte, *hotKeys)
-	for i := range hotBodies {
-		hotBodies[i] = simBody(benches[i%len(benches)], *mode, 0)
-	}
+	hotBodies := hotSet(benches, *mode, *hotKeys)
 
 	client := &http.Client{}
 	var (
@@ -350,6 +345,21 @@ func streamEvents(r io.Reader, lastID *string) (done bool, err error) {
 		}
 	}
 	return false, sc.Err()
+}
+
+// hotSet builds the n hot request bodies: a fixed, repeating set of n
+// distinct keys. The first pass over the benchmarks uses seed 0, which
+// inherits the fleet base options, so those keys live in the base
+// session caches; each later pass takes the next seed (1, 2, ...), far
+// below the cold stream's seeds. A later pass repeats the first pass's
+// keys only if the fleet's base seed is that pass's seed (pacd's
+// default is 42).
+func hotSet(benches []string, mode string, n int) [][]byte {
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		bodies[i] = simBody(benches[i%len(benches)], mode, uint64(i/len(benches)))
+	}
+	return bodies
 }
 
 func simBody(bench, mode string, seed uint64) []byte {

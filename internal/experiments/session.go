@@ -39,8 +39,9 @@ type CheckpointPolicy struct {
 	// Every is the checkpoint cadence in simulated cycles (<= 0
 	// disables emission; Load/Drop still apply).
 	Every int64
-	// Sink receives each emitted checkpoint. It runs on the simulation
-	// goroutine, so slow sinks stretch the run.
+	// Sink receives each emitted checkpoint, a deep copy that stays
+	// valid. It runs on the simulation goroutine, so slow sinks stretch
+	// the run; a sink that persists should hand the copy off.
 	Sink func(bench string, mode coalesce.Mode, ck *sim.Checkpoint)
 	// Load returns the stored checkpoint for a key, or nil.
 	Load func(bench string, mode coalesce.Mode) *sim.Checkpoint

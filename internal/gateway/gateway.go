@@ -185,11 +185,11 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	sort.Strings(g.names)
 	g.affHits = g.reg.Counter("pac_gw_affinity_hits_total",
-		"Routed requests served by their key's primary ring owner.")
+		"Routed requests served by their intended node (the key's ring owner, or a sweep cell's assigned node).")
 	g.affMisses = g.reg.Counter("pac_gw_affinity_misses_total",
-		"Routed requests served by a failover candidate instead of the primary owner.")
+		"Routed requests served by a failover candidate instead of their intended node.")
 	g.reg.GaugeFunc("pac_gw_affinity_hit_ratio",
-		"Fraction of routed requests that reached their primary owner (1.0 on a healthy fleet).",
+		"Fraction of routed requests that reached their intended node (1.0 on a healthy fleet).",
 		func() float64 {
 			h, m := g.affHits.Value(), g.affMisses.Value()
 			if h+m == 0 {
@@ -517,14 +517,22 @@ type proxyResult struct {
 	backend *backend
 }
 
-// dispatch routes one buffered request by key: it walks the key's
-// failover candidates (live ones first), retrying transport errors and
-// gateway-class 5xx (502/503/504) with the daemon's jittered exponential
-// backoff, and returns the first conclusive response. 429 is conclusive
-// by design: the backend is telling the fleet to shed load, so the
-// gateway propagates Retry-After instead of retrying hot.
+// dispatch routes one buffered request by key down the key's ring
+// order; see dispatchTo.
 func (g *Gateway) dispatch(ctx context.Context, key, method, path, query string, body []byte, hdr http.Header) (proxyResult, error) {
-	cands := g.ring.Candidates(key, g.ring.Len())
+	return g.dispatchTo(ctx, g.ring.Candidates(key, g.ring.Len()), method, path, query, body, hdr)
+}
+
+// dispatchTo sends one buffered request down a candidate order whose
+// head is the intended node: the key's ring owner, or the node a sweep
+// assigned the cell (sweepOrders). It walks the live candidates,
+// retrying transport errors and gateway-class 5xx (502/503/504) with the
+// daemon's jittered exponential backoff, and returns the first
+// conclusive response. 429 is conclusive by design: the backend is
+// telling the fleet to shed load, so the gateway propagates Retry-After
+// instead of retrying hot. An answer from the intended node is an
+// affinity hit.
+func (g *Gateway) dispatchTo(ctx context.Context, cands []string, method, path, query string, body []byte, hdr http.Header) (proxyResult, error) {
 	primaryName := ""
 	if len(cands) > 0 {
 		primaryName = cands[0]

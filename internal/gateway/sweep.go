@@ -15,8 +15,9 @@ import (
 
 // SweepRequest is the body of POST /v1/sweep: one simulation per
 // (benchmark, mode) pair, fanned out across the fleet by each pair's
-// canonical routing key and merged into one table. Zero-valued option
-// fields inherit the fleet base options, exactly like /v1/simulate.
+// canonical routing key under a per-sweep load bound (sweepOrders) and
+// merged into one table. Zero-valued option fields inherit the fleet
+// base options, exactly like /v1/simulate.
 type SweepRequest struct {
 	// Benchmarks to sweep; empty means the canonical suite.
 	Benchmarks []string `json:"benchmarks"`
@@ -84,11 +85,12 @@ type SweepResponse struct {
 }
 
 // sweepPair is one (benchmark, mode) cell with its pre-resolved routing
-// key and forward body.
+// key, forward body and candidate order (sweepOrders).
 type sweepPair struct {
 	bench, mode string
 	key         string
 	body        []byte
+	order       []string
 }
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -112,9 +114,9 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.SweepTimeout)
 	defer cancel()
 	g.reg.Counter("pac_gw_sweeps_total", "Sweep fan-outs started.").Inc()
+	g.sweepOrders(pairs)
 
-	// Fan out in request order: every pair dispatches by its own key, so
-	// the cells land on (and warm the memo of) their canonical shards.
+	// Fan out in request order, each pair down its own candidate order.
 	// Results slot into place by index; completion order never matters.
 	rows := make([]sweepRow, len(pairs))
 	errs := make([]error, len(pairs))
@@ -208,6 +210,42 @@ func (g *Gateway) sweepPairs(req SweepRequest) ([]sweepPair, error) {
 	return pairs, nil
 }
 
+// sweepOrders gives every cell its candidate order by consistent
+// hashing with bounded loads (Mirrokni, Thorup and Zadimoghaddam, SODA
+// 2018), applied within one sweep. With cap = ceil(cells / live
+// backends), the cells are walked in request order and each goes to the
+// first live node of its ring order that holds fewer than cap of this
+// sweep's cells; its failover order is that node, then the rest of its
+// ring order. A sweep waits for its busiest node, and ring ownership
+// alone leaves that node a binomial share (6.2 of 10 cells on average
+// over two nodes); the bound makes it 5. The plan depends only on the
+// cells and the live set, so a repeated sweep on the same fleet routes
+// every cell to the node that already holds its result.
+func (g *Gateway) sweepOrders(pairs []sweepPair) {
+	live := len(g.alive(g.names))
+	if live == 0 {
+		live = 1 // dispatch reports the dead fleet per cell
+	}
+	limit := (len(pairs) + live - 1) / live
+	load := make(map[string]int, live)
+	for i := range pairs {
+		cands := g.ring.Candidates(pairs[i].key, g.ring.Len())
+		for j, name := range cands {
+			if load[name] >= limit || !g.backends[name].isUp() {
+				continue
+			}
+			load[name]++
+			if j > 0 {
+				order := append(make([]string, 0, len(cands)), name)
+				order = append(order, cands[:j]...)
+				cands = append(order, cands[j+1:]...)
+			}
+			break
+		}
+		pairs[i].order = cands
+	}
+}
+
 // sweepRow is the per-cell extract of one simulation result: exactly the
 // fields the merged table derives its cells from.
 type sweepRow struct {
@@ -229,10 +267,10 @@ type gwJobView struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// runSweepSim executes one cell: dispatch by key, await the job, decode
-// the result. A backend dying mid-job loses that job with it, so the
-// whole cell is re-dispatched (the ring then routes it to a failover
-// candidate) a bounded number of times.
+// runSweepSim executes one cell: dispatch down its candidate order,
+// await the job, decode the result. A backend dying mid-job loses that
+// job with it, so the whole cell is re-dispatched (past the ejected node
+// to its next candidate) a bounded number of times.
 func (g *Gateway) runSweepSim(ctx context.Context, p sweepPair) (sweepRow, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -257,7 +295,7 @@ func (g *Gateway) runSweepSim(ctx context.Context, p sweepPair) (sweepRow, error
 }
 
 func (g *Gateway) sweepSimOnce(ctx context.Context, p sweepPair) (sweepRow, error) {
-	res, err := g.dispatch(ctx, p.key, http.MethodPost, "/v1/simulate",
+	res, err := g.dispatchTo(ctx, p.order, http.MethodPost, "/v1/simulate",
 		"wait=55s", p.body, http.Header{"Content-Type": []string{"application/json"}})
 	if err != nil {
 		return sweepRow{}, err

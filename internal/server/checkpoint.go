@@ -29,8 +29,9 @@ import (
 //
 // gob alone has no integrity check — a flipped byte can still decode —
 // so the envelope carries an explicit digest. Files are committed by
-// temp + fsync + rename; a file that fails the magic, length, or digest
-// check at load is quarantined (renamed to *.bad), counted in
+// temp + fsync + rename, off the simulation goroutine (checkpointStore);
+// a file that fails the magic, length, or digest check at load is
+// quarantined (renamed to *.bad), counted in
 // pac_checkpoint_corrupt_total, and treated as absent, so a torn or
 // garbled checkpoint can never crash a boot or poison a run.
 
@@ -83,24 +84,45 @@ func decodeCheckpointFile(blob []byte) (*sim.Checkpoint, error) {
 // checkpointStore persists one checkpoint file per simulation key. All
 // operations are best-effort: a failed write costs at most the resume
 // head start, never the job.
+//
+// save and drop run on the simulation goroutine, so they do no I/O: each
+// records the key's newest wanted state (a snapshot, or removal) and
+// returns. One writer goroutine, started on demand and gone when idle,
+// applies the records in arrival order. A record the writer has not
+// started is replaced by a newer one for the same key, so a checkpoint
+// whose cell finished first is never encoded. load waits for the key's
+// pending or in-flight record; wait waits for the writer to go idle.
 type checkpointStore struct {
 	dir string
-	mu  sync.Mutex
+
+	mu   sync.Mutex
+	idle *sync.Cond // broadcast whenever the writer finishes a record
+	// pending maps a key to its newest unstarted record: the snapshot
+	// to write, or nil for removal. queue holds the pending keys in
+	// arrival order; a replaced record keeps its key's place.
+	pending  map[string]*sim.Checkpoint
+	queue    []string
+	inFlight string // key whose record the writer is applying
+	writing  bool   // the writer goroutine is running
 
 	writes     *telemetry.Counter
 	writeFails *telemetry.Counter
+	superseded *telemetry.Counter
 	loads      *telemetry.Counter
 	drops      *telemetry.Counter
 	corrupt    *telemetry.Counter
 }
 
 func newCheckpointStore(dir string, reg *telemetry.Registry) *checkpointStore {
-	return &checkpointStore{
-		dir: dir,
+	c := &checkpointStore{
+		dir:     dir,
+		pending: make(map[string]*sim.Checkpoint),
 		writes: reg.Counter("pac_checkpoint_writes_total",
 			"Simulation checkpoints committed to the checkpoint directory."),
 		writeFails: reg.Counter("pac_checkpoint_write_failures_total",
 			"Checkpoint writes that failed (the run continues without them)."),
+		superseded: reg.Counter("pac_checkpoint_superseded_total",
+			"Checkpoints replaced by a newer snapshot or a removal before they were written."),
 		loads: reg.Counter("pac_checkpoint_loads_total",
 			"Stored checkpoints loaded to resume an interrupted simulation."),
 		drops: reg.Counter("pac_checkpoint_drops_total",
@@ -108,6 +130,8 @@ func newCheckpointStore(dir string, reg *telemetry.Registry) *checkpointStore {
 		corrupt: reg.Counter("pac_checkpoint_corrupt_total",
 			"Checkpoint files quarantined (*.bad) after failing the envelope check."),
 	}
+	c.idle = sync.NewCond(&c.mu)
+	return c
 }
 
 // path maps a simulation key (hex, so path-safe) to its checkpoint file.
@@ -115,17 +139,67 @@ func (c *checkpointStore) path(key string) string {
 	return filepath.Join(c.dir, key+".ck")
 }
 
-// save commits one checkpoint by temp + fsync + rename. The simulation
-// goroutine calls it at every checkpoint cadence, so failures are
+// save records ck as the key's newest checkpoint. The sim layer hands
+// over a deep copy that stays valid, so the writer encodes it later.
+func (c *checkpointStore) save(key string, ck *sim.Checkpoint) { c.record(key, ck) }
+
+// drop records the removal of the key's checkpoint file.
+func (c *checkpointStore) drop(key string) { c.record(key, nil) }
+
+// record makes ck (nil for removal) the key's newest wanted state and
+// starts the writer if it is not running.
+func (c *checkpointStore) record(key string, ck *sim.Checkpoint) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.pending[key]; ok {
+		if old != nil {
+			c.superseded.Inc()
+		}
+	} else {
+		c.queue = append(c.queue, key)
+	}
+	c.pending[key] = ck
+	if !c.writing {
+		c.writing = true
+		go c.write()
+	}
+}
+
+// write is the writer goroutine: it applies pending records in arrival
+// order until none is left, then exits.
+func (c *checkpointStore) write() {
+	c.mu.Lock()
+	for len(c.queue) > 0 {
+		key := c.queue[0]
+		c.queue[0] = ""
+		c.queue = c.queue[1:]
+		ck := c.pending[key]
+		delete(c.pending, key)
+		c.inFlight = key
+		c.mu.Unlock()
+		if ck != nil {
+			c.commit(key, ck)
+		} else if err := os.Remove(c.path(key)); err == nil {
+			c.drops.Inc()
+		}
+		c.mu.Lock()
+		c.inFlight = ""
+		c.idle.Broadcast()
+	}
+	c.queue = nil
+	c.writing = false
+	c.idle.Broadcast()
+	c.mu.Unlock()
+}
+
+// commit writes one checkpoint by temp + fsync + rename. Failures are
 // swallowed (and counted): losing a checkpoint only costs resume time.
-func (c *checkpointStore) save(key string, ck *sim.Checkpoint) {
+func (c *checkpointStore) commit(key string, ck *sim.Checkpoint) {
 	blob, err := encodeCheckpointFile(ck)
 	if err != nil {
 		c.writeFails.Inc()
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		c.writeFails.Inc()
 		return
@@ -142,6 +216,15 @@ func (c *checkpointStore) save(key string, ck *sim.Checkpoint) {
 		return
 	}
 	c.writes.Inc()
+}
+
+// wait blocks until the writer has applied every record and exited.
+func (c *checkpointStore) wait() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.writing {
+		c.idle.Wait()
+	}
 }
 
 // writeFileSync writes blob and fsyncs before close, so the following
@@ -162,11 +245,20 @@ func writeFileSync(path string, blob []byte) error {
 	return f.Close()
 }
 
-// load returns the stored checkpoint for key, or nil. A file that fails
-// the envelope check is quarantined as *.bad and reported absent.
+// load returns the stored checkpoint for key, or nil, once the key's
+// pending or in-flight record is on disk. It reads under the lock, so
+// the writer cannot start a newer record for the key meanwhile. A file
+// that fails the envelope check is quarantined as *.bad and reported
+// absent.
 func (c *checkpointStore) load(key string) *sim.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for {
+		if _, pending := c.pending[key]; !pending && c.inFlight != key {
+			break
+		}
+		c.idle.Wait()
+	}
 	blob, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil
@@ -179,15 +271,6 @@ func (c *checkpointStore) load(key string) *sim.Checkpoint {
 	}
 	c.loads.Inc()
 	return ck
-}
-
-// drop removes the stored checkpoint for key, if any.
-func (c *checkpointStore) drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := os.Remove(c.path(key)); err == nil {
-		c.drops.Inc()
-	}
 }
 
 // checkpointPolicy builds the session checkpoint policy for one options

@@ -87,8 +87,8 @@ func counterDeltas(reg *telemetry.Registry, series map[string][]string) func() m
 // TestInlineHitsAnswerLikeQueuedJobs: memo and disk hits are answered
 // with the same configHash, cached flag, source and result a queued job
 // produced, write no journal record, and leave a job that resolves by ID
-// and whose event stream ends with done. Misses still journal submit,
-// run and done.
+// and whose event stream ends with done. Misses still journal submit
+// and done.
 func TestInlineHitsAnswerLikeQueuedJobs(t *testing.T) {
 	d := newInlineDaemon(t, nil)
 	srv := d.srv
@@ -101,8 +101,8 @@ func TestInlineHitsAnswerLikeQueuedJobs(t *testing.T) {
 	if src != CacheMiss {
 		t.Fatalf("first request served from %q, want %q", src, CacheMiss)
 	}
-	if n := records() - r0; n != 3 {
-		t.Errorf("miss appended %v journal records, want 3 (submit, run, done)", n)
+	if n := records() - r0; n != 2 {
+		t.Errorf("miss appended %v journal records, want 2 (submit, done)", n)
 	}
 	missRes := miss["result"].(map[string]any)
 

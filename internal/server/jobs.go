@@ -304,7 +304,7 @@ type jobManager struct {
 	maxRetries int
 	retryBase  time.Duration
 	// wal, when set, journals every job submit accepts before it is
-	// exposed and records each lifecycle transition, so a crashed
+	// exposed and retires it with a terminal record, so a crashed
 	// daemon's boot replay can re-enqueue unfinished work under its
 	// original IDs. Jobs registered by completed are done at acceptance
 	// and never touch it.
@@ -607,6 +607,7 @@ func (m *jobManager) cancelJob(j *Job) {
 	case j.status == StatusQueued:
 		// Finish directly; the worker skips terminal jobs on pickup.
 		j.mu.Unlock()
+		m.journalFinished(j.id, StatusCancelled)
 		j.finish(StatusCancelled, nil, nil, context.Canceled)
 		m.noteFinished(j, StatusCancelled)
 		m.noteDepth()
@@ -638,7 +639,6 @@ func (m *jobManager) worker() {
 		j.status = StatusRunning
 		j.started = time.Now()
 		j.mu.Unlock()
-		m.journal(m.walRunning, j.id)
 		m.execute(j, running)
 	}
 }
@@ -729,6 +729,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 	default:
 		status = StatusFailed
 	}
+	m.journalFinished(j.id, status)
 	j.finish(status, payload, ans, err)
 	m.noteFinished(j, status)
 }
@@ -780,23 +781,30 @@ func isCancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// journalFinished appends a queued job's terminal WAL record, fsynced.
+// It runs before finish releases the job's waiters, so a client that
+// sees the terminal status never meets a journal that still holds the
+// job live.
+func (m *jobManager) journalFinished(id string, status Status) {
+	if m.wal == nil {
+		return
+	}
+	switch status {
+	case StatusDone:
+		m.journal(m.wal.Done, id)
+	case StatusFailed:
+		m.journal(m.wal.Fail, id)
+	case StatusCancelled:
+		m.journal(m.wal.Cancel, id)
+	}
+}
+
 // noteFinished queues a queued job that reached a terminal state for
-// retention eviction, in finishing order, then journals and counts the
-// transition.
+// retention eviction, in finishing order, and counts the transition.
 func (m *jobManager) noteFinished(j *Job, status Status) {
 	m.mu.Lock()
 	m.finishedJobs = append(m.finishedJobs, j)
 	m.mu.Unlock()
-	if m.wal != nil {
-		switch status {
-		case StatusDone:
-			m.journal(m.wal.Done, j.id)
-		case StatusFailed:
-			m.journal(m.wal.Fail, j.id)
-		case StatusCancelled:
-			m.journal(m.wal.Cancel, j.id)
-		}
-	}
 	m.countFinished(j.kind, status)
 }
 
@@ -805,9 +813,6 @@ func (m *jobManager) countFinished(kind string, status Status) {
 	m.reg.Counter("pac_jobs_finished_total", "Jobs finished, by kind and status.",
 		"kind", kind, "status", string(status)).Inc()
 }
-
-// walRunning adapts wal.Running to the journal helper's signature.
-func (m *jobManager) walRunning(id string) error { return m.wal.Running(id) }
 
 // noteDepth records the queue depth through the telemetry hooks (the
 // KindQueueDepth event keeps the pac_jobs_queue_depth gauge current).

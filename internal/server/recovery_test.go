@@ -66,17 +66,14 @@ func TestWALReplayReenqueuesUnfinished(t *testing.T) {
 	if err := w1.Submit(id, "simulate", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.Running(id); err != nil {
-		t.Fatal(err)
-	}
 	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	reg := telemetry.NewRegistry()
 	w2, recovered := openTestWAL(t, dir, reg)
-	if len(recovered) != 1 || recovered[0].ID != id || !recovered[0].Running {
-		t.Fatalf("recovered = %+v, want one running job %s", recovered, id)
+	if len(recovered) != 1 || recovered[0].ID != id {
+		t.Fatalf("recovered = %+v, want one job %s", recovered, id)
 	}
 	srv := newTestServer(t, func(c *Config) {
 		c.Registry = reg
@@ -465,6 +462,10 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	if j, ok := srv1.jobs.get(id); ok {
 		<-j.Done()
 	}
+	// A crashed process writes nothing more. This one lives on, so let
+	// its checkpoint writer settle before the reboot opens the same
+	// directory.
+	srv1.ckpts.wait()
 
 	// Reboot: the journal recovers the job, the checkpoint store has its
 	// progress, and the replayed run resumes rather than restarting.
@@ -508,7 +509,9 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed result differs from uninterrupted run\n got: %v\nwant: %v", got, want)
 	}
-	// The completed run drops its checkpoint.
+	// The completed run drops its checkpoint (once the writer gets to
+	// the removal).
+	srv2.ckpts.wait()
 	if drops, _ := reg2.Value("pac_checkpoint_drops_total"); drops < 1 {
 		t.Errorf("pac_checkpoint_drops_total = %v, want >= 1", drops)
 	}

@@ -286,7 +286,10 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // jobManager.drain. It first flips /readyz to 503 (so gateway probes
 // route around the node) and waits for async boot to settle — draining
 // concurrently with WAL replay would race re-enqueues against queue
-// close.
+// close. Once the jobs are done it waits for the checkpoint writer to
+// go idle, even past ctx: a cancelled job's last snapshot is what the
+// next boot resumes from, and the writer holds at most one record per
+// key.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	select {
@@ -294,7 +297,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return s.jobs.drain(ctx)
+	err := s.jobs.drain(ctx)
+	if s.ckpts != nil {
+		s.ckpts.wait()
+	}
+	return err
 }
 
 func (s *Server) routes() http.Handler {

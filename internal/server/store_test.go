@@ -146,9 +146,6 @@ func TestReplayedJobAnswersFromOrphanEntry(t *testing.T) {
 	if err := w1.Submit(id, "simulate", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.Running(id); err != nil {
-		t.Fatal(err)
-	}
 	if err := w1.Close(); err != nil {
 		t.Fatal(err)
 	}

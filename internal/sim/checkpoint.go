@@ -132,10 +132,6 @@ func (c *coreState) restore(st coreState) {
 		c.outstanding.Add(id)
 	}
 	st.outstanding, st.Outstanding = c.outstanding, nil
-	// Force wake re-evaluation: the cached wake is a pure latency
-	// shortcut, and zero means "recompute" (the same reset a
-	// completion applies).
-	st.wake = 0
 	*c = st
 }
 
@@ -248,6 +244,10 @@ func (r *Runner) restore(ck *Checkpoint) error {
 	r.now = ck.Now
 	r.res = ck.Res
 	r.res.LoadLatencyHist = ck.Res.LoadLatencyHist.Clone()
+	// The event driver's caches start cold, as on a fresh machine: zero
+	// wakes make the first step re-evaluate every core.
+	clear(r.wakes)
+	r.stalled, r.coreWake = 0, 0
 	r.probeValid = false
 	if r.ckptEvery > 0 {
 		r.ckptNext = r.now + r.ckptEvery

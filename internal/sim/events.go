@@ -17,8 +17,8 @@ import (
 func (r *Runner) runEvents(ctx context.Context) error {
 	done := ctx.Done()
 	// The wake cache starts cold, fresh or from a checkpoint: a zero
-	// r.coreWake and zero per-core wakes make the first iteration step
-	// every core, and stepEvents fills the cache from there.
+	// r.coreWake and zero r.wakes make the first iteration step every
+	// core, and stepEvents fills the cache from there.
 	for iter := int64(0); !r.finished(); iter++ {
 		if done != nil && iter&cancelCheckMask == 0 {
 			select {
@@ -127,12 +127,10 @@ func (r *Runner) skipTo(t int64) {
 	if k <= 0 {
 		return
 	}
-	for i := range r.cores {
-		c := &r.cores[i]
-		if c.HasPending && c.Pending.Op != mem.OpFence {
-			r.res.CoreStallCycles += k
-		}
-	}
+	// Every core with a non-fence access pending is asleep on its
+	// budget here: one with budget, or with a fence, wakes at now+1 and
+	// would have bounded the skip.
+	r.res.CoreStallCycles += k * r.stalled
 	if r.pipe.OutLen() > 0 && r.cfg.Mode.MergesInMSHR() {
 		if pkt, ok := r.pipe.Front(); ok {
 			_, cmp, fails := r.headProbe(pkt)
@@ -157,30 +155,42 @@ func (r *Runner) stepEvents() {
 	r.beginCycle()
 
 	now := r.now
+	// A core whose cached wake is in the future provably does nothing
+	// this cycle: the wake is either Never (budget-blocked or done) or a
+	// future NextIssue, and completions that could change that zero it.
+	// The one side effect its skipped issueCore call would have had is
+	// the per-cycle stall count of a budget-blocked access; the cores
+	// asleep on their budget now (after this cycle's completions) are
+	// exactly the ones stalled counts.
+	r.res.CoreStallCycles += r.stalled
 	wake := engine.Never
-	for i := range r.cores {
-		c := &r.cores[i]
-		if c.wake > now {
-			// The core provably does nothing this cycle: its cached
-			// wake is either Never (budget-blocked or done) or a
-			// future nextIssue, and completions that could change
-			// that zero the cache. The one side effect the skipped
-			// call would have had is the per-cycle stall count of a
-			// budget-blocked access.
-			if c.HasPending && c.Pending.Op != mem.OpFence {
-				r.res.CoreStallCycles++
-			}
-		} else {
+	for i, w := range r.wakes {
+		if w <= now {
 			r.issueCore(i)
-			c.wake = r.coreWakeOf(c, now)
+			c := &r.cores[i]
+			w = r.coreWakeOf(c, now)
+			r.wakes[i] = w
+			if w == engine.Never && c.HasPending {
+				r.stalled++
+			}
 		}
-		if c.wake < wake {
-			wake = c.wake
+		if w < wake {
+			wake = w
 		}
 	}
 	r.coreWake = wake
 
 	r.pipe.Tick()
+}
+
+// wakeUp zeroes core i's cached wake, forcing the event driver to
+// re-evaluate the core next cycle; a core that was asleep on its budget
+// leaves the stalled count.
+func (r *Runner) wakeUp(i int) {
+	if r.wakes[i] == engine.Never && r.cores[i].HasPending {
+		r.stalled--
+	}
+	r.wakes[i] = 0
 }
 
 // headProbe returns ProbeMerge's verdict for the packet at the head of

@@ -59,6 +59,7 @@ func (r *Runner) buildMachine() error {
 			})
 		}
 	}
+	r.wakes = make([]int64, len(r.cores))
 
 	r.hier = cache.NewHierarchy(cfg.Hierarchy)
 	r.hier.UseScratch(scratch.getFillSet())

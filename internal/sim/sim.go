@@ -261,12 +261,6 @@ type coreState struct {
 	// NextIssue is the earliest cycle the core may issue its next
 	// trace access (IssueInterval pacing).
 	NextIssue int64
-	// wake caches coreWakeOf for the event driver: while it is in the
-	// future, issueCore would change nothing except the stall counter,
-	// so stepEvents skips the call. Any out-of-band mutation of core
-	// state (a completion freeing an outstanding slot) must zero it to
-	// force re-evaluation. The reference stepper never reads it.
-	wake int64
 }
 
 // parked reports how many hierarchy outputs still await queue space.
@@ -298,6 +292,22 @@ type Runner struct {
 
 	cores []coreState
 	now   int64
+	// wakes[i] caches coreWakeOf for core i for the event driver: while
+	// it is in the future, issueCore would change nothing except the
+	// stall counter, so stepEvents skips the call. Any out-of-band
+	// mutation of core state (a completion freeing an outstanding slot)
+	// goes through wakeUp, which zeroes it to force re-evaluation. The
+	// wakes sit in one dense slice so the per-step scan reads a cache
+	// line instead of every coreState. The reference stepper never
+	// reads them.
+	wakes []int64
+	// stalled counts the cores asleep on their outstanding-load budget
+	// with a non-fence access pending: a cached wake of engine.Never on
+	// a core with HasPending (coreWakeOf returns Never for a pending
+	// access in no other case). Each such core retries and fails its
+	// access once per cycle in the reference stepper, so the event
+	// driver charges stalled CoreStallCycles per cycle.
+	stalled int64
 	// coreWake caches min-over-cores coreWakeOf for the event driver,
 	// which maintains it inside stepEvents instead of rescanning the
 	// cores in every nextEvent pass.
@@ -644,7 +654,7 @@ func (r *Runner) completeRaw(req mem.Request) {
 	if req.Op == mem.OpLoad || req.Op == mem.OpAtomic {
 		c := &r.cores[req.Core]
 		c.outstanding.Remove(req.ID)
-		c.wake = 0 // budget may have been freed; force re-evaluation
+		r.wakeUp(req.Core) // budget may have been freed
 		lat := r.now - req.Issue
 		r.res.LoadLatency.Add(float64(lat))
 		r.res.LoadLatencyHist.Add(int(lat / 10))

@@ -1,8 +1,8 @@
 // Package wal is pacd's write-ahead job journal: the durability layer
 // that makes accepted work survive a crash. Every job not already
 // finished at acceptance is journaled — canonical request payload
-// included — before it is acknowledged, then followed through its lifecycle with state records
-// (submitted → running → one terminal state). On boot the journal is
+// included — before it is acknowledged, and retired by one terminal
+// record when it finishes. On boot the journal is
 // replayed and the surviving non-terminal jobs are handed back to the
 // server, which re-enqueues them under their original IDs; together
 // with the content-addressed result store's deduplication this yields
@@ -17,9 +17,12 @@
 //
 //	<op> <id> <kind> <base64-payload>#<crc32-hex>\n
 //
-// Ops: "submit" (carries kind + payload), "run", "done", "fail",
-// "cancel". Non-submit records carry "-" placeholders so every line
-// parses uniformly. The CRC covers everything before the '#'.
+// Ops: "submit" (carries kind + payload), "done", "fail", "cancel".
+// Non-submit records carry "-" placeholders so every line parses
+// uniformly. The CRC covers everything before the '#'. Journals written
+// by earlier builds also hold "run" records (queued → running); they
+// still parse, and replay ignores them: recovery re-enqueues a queued
+// and a started job the same way.
 package wal
 
 import (
@@ -36,7 +39,8 @@ import (
 	"github.com/pacsim/pac/internal/telemetry"
 )
 
-// Record ops, in lifecycle order.
+// Record ops, in lifecycle order. OpRun is never written; replay
+// accepts and ignores it (see the package comment).
 const (
 	OpSubmit = "submit"
 	OpRun    = "run"
@@ -63,9 +67,6 @@ type Job struct {
 	Kind string
 	// Payload is the canonical request recorded at submit.
 	Payload []byte
-	// Running reports whether a "run" record followed the submit: the
-	// job died mid-execution (an orphan) rather than queued.
-	Running bool
 }
 
 // Config parameterises Open. Path is required.
@@ -103,7 +104,6 @@ type Log struct {
 type jobEntry struct {
 	kind    string
 	payload []byte
-	running bool
 }
 
 // Open creates or reopens the journal at cfg.Path, replays it — torn or
@@ -140,7 +140,6 @@ func Open(cfg Config) (*Log, []Job, error) {
 			ID:      id,
 			Kind:    e.kind,
 			Payload: append([]byte(nil), e.payload...),
-			Running: e.running,
 		})
 		l.replayed.Inc()
 	}
@@ -181,10 +180,6 @@ func (l *Log) applyLocked(rec Record) {
 		}
 		l.jobs[rec.ID] = &jobEntry{kind: rec.Kind, payload: rec.Payload}
 		l.order = append(l.order, rec.ID)
-	case OpRun:
-		if e, exists := l.jobs[rec.ID]; exists {
-			e.running = true
-		}
 	case OpDone, OpFail, OpCancel:
 		if _, exists := l.jobs[rec.ID]; exists {
 			delete(l.jobs, rec.ID)
@@ -232,9 +227,6 @@ func (l *Log) Submit(id, kind string, payload []byte) error {
 	}
 	return l.append(Record{Op: OpSubmit, ID: id, Kind: kind, Payload: payload})
 }
-
-// Running journals the queued→running transition.
-func (l *Log) Running(id string) error { return l.append(Record{Op: OpRun, ID: id}) }
 
 // Done journals successful completion, retiring the job.
 func (l *Log) Done(id string) error { return l.append(Record{Op: OpDone, ID: id}) }
@@ -291,7 +283,7 @@ func (l *Log) append(rec Record) error {
 }
 
 // compactLocked rewrites the journal down to the records describing the
-// live jobs (a submit per job, plus a run for the started ones), fsyncs
+// live jobs (one submit per job), fsyncs
 // the replacement, and renames it into place. Called with l.mu held (or
 // from Open before the log is shared).
 func (l *Log) compactLocked() error {
@@ -299,9 +291,6 @@ func (l *Log) compactLocked() error {
 	for _, id := range l.order {
 		e := l.jobs[id]
 		buf.WriteString(FormatRecord(Record{Op: OpSubmit, ID: id, Kind: e.kind, Payload: e.payload}))
-		if e.running {
-			buf.WriteString(FormatRecord(Record{Op: OpRun, ID: id}))
-		}
 	}
 	tmp := l.cfg.Path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/pacsim/pac/internal/telemetry"
 )
 
 func openT(t *testing.T, path string) (*Log, []Job) {
@@ -26,7 +28,7 @@ func TestLifecycleRecovery(t *testing.T) {
 		t.Fatalf("fresh journal recovered %d jobs", len(jobs))
 	}
 
-	// a: finished; b: still queued; c: running; d: failed; e: canceled.
+	// a: finished; b, c: still live; d: failed; e: canceled.
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -38,10 +40,7 @@ func TestLifecycleRecovery(t *testing.T) {
 	must(l.Submit("node-j000003", "simulate", []byte(`{"bench":"STREAM"}`)))
 	must(l.Submit("node-j000004", "simulate", nil))
 	must(l.Submit("node-j000005", "simulate", []byte("x")))
-	must(l.Running("node-j000001"))
 	must(l.Done("node-j000001"))
-	must(l.Running("node-j000003"))
-	must(l.Running("node-j000004"))
 	must(l.Fail("node-j000004"))
 	must(l.Cancel("node-j000005"))
 	if got := l.Live(); got != 2 {
@@ -55,14 +54,14 @@ func TestLifecycleRecovery(t *testing.T) {
 	if len(recovered) != 2 {
 		t.Fatalf("recovered %d jobs, want 2: %+v", len(recovered), recovered)
 	}
-	if recovered[0].ID != "node-j000002" || recovered[0].Running {
-		t.Errorf("job 0 = %+v, want queued node-j000002", recovered[0])
+	if recovered[0].ID != "node-j000002" {
+		t.Errorf("job 0 = %+v, want node-j000002", recovered[0])
 	}
 	if !bytes.Equal(recovered[0].Payload, []byte(`{"bench":"CG"}`)) {
 		t.Errorf("job 0 payload = %q", recovered[0].Payload)
 	}
-	if recovered[1].ID != "node-j000003" || !recovered[1].Running {
-		t.Errorf("job 1 = %+v, want running node-j000003", recovered[1])
+	if recovered[1].ID != "node-j000003" {
+		t.Errorf("job 1 = %+v, want node-j000003", recovered[1])
 	}
 	if recovered[0].Kind != "simulate" || recovered[1].Kind != "simulate" {
 		t.Errorf("kinds = %q, %q", recovered[0].Kind, recovered[1].Kind)
@@ -130,9 +129,6 @@ func TestCompaction(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		id := fmt.Sprintf("n-j%06d", i)
 		if err := l.Submit(id, "simulate", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Running(id); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Done(id); err != nil {
@@ -211,8 +207,8 @@ func TestValidation(t *testing.T) {
 	if err := l.Submit("ok", "simulate", make([]byte, maxPayloadLen+1)); err == nil {
 		t.Error("Submit accepted an oversized payload")
 	}
-	if err := l.Running("bad\nid"); err == nil {
-		t.Error("Running accepted an ID with a newline")
+	if err := l.Done("bad\nid"); err == nil {
+		t.Error("Done accepted an ID with a newline")
 	}
 }
 
@@ -231,5 +227,53 @@ func TestDuplicateSubmitFirstWins(t *testing.T) {
 	_, jobs := openT(t, path)
 	if len(jobs) != 1 || string(jobs[0].Payload) != "first" {
 		t.Fatalf("recovered %+v, want single job with payload 'first'", jobs)
+	}
+}
+
+// TestReplayJournalWithRunRecords replays a journal written by a build
+// that still appended "run" records (testdata/run-records.wal: job 1
+// done, job 2 queued, job 3 started, job 4 failed, with no compaction
+// since). The run lines parse and are ignored: the two live jobs come
+// back in submit order with their payloads, nothing counts as corrupt,
+// and the compacted journal holds only their submits.
+func TestReplayJournalWithRunRecords(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "run-records.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), "\nrun ") {
+		t.Fatal("fixture holds no run record")
+	}
+	path := filepath.Join(t.TempDir(), "jobs.wal")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	l, jobs, err := Open(Config{Path: path, NoSync: true, Registry: reg})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	want := []Job{
+		{ID: "n1-j000002", Kind: "simulate", Payload: []byte(`{"benchmark":"STREAM","mode":"dmc"}`)},
+		{ID: "n1-j000003", Kind: "simulate", Payload: []byte(`{"benchmark":"STREAM","mode":"pac"}`)},
+	}
+	if len(jobs) != len(want) {
+		t.Fatalf("recovered %+v, want %+v", jobs, want)
+	}
+	for i, j := range jobs {
+		if j.ID != want[i].ID || j.Kind != want[i].Kind || !bytes.Equal(j.Payload, want[i].Payload) {
+			t.Errorf("job %d = %+v, want %+v", i, j, want[i])
+		}
+	}
+	if n, _ := reg.Value("pac_wal_corrupt_records_total"); n != 0 {
+		t.Errorf("pac_wal_corrupt_records_total = %v, want 0", n)
+	}
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(compacted); strings.Count(got, "\n") != 2 || strings.Contains(got, "run ") {
+		t.Errorf("compacted journal = %q, want the two submits only", got)
 	}
 }

@@ -9,7 +9,7 @@
 #     must report 0 allocs/op.
 #   - sim-run-cold — a whole simulation with a fresh seed on a reused
 #     Scratch, building its machine from the recycled arena — must stay
-#     at or below 160 allocs/op. It measures 141: the component graph
+#     at or below 160 allocs/op. It measures 142: the component graph
 #     and the workload generators, with every pooled buffer coming back
 #     from the arena. The budget catches any per-run buffer that stops
 #     being recycled.
