@@ -47,7 +47,7 @@ smoke-cluster:
 	scripts/smoke_cluster.sh
 
 # End-to-end durable-store smoke: simulate → restart pacd → repeat is a
-# disk hit that runs no simulation.
+# disk hit that runs no simulation; the same after a SIGKILL.
 smoke-store:
 	scripts/smoke_store.sh
 
@@ -119,26 +119,24 @@ examples:
 	$(GO) run ./examples/prefetchdemo
 
 # Short fuzzing passes over the binary-format parser, the coalescing
-# pipeline, the gateway's consistent-hash ring, the two durability
-# journal parsers (job WAL, store index), the store's entry envelope and
-# checkpoint resume at an arbitrary cycle.
+# pipeline, the gateway's consistent-hash ring, the job WAL's record
+# parser, the store's entry envelope and checkpoint resume at an
+# arbitrary cycle.
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 30s
 	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
-	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 30s
 	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointResume -fuzztime 30s
 
-# The CI-sized fuzz pass: ~35s total across every target, on top of the
+# The CI-sized fuzz pass: ~30s total across every target, on top of the
 # always-on seed-corpus replay in the regular test run.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 5s
 	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 5s
 	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
-	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 5s
 	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 5s
 	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointResume -fuzztime 5s
 

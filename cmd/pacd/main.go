@@ -205,23 +205,15 @@ func main() {
 		log.Printf("pacd: http shutdown: %v", err)
 	}
 	if err := srv.Drain(drainCtx); err != nil {
-		if resultStore != nil {
-			resultStore.Close() // best-effort durability even on a bad drain
-		}
 		if jobWAL != nil {
 			jobWAL.Close() // the jobs the drain abandoned replay next boot
 		}
 		fail(fmt.Errorf("drain: %w", err))
 	}
 	if resultStore != nil {
-		// Flush after the drain so the write-throughs of the last in-flight
-		// jobs are in the index; Close compacts and fsyncs the journal, so
-		// the next boot replays a clean one-record-per-entry index. (An
-		// unclean kill is still safe — entry files are committed by rename
-		// and orphans are re-adopted — this just makes clean exits cheap.)
-		if err := resultStore.Flush(); err != nil {
-			log.Printf("pacd: store flush: %v", err)
-		}
+		// Close after the drain so the write-throughs of the last in-flight
+		// jobs land. Each entry was durable at its rename, so neither a
+		// clean exit nor a kill -9 leaves the store anything to recover.
 		if err := resultStore.Close(); err != nil {
 			log.Printf("pacd: store close: %v", err)
 		}

@@ -257,28 +257,39 @@ func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mod
 }
 
 // simEntry runs (or recalls) one simulation and returns its completed
-// memo entry. Concurrent callers for the same key block until the
-// executing goroutine finishes and then share its entry; a caller whose
-// ctx expires first unregisters, and the last such caller aborts the run.
+// memo entry.
 func (s *Session) simEntry(ctx context.Context, k simKey) (*memoEntry[*sim.Result], error) {
-	bench, mode := k.bench, k.mode
+	return join(ctx, s, s.sims, k, k.bench, k.mode.String(), (*Session).runSim)
+}
+
+// join is the session's singleflight: it returns the completed entry for
+// k in memo, starting run on a detached goroutine when there is none.
+// Concurrent callers for the same key block until that goroutine
+// finishes and then share its entry; a caller whose ctx expires first
+// unregisters, and the last such caller aborts the run. No failure stays
+// memoised: cancellations leave the memo because a fresh caller must
+// rerun, and hard failures so the daemon's job-retry layer gets a real
+// second attempt instead of the cached error. bench and mode label the
+// memo hit or miss event.
+func join[K comparable, T any](ctx context.Context, s *Session, memo map[K]*memoEntry[T], k K,
+	bench, mode string, run func(*Session, context.Context, K) (T, error)) (*memoEntry[T], error) {
 	for {
 		s.mu.Lock()
-		e, hit := s.sims[k]
+		e, hit := memo[k]
 		if !hit {
 			runCtx, cancelRun := context.WithCancel(context.Background())
-			e = &memoEntry[*sim.Result]{done: make(chan struct{}), cancel: cancelRun}
-			s.sims[k] = e
+			e = &memoEntry[T]{done: make(chan struct{}), cancel: cancelRun}
+			memo[k] = e
 			s.latchLocked()
 			entry := e
 			go func() {
-				entry.val, entry.err = s.runSim(runCtx, k)
+				entry.val, entry.err = run(s, runCtx, k)
 				if entry.err != nil {
-					// No failure stays memoised: cancellations because a
-					// fresh caller must rerun, and hard failures so the
-					// daemon's job-retry layer gets a real second attempt
-					// instead of the cached error.
-					s.evictSim(k, entry)
+					s.mu.Lock()
+					if memo[k] == entry {
+						delete(memo, k)
+					}
+					s.mu.Unlock()
 				}
 				close(entry.done)
 				cancelRun()
@@ -287,7 +298,7 @@ func (s *Session) simEntry(ctx context.Context, k simKey) (*memoEntry[*sim.Resul
 		e.waiters++
 		hooks := s.hooks
 		s.mu.Unlock()
-		s.noteMemo(hooks, hit, bench, mode.String())
+		s.noteMemo(hooks, hit, bench, mode)
 
 		select {
 		case <-e.done:
@@ -316,19 +327,9 @@ func (s *Session) simEntry(ctx context.Context, k simKey) (*memoEntry[*sim.Resul
 			if last {
 				e.cancel()
 			}
-			return nil, fmt.Errorf("experiments: %s abandoned: %w", k, ctx.Err())
+			return nil, fmt.Errorf("experiments: %v abandoned: %w", k, ctx.Err())
 		}
 	}
-}
-
-// evictSim removes a cancelled entry from the memo (unless a newer entry
-// already replaced it).
-func (s *Session) evictSim(k simKey, e *memoEntry[*sim.Result]) {
-	s.mu.Lock()
-	if s.sims[k] == e {
-		delete(s.sims, k)
-	}
-	s.mu.Unlock()
 }
 
 // runSim executes one simulation to completion. The runner lives and
@@ -404,61 +405,11 @@ func (s *Session) trace(bench string) ([]mem.Request, error) {
 }
 
 func (s *Session) traceCtx(ctx context.Context, bench string) ([]mem.Request, error) {
-	for {
-		s.mu.Lock()
-		e, hit := s.traces[bench]
-		if !hit {
-			runCtx, cancelRun := context.WithCancel(context.Background())
-			e = &memoEntry[[]mem.Request]{done: make(chan struct{}), cancel: cancelRun}
-			s.traces[bench] = e
-			s.latchLocked()
-			entry := e
-			go func() {
-				entry.val, entry.err = s.runTrace(runCtx, bench)
-				if entry.err != nil {
-					// Mirror resultCtx: failed captures leave the memo so a
-					// retry re-runs them.
-					s.mu.Lock()
-					if s.traces[bench] == entry {
-						delete(s.traces, bench)
-					}
-					s.mu.Unlock()
-				}
-				close(entry.done)
-				cancelRun()
-			}()
-		}
-		e.waiters++
-		hooks := s.hooks
-		s.mu.Unlock()
-		s.noteMemo(hooks, hit, "trace:"+bench, "")
-
-		select {
-		case <-e.done:
-			s.mu.Lock()
-			e.waiters--
-			s.mu.Unlock()
-			if cancelled(e.err) && ctx.Err() == nil {
-				continue
-			}
-			return e.val, e.err
-		case <-ctx.Done():
-			s.mu.Lock()
-			e.waiters--
-			select {
-			case <-e.done:
-				s.mu.Unlock()
-				return e.val, e.err
-			default:
-			}
-			last := e.waiters == 0
-			s.mu.Unlock()
-			if last {
-				e.cancel()
-			}
-			return nil, fmt.Errorf("experiments: trace %s abandoned: %w", bench, ctx.Err())
-		}
+	e, err := join(ctx, s, s.traces, bench, "trace:"+bench, "", (*Session).runTrace)
+	if err != nil {
+		return nil, err
 	}
+	return e.val, nil
 }
 
 // runTrace executes one trace-capturing simulation on the calling

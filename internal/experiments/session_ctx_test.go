@@ -19,66 +19,95 @@ func bigOptions() Options {
 	return opts
 }
 
-// TestResultCancelledWhenLastWaiterLeaves starts one simulation, cancels
-// its only waiter, and checks the run aborts promptly, reports a
-// context error, and leaves the memo so a fresh request re-runs.
+// TestResultCancelledWhenLastWaiterLeaves starts one simulation (or one
+// trace capture), cancels its only waiter, and checks the run aborts
+// promptly, reports a context error, and leaves the memo so a fresh
+// request re-runs.
 func TestResultCancelledWhenLastWaiterLeaves(t *testing.T) {
-	s := NewSession(bigOptions())
-	var (
-		mu        sync.Mutex
-		cancelled int
-	)
-	s.Hooks = &telemetry.Hooks{Observer: func(ev telemetry.Event) {
-		if ev.Kind == telemetry.KindSimCancelled {
+	for _, tc := range []struct {
+		name   string
+		call   func(*Session, context.Context) error
+		inMemo func(*Session) bool // called with s.mu held
+	}{
+		{
+			name: "sim",
+			call: func(s *Session, ctx context.Context) error {
+				_, err := s.Result(ctx, "STREAM", coalesce.ModePAC)
+				return err
+			},
+			inMemo: func(s *Session) bool {
+				_, ok := s.sims[simKey{"STREAM", coalesce.ModePAC, varDefault}]
+				return ok
+			},
+		},
+		{
+			name: "trace",
+			call: func(s *Session, ctx context.Context) error {
+				_, err := s.traceCtx(ctx, "STREAM")
+				return err
+			},
+			inMemo: func(s *Session) bool {
+				_, ok := s.traces["STREAM"]
+				return ok
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(bigOptions())
+			var (
+				mu        sync.Mutex
+				cancelled int
+			)
+			s.Hooks = &telemetry.Hooks{Observer: func(ev telemetry.Event) {
+				if ev.Kind == telemetry.KindSimCancelled {
+					mu.Lock()
+					cancelled++
+					mu.Unlock()
+				}
+			}}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			errCh := make(chan error, 1)
+			go func() { errCh <- tc.call(s, ctx) }()
+			time.Sleep(20 * time.Millisecond) // let the run start
+			cancel()
+
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("cancelled waiter did not return")
+			}
+
+			// The detached executor notices the cancellation and evicts
+			// the entry; poll briefly since it runs on its own goroutine.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				s.mu.Lock()
+				inMemo := tc.inMemo(s)
+				s.mu.Unlock()
+				if !inMemo {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("cancelled entry still memoised")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 			mu.Lock()
-			cancelled++
+			if cancelled != 1 {
+				t.Errorf("KindSimCancelled fired %d times, want 1", cancelled)
+			}
 			mu.Unlock()
-		}
-	}}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := s.Result(ctx, "STREAM", coalesce.ModePAC)
-		errCh <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the run start
-	cancel()
-
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled waiter did not return")
-	}
-
-	// The detached executor notices the cancellation and evicts the
-	// entry; poll briefly since it runs on its own goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		_, inMemo := s.sims[simKey{"STREAM", coalesce.ModePAC, varDefault}]
-		s.mu.Unlock()
-		if !inMemo {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cancelled entry still memoised")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	if cancelled != 1 {
-		t.Errorf("KindSimCancelled fired %d times, want 1", cancelled)
-	}
-	mu.Unlock()
-	if _, _, ok := s.Lookup("STREAM", coalesce.ModePAC); ok {
-		t.Error("Lookup hits an aborted run")
-	}
-	if s.Completed() != 0 {
-		t.Errorf("Completed() = %d after an aborted run, want 0", s.Completed())
+			if _, _, ok := s.Lookup("STREAM", coalesce.ModePAC); ok {
+				t.Error("Lookup hits an aborted run")
+			}
+			if s.Completed() != 0 {
+				t.Errorf("Completed() = %d after an aborted run, want 0", s.Completed())
+			}
+		})
 	}
 }
 

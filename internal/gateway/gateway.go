@@ -326,17 +326,17 @@ func (g *Gateway) probeAll() {
 	wg.Wait()
 }
 
+// probeTimeout bounds one /readyz probe. It is fixed, not derived from
+// HealthInterval: a short interval must not turn a slow answer from a
+// healthy but loaded backend into an ejection.
+const probeTimeout = 2 * time.Second
+
 // probe hits one backend's /readyz — readiness, not liveness — with a
-// deadline well under the probe interval, so a wedged backend cannot
-// stall the loop. A daemon that is up but still replaying its WAL (or
-// draining) answers 503 there and stays ejected until it can actually
-// take traffic.
+// probeTimeout deadline, so a wedged backend cannot stall the loop. A
+// daemon that is up but still replaying its WAL (or draining) answers 503
+// there and stays ejected until it can actually take traffic.
 func (g *Gateway) probe(b *backend) {
-	timeout := g.cfg.HealthInterval
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.name+"/readyz", nil)
 	if err != nil {

@@ -263,6 +263,29 @@ func TestGatewayEjectionAndRecovery(t *testing.T) {
 	})
 }
 
+// TestSlowReadyzStaysInRotation: a healthy backend whose /readyz answers
+// only after three probe intervals is not ejected — the probe deadline
+// does not shrink with HealthInterval.
+func TestSlowReadyzStaysInRotation(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	stub := newStubBackend(t, func() bool {
+		time.Sleep(3 * interval)
+		return true
+	}, nil)
+	gw, _ := testGateway(t, []string{stub.URL}, func(c *Config) { c.HealthInterval = interval })
+
+	okProbes := func() float64 {
+		return metric(t, gw, "pac_gw_health_probes_total", "backend", stub.URL, "ok", "true")
+	}
+	waitFor(t, 5*time.Second, "three slow probes answered", func() bool { return okProbes() >= 3 })
+	if n := metric(t, gw, "pac_gw_ejections_total", "backend", stub.URL); n != 0 {
+		t.Fatalf("slow but healthy backend ejected %v times", n)
+	}
+	if up := metric(t, gw, "pac_gw_backend_up", "backend", stub.URL); up != 1 {
+		t.Fatalf("pac_gw_backend_up = %v, want 1", up)
+	}
+}
+
 // TestGatewayRetryAfterPropagation pins the backpressure contract: a
 // backend 429 is not retried on another node (that would reheat an
 // overloaded fleet); the Retry-After reaches the client untouched.

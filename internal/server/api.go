@@ -67,7 +67,7 @@ func newSessionPool(cap int, hooks *telemetry.Hooks, progress func(string),
 // recently used session is evicted beyond the cap; in-flight jobs keep
 // their own reference, so eviction only drops the pool's cache.
 func (p *sessionPool) session(opts experiments.Options) (*experiments.Session, string) {
-	key := optionsHash(opts)
+	key := OptionsHash(opts)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.seq++
@@ -107,9 +107,6 @@ func OptionsHash(o experiments.Options) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// optionsHash keeps the package-internal call sites short.
-func optionsHash(o experiments.Options) string { return OptionsHash(o) }
-
 // SimKey keys one simulate request: options hash + benchmark + mode. It
 // identifies exactly one memo slot of one session, which makes it the
 // finest-grained routing key a gateway can use without losing
@@ -117,11 +114,6 @@ func optionsHash(o experiments.Options) string { return OptionsHash(o) }
 func SimKey(optsKey, bench string, mode coalesce.Mode) string {
 	sum := sha256.Sum256([]byte(optsKey + "/" + bench + "/" + mode.String()))
 	return hex.EncodeToString(sum[:8])
-}
-
-// configHash keeps the package-internal call sites short.
-func configHash(optsKey, bench string, mode coalesce.Mode) string {
-	return SimKey(optsKey, bench, mode)
 }
 
 // SimulateRequest is the body of POST /v1/simulate. Zero-valued fields
@@ -354,7 +346,7 @@ func (s *Server) buildSimulateRun(req SimulateRequest) (simulateJob, error) {
 		return simulateJob{}, err
 	}
 	sess, optsKey := s.pool.session(opts)
-	hash := configHash(optsKey, bench, mode)
+	hash := SimKey(optsKey, bench, mode)
 	answer := func(source string, result []byte) *simulateAnswer {
 		return newSimulateAnswer(bench, mode, hash, source, result)
 	}

@@ -286,13 +286,13 @@ func (s *Server) checkpointPolicy(optsKey string) *experiments.CheckpointPolicy 
 	return &experiments.CheckpointPolicy{
 		Every: s.cfg.CheckpointEvery,
 		Sink: func(bench string, mode coalesce.Mode, ck *sim.Checkpoint) {
-			cs.save(configHash(optsKey, bench, mode), ck)
+			cs.save(SimKey(optsKey, bench, mode), ck)
 		},
 		Load: func(bench string, mode coalesce.Mode) *sim.Checkpoint {
-			return cs.load(configHash(optsKey, bench, mode))
+			return cs.load(SimKey(optsKey, bench, mode))
 		},
 		Drop: func(bench string, mode coalesce.Mode) {
-			cs.drop(configHash(optsKey, bench, mode))
+			cs.drop(SimKey(optsKey, bench, mode))
 		},
 	}
 }

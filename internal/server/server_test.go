@@ -505,12 +505,12 @@ func TestOptionsHashIgnoresParallel(t *testing.T) {
 	a := experiments.NewSession(quickOptions()).Options()
 	b := a
 	b.Parallel = 7
-	if optionsHash(a) != optionsHash(b) {
+	if OptionsHash(a) != OptionsHash(b) {
 		t.Error("worker count changed the options hash (it never changes results)")
 	}
 	c := a
 	c.Seed = 1234
-	if optionsHash(a) == optionsHash(c) {
+	if OptionsHash(a) == OptionsHash(c) {
 		t.Error("distinct seeds share an options hash")
 	}
 }
@@ -560,9 +560,9 @@ func TestRouteLabel(t *testing.T) {
 }
 
 func TestConfigHashStable(t *testing.T) {
-	h1 := configHash("abc", "STREAM", 2)
-	h2 := configHash("abc", "STREAM", 2)
-	h3 := configHash("abc", "STREAM", 3)
+	h1 := SimKey("abc", "STREAM", 2)
+	h2 := SimKey("abc", "STREAM", 2)
+	h3 := SimKey("abc", "STREAM", 3)
 	if h1 != h2 {
 		t.Error("identical inputs hash differently")
 	}

@@ -5,73 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
-
-// FuzzJournal holds the index-journal line parser to its contract under
-// hostile input: never panic, never accept a line formatRecord could not
-// have produced, and stay a lossless inverse of formatRecord for every
-// line it does accept — the property boot replay leans on when it skips
-// torn or bit-flipped records instead of corrupting the index. The seed
-// corpus under testdata/fuzz/FuzzJournal covers each op plus torn,
-// truncated and bit-flipped variants; CI runs a short -fuzz smoke on top
-// of the always-on corpus replay.
-func FuzzJournal(f *testing.F) {
-	const key = "9b2f00aa13d4e8c7"
-	seeds := []string{
-		strings.TrimSuffix(formatRecord("put", key, 4096), "\n"),
-		strings.TrimSuffix(formatRecord("put", strings.Repeat("a0", 128), 1), "\n"),
-		strings.TrimSuffix(formatRecord("touch", key, 4096), "\n"),
-		strings.TrimSuffix(formatRecord("del", key, 0), "\n"),
-		"put " + key + " 4096#0",                                     // wrong CRC
-		"put " + key + " 4096",                                       // no checksum
-		"#",                                                          // empty body
-		"put  " + key + " 4096#0",                                    // double space
-		"get " + key + " 4096#" + journalCRC("get "+key+" 4096"),     // unknown op, valid CRC
-		"put " + key + " -1#" + journalCRC("put "+key+" -1"),         // negative size, valid CRC
-		"put UPPERCASE 1#" + journalCRC("put UPPERCASE 1"),           // invalid key, valid CRC
-		"put " + key + " 4096 x#" + journalCRC("put "+key+" 4096 x"), // extra field, valid CRC
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, line string) {
-		op, key, size, ok := parseRecord(line)
-		if !ok {
-			return
-		}
-		// Anything accepted must survive a format→parse round trip
-		// unchanged: the parser only admits canonical lines.
-		out := formatRecord(op, key, size)
-		op2, key2, size2, ok2 := parseRecord(strings.TrimSuffix(out, "\n"))
-		if !ok2 {
-			t.Fatalf("reformatted record rejected: %q -> %q", line, out)
-		}
-		if op2 != op || key2 != key || size2 != size {
-			t.Fatalf("round trip diverged: (%s %s %d) -> (%s %s %d)", op, key, size, op2, key2, size2)
-		}
-		if op != "put" && op != "touch" && op != "del" {
-			t.Fatalf("parser accepted unknown op %q", op)
-		}
-		if !ValidKey(key) {
-			t.Fatalf("parser accepted invalid key %q", key)
-		}
-		if size < 0 {
-			t.Fatalf("parser accepted negative size %d", size)
-		}
-	})
-}
-
-// journalCRC computes a line body's checksum suffix, so seeds can carry
-// a valid CRC over an otherwise malformed body.
-func journalCRC(body string) string {
-	return strconv.FormatUint(uint64(crc32.ChecksumIEEE([]byte(body))), 16)
-}
 
 // FuzzEntry holds the envelope readers to their contract under hostile
 // input. DecodeEntry, openEnvelope (Answer's checksum-only read) and
@@ -81,7 +18,8 @@ func journalCRC(body string) string {
 // is accepted by openEnvelope with the same identity. verifyOrphan
 // accepts exactly the blobs DecodeEntry accepts whose answer section is
 // the rendering of their decoded result, so a forged answer (the third
-// seed) is never adopted. An accepted blob re-encodes byte-identically.
+// seed) in a file found at Open is never served. An accepted blob
+// re-encodes byte-identically.
 //
 // With reseal set, the payload checksum is recomputed before decoding, so
 // mutations reach the section and gob parsers instead of stopping at the

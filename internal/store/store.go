@@ -1,26 +1,27 @@
 // Package store is the durable, content-addressed result store beneath
 // the pacd session memo. Completed simulation results are serialized as
 // write-once entry files keyed by the canonical options-hash + sim-key
-// address (server.SimKey), committed crash-safely via temp-file + rename,
-// and tracked by an append-only index journal that is replayed and
-// compacted on boot. Identical configurations resolve to identical,
-// durably stored results — the property that lets a restarted daemon
-// answer repeat requests from disk instead of re-simulating.
+// address (server.SimKey) and committed crash-safely via temp-file +
+// fsync + rename. Identical configurations resolve to identical, durably
+// stored results — the property that lets a restarted daemon answer
+// repeat requests from disk instead of re-simulating.
 //
-// Layout inside the store directory:
+// The directory is the whole index. Inside it:
 //
-//	<key>.res      one write-once entry envelope; committed by rename,
-//	               never rewritten in place
-//	index.journal  append-only records ("put", "touch", "del"), each line
-//	               CRC-guarded; replayed on Open to rebuild the index and
-//	               the LRU order, then compacted to one "put" per live
-//	               entry
+//	<key>.res  one write-once entry envelope; committed by rename, never
+//	           rewritten in place
+//	.tmp-*     a staged write; swept by the next Open if a crash left it
+//
+// Open scans the directory: every valid <key>.res is an entry, sized by
+// its file, and the LRU order starts as write order (file modification
+// time, ties broken by key). Hit recency is kept in memory only and does
+// not survive a restart.
 //
 // An envelope is a header (magic, version, key, payload length, payload
 // SHA-256) and the checksummed payload. The payload (version 2) is
 //
 //	u16 len | options hash | u16 len | benchmark | u16 len | mode
-//	u32 len | answer: the compact JSON of the result
+//	u32 len | answer: the JSON rendering of the result
 //	gob Entry
 //
 // so a hit is answered by Answer (read, verify the checksum, return the
@@ -29,14 +30,13 @@
 // version, the retired version 1 (the gob Entry alone) included, reads as
 // corrupt.
 //
-// The store is one trust domain: it holds and serves only envelopes this
-// node wrote. Corrupt or truncated entries and journal lines are detected
-// by checksum, counted in pac_store_corrupt_total, and removed or skipped
-// — never fatal; the result is recomputed on the next miss. A crash
-// between an entry rename and its journal append is recovered on the
-// next Open: an orphan entry file is adopted back into the index only
-// when it decodes and its answer section is the rendering of its own
-// result (verifyOrphan), and discarded otherwise.
+// The store is one trust domain: it serves only envelopes this node's
+// write path produced. An entry Put wrote in this process is trusted; an
+// entry found at Open is verified on its first Answer (verifyOrphan): it
+// must decode and its answer section must be the rendering of its own
+// result. Corrupt, truncated or unverifiable entries are counted in
+// pac_store_corrupt_total and removed — never fatal; the result is
+// recomputed on the next miss.
 //
 // The store is safe for concurrent use. Entry files are immutable once
 // renamed into place, so readers never see torn writes; concurrent
@@ -52,14 +52,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/sim"
@@ -117,8 +117,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrCorrupt marks an envelope or journal record that failed validation;
-// callers treat it as a miss, never as a fatal condition.
+// ErrCorrupt marks an envelope that failed validation; callers treat it
+// as a miss, never as a fatal condition.
 var ErrCorrupt = errors.New("store: corrupt entry")
 
 // Envelope constants: an 8-byte magic, a version, the key, the payload
@@ -127,7 +127,6 @@ var ErrCorrupt = errors.New("store: corrupt entry")
 const (
 	magic      = "PACSTOR1"
 	version    = 2
-	journal    = "index.journal"
 	entryExt   = ".res"
 	maxKeyLen  = 256
 	maxPayload = 1 << 30 // decode guard against absurd length fields
@@ -138,6 +137,9 @@ type idxEntry struct {
 	key  string
 	size int64
 	seq  int64 // LRU recency: larger = more recently used
+	// verified: the file is known to be this node's rendering — Put wrote
+	// it in this process, or verifyOrphan accepted it.
+	verified bool
 }
 
 // Store is the durable result store; build with Open, close with Close.
@@ -149,9 +151,9 @@ type Store struct {
 	entries map[string]*idxEntry
 	bytes   int64
 	seq     int64
-	jf      *os.File // append handle on the index journal
-	records int      // journal records since the last compaction
 	closed  bool
+
+	staged atomic.Uint64 // temp-file name counter
 
 	hits      *telemetry.Counter
 	misses    *telemetry.Counter
@@ -160,12 +162,10 @@ type Store struct {
 	corrupt   *telemetry.Counter
 }
 
-// Open creates or reopens the store at cfg.Dir: it replays the index
-// journal (skipping corrupt or truncated lines), reconciles the index
-// against the entry files actually on disk — dropping index records
-// whose file vanished and adopting valid orphan files left by a crash
-// between rename and journal append — then compacts the journal to one
-// record per live entry and enforces the size caps.
+// Open creates or reopens the store at cfg.Dir. It scans the directory:
+// staged temp files a crash left behind are removed, and every valid
+// <key>.res file becomes an unverified entry, oldest write least recently
+// used. Then it enforces the size caps.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -184,7 +184,7 @@ func Open(cfg Config) (*Store, error) {
 	s.misses = reg.Counter("pac_store_misses_total", "Result-store reads that found no usable entry.")
 	s.writes = reg.Counter("pac_store_writes_total", "Result-store entries committed to disk.")
 	s.evictions = reg.Counter("pac_store_evictions_total", "Result-store entries evicted by the size caps.")
-	s.corrupt = reg.Counter("pac_store_corrupt_total", "Corrupt or truncated store entries and journal lines skipped.")
+	s.corrupt = reg.Counter("pac_store_corrupt_total", "Corrupt, truncated or unverifiable store entries discarded.")
 	reg.GaugeFunc("pac_store_bytes", "Summed size of the stored entry files.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -196,21 +196,44 @@ func Open(cfg Config) (*Store, error) {
 		return float64(len(s.entries))
 	})
 
-	if err := s.replayJournal(); err != nil {
-		return nil, err
+	names, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := s.reconcile(); err != nil {
-		return nil, err
+	type found struct {
+		key  string
+		size int64
+		mod  time.Time
 	}
-	if err := s.compactLocked(); err != nil {
-		return nil, err
+	var files []found
+	for _, de := range names {
+		name := de.Name()
+		if strings.HasPrefix(name, ".tmp-") {
+			os.Remove(filepath.Join(s.dir, name)) // staged write that never committed
+			continue
+		}
+		key, ok := strings.CutSuffix(name, entryExt)
+		if !ok || !ValidKey(key) {
+			continue
+		}
+		if info, err := de.Info(); err == nil {
+			files = append(files, found{key, info.Size(), info.ModTime()})
+		}
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if !files[i].mod.Equal(files[j].mod) {
+			return files[i].mod.Before(files[j].mod)
+		}
+		return files[i].key < files[j].key
+	})
+	for _, f := range files {
+		s.seq++
+		s.entries[f.key] = &idxEntry{key: f.key, size: f.size, seq: s.seq}
+		s.bytes += f.size
 	}
 	s.evictLocked()
 	return s, nil
 }
-
-// journalPath returns the live journal's path.
-func (s *Store) journalPath() string { return filepath.Join(s.dir, journal) }
 
 // entryPath returns the entry file path for a key. Keys are hex strings
 // (content addresses); anything else is rejected before it reaches the
@@ -234,216 +257,12 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// replayJournal rebuilds the index from the append-only journal,
-// skipping malformed or CRC-failing lines (a torn final line after a
-// crash is the common case).
-func (s *Store) replayJournal() error {
-	blob, err := os.ReadFile(s.journalPath())
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: reading journal: %w", err)
-	}
-	for _, line := range strings.Split(string(blob), "\n") {
-		if line == "" {
-			continue
-		}
-		op, key, size, ok := parseRecord(line)
-		if !ok {
-			s.corrupt.Inc()
-			continue
-		}
-		s.seq++
-		switch op {
-		case "put":
-			if e, exists := s.entries[key]; exists {
-				s.bytes += size - e.size
-				e.size = size
-				e.seq = s.seq
-			} else {
-				s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq}
-				s.bytes += size
-			}
-		case "touch":
-			if e, exists := s.entries[key]; exists {
-				e.seq = s.seq
-			}
-		case "del":
-			if e, exists := s.entries[key]; exists {
-				s.bytes -= e.size
-				delete(s.entries, key)
-			}
-		}
-	}
-	return nil
-}
-
-// reconcile walks the store directory: index records whose entry file is
-// gone are dropped; entry files the journal never committed (a crash
-// between rename and append) are validated and adopted; stray temp files
-// are removed.
-func (s *Store) reconcile() error {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	onDisk := make(map[string]int64)
-	for _, de := range names {
-		name := de.Name()
-		switch {
-		case strings.HasPrefix(name, ".tmp-"):
-			os.Remove(filepath.Join(s.dir, name)) // staged write that never committed
-		case strings.HasSuffix(name, entryExt):
-			key := strings.TrimSuffix(name, entryExt)
-			if !ValidKey(key) {
-				continue
-			}
-			if info, err := de.Info(); err == nil {
-				onDisk[key] = info.Size()
-			}
-		}
-	}
-	for key, e := range s.entries {
-		size, exists := onDisk[key]
-		if !exists {
-			s.bytes -= e.size
-			delete(s.entries, key)
-			continue
-		}
-		if size != e.size { // rewritten after the journal record; trust disk
-			s.bytes += size - e.size
-			e.size = size
-		}
-	}
-	for key, size := range onDisk {
-		if _, exists := s.entries[key]; exists {
-			continue
-		}
-		// Orphan: adopt it only when it checks out, else count and remove
-		// it so the key is recomputed on its next miss.
-		blob, err := os.ReadFile(s.entryPath(key))
-		if err != nil {
-			continue
-		}
-		if verifyOrphan(key, blob) != nil {
-			s.corrupt.Inc()
-			os.Remove(s.entryPath(key))
-			continue
-		}
-		s.seq++
-		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq}
-		s.bytes += size
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Journal records. One line per operation:
-//
-//	<op> <key> <size>#<crc32-hex>\n
-//
-// The CRC covers everything before the '#'. A line that fails to parse
-// or verify is skipped on replay.
-
-func formatRecord(op, key string, size int64) string {
-	body := op + " " + key + " " + strconv.FormatInt(size, 10)
-	return body + "#" + strconv.FormatUint(uint64(crc32.ChecksumIEEE([]byte(body))), 16) + "\n"
-}
-
-func parseRecord(line string) (op, key string, size int64, ok bool) {
-	hash := strings.LastIndexByte(line, '#')
-	if hash < 0 {
-		return "", "", 0, false
-	}
-	body, sum := line[:hash], line[hash+1:]
-	want, err := strconv.ParseUint(sum, 16, 32)
-	if err != nil || crc32.ChecksumIEEE([]byte(body)) != uint32(want) {
-		return "", "", 0, false
-	}
-	fields := strings.Fields(body)
-	if len(fields) != 3 || !ValidKey(fields[1]) {
-		return "", "", 0, false
-	}
-	size, err = strconv.ParseInt(fields[2], 10, 64)
-	if err != nil || size < 0 {
-		return "", "", 0, false
-	}
-	switch fields[0] {
-	case "put", "touch", "del":
-		return fields[0], fields[1], size, true
-	}
-	return "", "", 0, false
-}
-
-// appendRecord writes one journal record through the append handle,
-// opening it lazily. Called with s.mu held.
-func (s *Store) appendRecordLocked(op, key string, size int64) error {
-	if s.jf == nil {
-		f, err := os.OpenFile(s.journalPath(), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: opening journal: %w", err)
-		}
-		s.jf = f
-	}
-	if _, err := s.jf.WriteString(formatRecord(op, key, size)); err != nil {
-		return fmt.Errorf("store: journal append: %w", err)
-	}
-	s.records++
-	// Access churn grows the journal without bound; fold it back into
-	// one record per live entry once it clearly dominates.
-	if s.records > 4*len(s.entries)+1024 {
-		return s.compactLocked()
-	}
-	return nil
-}
-
-// compactLocked rewrites the journal as one "put" per live entry in LRU
-// order (oldest first, so replay reproduces the recency order), fsyncs
-// it, and atomically replaces the old journal. Called with s.mu held (or
-// from Open before the store is shared).
-func (s *Store) compactLocked() error {
-	ordered := make([]*idxEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		ordered = append(ordered, e)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-
-	tmp := s.journalPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: compacting journal: %w", err)
-	}
-	var buf bytes.Buffer
-	for _, e := range ordered {
-		buf.WriteString(formatRecord("put", e.key, e.size))
-	}
-	if _, err := f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compacting journal: %w", err)
-	}
-	if err := os.Rename(tmp, s.journalPath()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: compacting journal: %w", err)
-	}
-	// Replace the append handle: the old one points at the unlinked file.
-	if s.jf != nil {
-		s.jf.Close()
-		s.jf = nil
-	}
-	s.records = len(ordered)
-	return nil
-}
-
 // ---------------------------------------------------------------------
 // Envelope encode/decode.
 
 // Answer is the served form of one entry: the identity it answers and
-// the compact JSON rendering of its result — the bytes a simulate reply
-// embeds as its "result", verbatim.
+// the JSON rendering (json.Marshal) of its result — the bytes a simulate
+// reply embeds as its "result", verbatim.
 type Answer struct {
 	OptionsHash string
 	Benchmark   string
@@ -609,12 +428,12 @@ func DecodeEntry(wantKey string, blob []byte) (Entry, error) {
 	return env.decode()
 }
 
-// verifyOrphan checks an orphan entry file — one the journal never
-// recorded, left by a crash between its rename and its journal append —
-// before Open adopts it: DecodeEntry must accept it, and its answer
-// section must be the rendering of its own decoded result. A checksum is
-// not a signature, so an envelope whose answer disagrees with its result
-// is never served; it is discarded and recomputed on the next miss.
+// verifyOrphan checks an entry file this process did not write — one
+// Open found — before its answer is served: DecodeEntry must accept it,
+// and its answer section must be the rendering of its own decoded result.
+// A checksum is not a signature, so an envelope whose answer disagrees
+// with its result is never served; it is discarded and recomputed on the
+// next miss.
 func verifyOrphan(key string, blob []byte) error {
 	env, err := openEnvelope(key, blob)
 	if err != nil {
@@ -665,14 +484,12 @@ func (s *Store) PutAnswer(e Entry, answer []byte) error {
 		s.bytes += size - ie.size
 		ie.size = size
 		ie.seq = s.seq
+		ie.verified = true
 	} else {
-		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq}
+		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq, verified: true}
 		s.bytes += size
 	}
 	s.writes.Inc()
-	if err := s.appendRecordLocked("put", key, size); err != nil {
-		return err
-	}
 	s.evictLocked()
 	return nil
 }
@@ -681,15 +498,7 @@ func (s *Store) PutAnswer(e Entry, answer []byte) error {
 // over the key's entry file. The rename is the commit point; a crash
 // before it leaves only a .tmp- file that the next Open sweeps away.
 func (s *Store) writeEntryFile(key string, blob []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("store: closed")
-	}
-	s.seq++
-	staged := filepath.Join(s.dir, fmt.Sprintf(".tmp-%s-%d", key, s.seq))
-	s.mu.Unlock()
-
+	staged := filepath.Join(s.dir, fmt.Sprintf(".tmp-%s-%d", key, s.staged.Add(1)))
 	f, err := os.OpenFile(staged, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: staging entry: %w", err)
@@ -715,7 +524,7 @@ func (s *Store) writeEntryFile(key string, blob []byte) error {
 // counted, removed, and reported as a miss — never an error. A hit
 // refreshes the key's LRU recency.
 func (s *Store) Get(key string) (Entry, bool) {
-	blob, ok := s.readEntry(key)
+	blob, _, ok := s.readEntry(key)
 	if !ok {
 		return Entry{}, false
 	}
@@ -729,54 +538,64 @@ func (s *Store) Get(key string) (Entry, bool) {
 
 // Answer loads the entry for key as its answer: a read and a checksum,
 // the identity and answer sections returned as stored, nothing decoded.
-// It counts, discards corrupt files and refreshes recency exactly as Get
+// The first Answer of an entry found at Open also runs verifyOrphan. It
+// counts, discards corrupt files and refreshes recency exactly as Get
 // does. The JSON is copied out of the file buffer, so a caller that keeps
 // it (a finished job does) does not keep the whole envelope alive.
 func (s *Store) Answer(key string) (Answer, bool) {
-	blob, ok := s.readEntry(key)
+	blob, verified, ok := s.readEntry(key)
 	if !ok {
 		return Answer{}, false
 	}
 	env, err := openEnvelope(key, blob)
+	if err == nil && !verified {
+		err = verifyOrphan(key, blob)
+	}
 	if err != nil {
 		s.discardCorrupt(key)
 		return Answer{}, false
+	}
+	if !verified {
+		s.mu.Lock()
+		if e, exists := s.entries[key]; exists {
+			e.verified = true
+		}
+		s.mu.Unlock()
 	}
 	a := env.answer
 	a.JSON = bytes.Clone(a.JSON)
 	return a, true
 }
 
-// readEntry reads the entry bytes and refreshes LRU recency; the caller
-// validates the envelope.
-func (s *Store) readEntry(key string) ([]byte, bool) {
+// readEntry refreshes the key's LRU recency and reads its entry bytes,
+// reporting whether the entry was verified; the caller validates the
+// envelope.
+func (s *Store) readEntry(key string) (blob []byte, verified, ok bool) {
 	if !ValidKey(key) {
 		s.misses.Inc()
-		return nil, false
+		return nil, false, false
 	}
 	s.mu.Lock()
-	_, exists := s.entries[key]
+	e, exists := s.entries[key]
+	if exists {
+		s.seq++
+		e.seq = s.seq
+		verified = e.verified
+	}
 	s.mu.Unlock()
 	if !exists {
 		s.misses.Inc()
-		return nil, false
+		return nil, false, false
 	}
 	// Read outside the lock: the file is immutable once renamed into
 	// place, and an eviction racing this read simply yields a miss.
 	blob, err := os.ReadFile(s.entryPath(key))
 	if err != nil {
 		s.misses.Inc()
-		return nil, false
+		return nil, false, false
 	}
-	s.mu.Lock()
-	if e, still := s.entries[key]; still {
-		s.seq++
-		e.seq = s.seq
-		s.appendRecordLocked("touch", key, e.size)
-	}
-	s.mu.Unlock()
 	s.hits.Inc()
-	return blob, true
+	return blob, verified, true
 }
 
 // discardCorrupt counts and removes a failed entry so it cannot poison
@@ -787,15 +606,20 @@ func (s *Store) discardCorrupt(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, exists := s.entries[key]; exists {
-		s.bytes -= e.size
-		delete(s.entries, key)
-		os.Remove(s.entryPath(key))
-		s.appendRecordLocked("del", key, 0)
+		s.removeLocked(e)
 	}
 }
 
-// Has reports whether key is resident, without touching metrics or LRU
-// order.
+// removeLocked drops an entry from the index and deletes its file.
+// Called with s.mu held.
+func (s *Store) removeLocked(e *idxEntry) {
+	s.bytes -= e.size
+	delete(s.entries, e.key)
+	os.Remove(s.entryPath(e.key))
+}
+
+// Has reports whether key is resident; it counts nothing and leaves the
+// LRU order as it is.
 func (s *Store) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -818,7 +642,7 @@ func (s *Store) Bytes() int64 {
 }
 
 // evictLocked drops least-recently-used entries until both caps hold.
-// Called with s.mu held.
+// Called with s.mu held (or from Open before the store is shared).
 func (s *Store) evictLocked() {
 	over := func() bool {
 		if s.cfg.MaxEntries > 0 && len(s.entries) > s.cfg.MaxEntries {
@@ -833,44 +657,16 @@ func (s *Store) evictLocked() {
 				oldest = e
 			}
 		}
-		s.bytes -= oldest.size
-		delete(s.entries, oldest.key)
-		os.Remove(s.entryPath(oldest.key))
-		s.appendRecordLocked("del", oldest.key, 0)
+		s.removeLocked(oldest)
 		s.evictions.Inc()
 	}
 }
 
-// Flush fsyncs the index journal — the SIGTERM drain path, so a clean
-// shutdown leaves a fully durable index (an unclean one merely pays the
-// orphan-adoption scan on the next boot).
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.jf == nil {
-		return nil
-	}
-	if err := s.jf.Sync(); err != nil {
-		return fmt.Errorf("store: journal fsync: %w", err)
-	}
-	return nil
-}
-
-// Close compacts and fsyncs the journal and releases the append handle.
-// The store must not be used afterwards.
+// Close marks the store closed; later Puts fail. Every committed entry
+// is already durable on disk, so Close writes nothing. It is idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	err := s.compactLocked()
-	if s.jf != nil {
-		if cerr := s.jf.Close(); err == nil {
-			err = cerr
-		}
-		s.jf = nil
-	}
-	return err
+	return nil
 }

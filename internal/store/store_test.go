@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/sim"
@@ -91,7 +92,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReopenReplaysJournal(t *testing.T) {
+// TestReopenOrdersByWriteTime: the LRU order at Open is write order —
+// file modification time, ties broken by key — and hit recency does not
+// survive a restart: a key read last before Close is still evicted first
+// when it was written first.
+func TestReopenOrdersByWriteTime(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Config{Dir: dir})
 	for i := 0; i < 5; i++ {
@@ -99,26 +104,30 @@ func TestReopenReplaysJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Touch key 0 so it becomes most recent; reopen must preserve order.
+	// A hit makes key 0 most recent in this process only.
 	if _, ok := s.Get(key(0)); !ok {
-		t.Fatal("touch read missed")
+		t.Fatal("read missed")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	// Pin the write times: key i written at base+i, keys 3 and 4 tied.
+	base := time.Now().Add(-time.Hour)
+	for i, sec := range []int{0, 1, 2, 3, 3} {
+		at := base.Add(time.Duration(sec) * time.Second)
+		if err := os.Chtimes(filepath.Join(dir, key(i)+entryExt), at, at); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s2 := mustOpen(t, Config{Dir: dir})
 	if s2.Len() != 5 {
 		t.Fatalf("reopened Len = %d, want 5", s2.Len())
 	}
-	var mru *idxEntry
-	for _, e := range s2.entries {
-		if mru == nil || e.seq > mru.seq {
-			mru = e
+	for i := 1; i < 5; i++ {
+		if prev, cur := s2.entries[key(i-1)].seq, s2.entries[key(i)].seq; prev >= cur {
+			t.Fatalf("key %d (seq %d) not older than key %d (seq %d)", i-1, prev, i, cur)
 		}
-	}
-	if mru.key != key(0) {
-		t.Fatalf("MRU key after reopen = %s, want %s (touched last)", mru.key, key(0))
 	}
 	for i := 0; i < 5; i++ {
 		e, ok := s2.Get(key(i))
@@ -126,43 +135,14 @@ func TestReopenReplaysJournal(t *testing.T) {
 			t.Fatalf("key %d: ok=%v entry=%+v", i, ok, e)
 		}
 	}
-}
+	s2.Close()
 
-// TestTornJournalLineSkipped simulates a crash mid-append: the final
-// journal line is truncated. Replay must keep every intact record and
-// count exactly one corrupt line.
-func TestTornJournalLineSkipped(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	for i := 0; i < 3; i++ {
-		if err := s.Put(testEntry(key(i), 1000)); err != nil {
-			t.Fatal(err)
+	// A cap below the count evicts in write order at Open.
+	s3 := mustOpen(t, Config{Dir: dir, MaxEntries: 3, MaxBytes: -1})
+	for i := 0; i < 5; i++ {
+		if want := i >= 2; s3.Has(key(i)) != want {
+			t.Errorf("key %d resident = %v, want %v", i, !want, want)
 		}
-	}
-	s.Close()
-
-	jp := filepath.Join(dir, journal)
-	blob, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Append a valid del record for key 2, torn halfway through.
-	torn := formatRecord("del", key(2), 0)
-	blob = append(blob, torn[:len(torn)/2]...)
-	if err := os.WriteFile(jp, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := telemetry.NewRegistry()
-	s2 := mustOpen(t, Config{Dir: dir, Registry: reg})
-	if s2.Len() != 3 {
-		t.Fatalf("Len after torn replay = %d, want 3 (torn del ignored)", s2.Len())
-	}
-	if _, ok := s2.Get(key(2)); !ok {
-		t.Fatal("key 2 lost to a torn journal line")
-	}
-	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
-		t.Fatalf("pac_store_corrupt_total = %v, want 1", got)
 	}
 }
 
@@ -205,59 +185,94 @@ func TestCorruptEntrySkipped(t *testing.T) {
 	}
 }
 
-// TestOrphanAdoption simulates a crash between entry rename and journal
-// append: a valid .res file with no journal record must be adopted on
-// the next Open, and a corrupt orphan must be swept away.
+// TestOrphanAdoption: Open indexes every entry file it finds, so an
+// entry written without Close (a kill -9) is served after reopen,
+// staged .tmp- files are swept, and a corrupt file is counted and
+// removed at its first read.
 func TestOrphanAdoption(t *testing.T) {
 	dir := t.TempDir()
-	good, err := EncodeEntry(testEntry(key(0), 4242))
+	s := mustOpen(t, Config{Dir: dir})
+	for i := 0; i < 2; i++ {
+		if err := s.Put(testEntry(key(i), int64(4242+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := filepath.Join(dir, key(1)+entryExt)
+	blob, err := os.ReadFile(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key(0)+entryExt), good, 0o644); err != nil {
+	blob[len(blob)-1] ^= 0xff
+	if err := os.WriteFile(bad, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-1] ^= 0xff
-	if err := os.WriteFile(filepath.Join(dir, key(1)+entryExt), bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A staged temp file from a crash mid-write must be swept too.
+	// A staged temp file from a crash mid-write.
 	if err := os.WriteFile(filepath.Join(dir, ".tmp-dead-1"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	good, err := os.Stat(filepath.Join(dir, key(0)+entryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	s := mustOpen(t, Config{Dir: dir})
-	e, ok := s.Get(key(0))
-	if !ok || e.Result.Cycles != 4242 {
-		t.Fatalf("orphan not adopted: ok=%v e=%+v", ok, e)
-	}
-	if _, ok := s.Get(key(1)); ok {
-		t.Fatal("corrupt orphan adopted")
-	}
-	if _, err := os.Stat(filepath.Join(dir, key(1)+entryExt)); !os.IsNotExist(err) {
-		t.Fatal("corrupt orphan not removed")
+	reg := telemetry.NewRegistry()
+	s2 := mustOpen(t, Config{Dir: dir, Registry: reg})
+	if s2.Len() != 2 || s2.Bytes() != good.Size()+int64(len(blob)) {
+		t.Fatalf("Len=%d Bytes=%d, want 2 entries of %d bytes", s2.Len(), s2.Bytes(), good.Size()+int64(len(blob)))
 	}
 	if _, err := os.Stat(filepath.Join(dir, ".tmp-dead-1")); !os.IsNotExist(err) {
 		t.Fatal("stale temp file not swept")
 	}
+	if _, ok := s2.Answer(key(0)); !ok {
+		t.Fatal("entry written before the kill not answered")
+	}
+	if !s2.entries[key(0)].verified {
+		t.Fatal("entry not marked verified after its first answer")
+	}
+	if e, ok := s2.Get(key(0)); !ok || e.Result.Cycles != 4242 {
+		t.Fatalf("entry written before the kill: ok=%v e=%+v", ok, e)
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 0 {
+		t.Fatalf("pac_store_corrupt_total = %v before any corrupt read, want 0", got)
+	}
+	if _, ok := s2.Answer(key(1)); ok {
+		t.Fatal("corrupt entry answered")
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
+		t.Fatalf("pac_store_corrupt_total = %v, want 1", got)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatal("corrupt entry file not removed")
+	}
 }
 
-// TestIndexWithoutFileDropped covers the inverse crash: a journal record
-// whose entry file vanished must be dropped silently on Open.
+// TestIndexWithoutFileDropped: an entry whose file was removed while the
+// store was down is absent after reopen; its sibling is still indexed.
 func TestIndexWithoutFileDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Config{Dir: dir})
-	if err := s.Put(testEntry(key(0), 1)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := s.Put(testEntry(key(i), int64(4242+i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.Close()
-	if err := os.Remove(filepath.Join(dir, key(0)+entryExt)); err != nil {
+	if err := os.Remove(filepath.Join(dir, key(1)+entryExt)); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := os.Stat(filepath.Join(dir, key(0)+entryExt))
+	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, Config{Dir: dir})
-	if s2.Len() != 0 || s2.Bytes() != 0 {
-		t.Fatalf("ghost index entry survived: Len=%d Bytes=%d", s2.Len(), s2.Bytes())
+	if s2.Len() != 1 || s2.Bytes() != kept.Size() {
+		t.Fatalf("Len=%d Bytes=%d, want 1 entry of %d bytes", s2.Len(), s2.Bytes(), kept.Size())
+	}
+	if s2.Has(key(1)) {
+		t.Fatal("removed entry file indexed")
+	}
+	if _, ok := s2.Get(key(1)); ok {
+		t.Fatal("removed entry served")
 	}
 }
 
@@ -320,34 +335,6 @@ func TestEvictionByBytes(t *testing.T) {
 	}
 	if s2.Bytes() > one*2+one/2 {
 		t.Fatalf("Bytes = %d over cap %d", s2.Bytes(), one*2+one/2)
-	}
-}
-
-func TestCompactionShrinksJournal(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir})
-	if err := s.Put(testEntry(key(0), 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Hammer the touch path well past the compaction threshold.
-	for i := 0; i < 1200; i++ {
-		if _, ok := s.Get(key(0)); !ok {
-			t.Fatal("read missed")
-		}
-	}
-	s.Close()
-	blob, err := os.ReadFile(filepath.Join(dir, journal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(blob), "\n")
-	if lines != 1 {
-		t.Fatalf("journal has %d records after close-compaction, want 1", lines)
-	}
-	// The compacted journal must still replay.
-	s2 := mustOpen(t, Config{Dir: dir})
-	if s2.Len() != 1 {
-		t.Fatalf("Len after compacted replay = %d, want 1", s2.Len())
 	}
 }
 
@@ -421,16 +408,12 @@ func TestParallelWritersSameKey(t *testing.T) {
 	}
 }
 
-// TestReadersDuringCompaction hammers reads and writes while forcing
-// journal compactions, checking nothing is lost or torn.
-func TestReadersDuringCompaction(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir()})
-	const keys = 4
-	for i := 0; i < keys; i++ {
-		if err := s.Put(testEntry(key(i), int64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestReadersDuringChurn hammers Answer and Get while a writer Puts new
+// keys past the entry cap, so every Put evicts: a hit must always carry
+// its own key's result, never a torn or foreign one, and the caps hold.
+func TestReadersDuringChurn(t *testing.T) {
+	const maxEntries, keys = 4, 64
+	s := mustOpen(t, Config{Dir: t.TempDir(), MaxEntries: maxEntries, MaxBytes: -1})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -443,24 +426,39 @@ func TestReadersDuringCompaction(t *testing.T) {
 					return
 				default:
 				}
-				k := key(i % keys)
-				if e, ok := s.Get(k); ok && e.Result.Cycles != int64(100+i%keys) {
-					t.Errorf("reader %d: key %s cycles %d", r, k, e.Result.Cycles)
+				k := i % keys
+				if e, ok := s.Get(key(k)); ok && e.Result.Cycles != int64(100+k) {
+					t.Errorf("reader %d: key %d cycles %d", r, k, e.Result.Cycles)
 					return
+				}
+				if a, ok := s.Answer(key(k)); ok {
+					var res sim.Result
+					if err := json.Unmarshal(a.JSON, &res); err != nil || res.Cycles != int64(100+k) {
+						t.Errorf("reader %d: key %d answered %s (%v)", r, k, a.JSON, err)
+						return
+					}
 				}
 			}
 		}(r)
 	}
-	// Force repeated compactions from the writer side.
-	for i := 0; i < 3000; i++ {
-		if _, ok := s.Get(key(i % keys)); !ok {
-			t.Fatalf("writer-side read %d missed", i)
+	for round := 0; round < 3; round++ {
+		for k := 0; k < keys; k++ {
+			if err := s.Put(testEntry(key(k), int64(100+k))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if s.Len() != keys {
-		t.Fatalf("Len = %d, want %d", s.Len(), keys)
+	if s.Len() != maxEntries {
+		t.Fatalf("Len = %d, want %d", s.Len(), maxEntries)
+	}
+	names, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != maxEntries {
+		t.Fatalf("%d files on disk, want the %d resident entries", len(names), maxEntries)
 	}
 }
 
@@ -479,9 +477,8 @@ const fixtureKey = "5eed0000000000a1"
 
 // TestV1EntryDiscarded: testdata/v1.res is an entry file written by the
 // retired version-1 envelope (the gob entry alone, no answer section).
-// Whether the journal indexes it or it is an orphan, Open succeeds, and
-// the file is counted as corrupt, removed, and missed on the next read,
-// so the result is recomputed.
+// Open indexes it like any file it finds, and its first read counts it as
+// corrupt, removes it and misses, so the result is recomputed.
 func TestV1EntryDiscarded(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "v1.res"))
 	if err != nil {
@@ -490,35 +487,30 @@ func TestV1EntryDiscarded(t *testing.T) {
 	if v := binary.BigEndian.Uint16(blob[len(magic):]); v != 1 {
 		t.Fatalf("fixture is a version-%d envelope, want version 1", v)
 	}
-	for _, indexed := range []bool{true, false} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, fixtureKey+entryExt)
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if indexed {
-			record := formatRecord("put", fixtureKey, int64(len(blob)))
-			if err := os.WriteFile(filepath.Join(dir, journal), []byte(record), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reg := telemetry.NewRegistry()
-		s := mustOpen(t, Config{Dir: dir, Registry: reg})
-		if _, ok := s.Answer(fixtureKey); ok {
-			t.Fatalf("indexed=%v: version-1 entry answered", indexed)
-		}
-		if _, ok := s.Get(fixtureKey); ok {
-			t.Fatalf("indexed=%v: version-1 entry decoded", indexed)
-		}
-		if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
-			t.Errorf("indexed=%v: pac_store_corrupt_total = %v, want 1", indexed, got)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("indexed=%v: version-1 entry file not removed", indexed)
-		}
-		if s.Len() != 0 {
-			t.Errorf("indexed=%v: Len = %d, want 0", indexed, s.Len())
-		}
+	dir := t.TempDir()
+	path := filepath.Join(dir, fixtureKey+entryExt)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: dir, Registry: reg})
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 0 {
+		t.Fatalf("pac_store_corrupt_total = %v before the first read, want 0", got)
+	}
+	if _, ok := s.Answer(fixtureKey); ok {
+		t.Fatal("version-1 entry answered")
+	}
+	if _, ok := s.Get(fixtureKey); ok {
+		t.Fatal("version-1 entry decoded")
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
+		t.Errorf("pac_store_corrupt_total = %v, want 1", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("version-1 entry file not removed")
+	}
+	if s.Len() != 0 {
+		t.Errorf("Len = %d, want 0", s.Len())
 	}
 }
 
@@ -586,10 +578,11 @@ func payloadOf(blob []byte) []byte {
 	return blob[h:]
 }
 
-// TestForeignAnswerNeverKept: an orphan entry file with a valid checksum
-// and identity whose answer section disagrees with its own result — bytes
-// this node's write path never produces — is counted and removed at Open,
-// never adopted, so its planted answer is never served.
+// TestForeignAnswerNeverKept: an entry file found at Open with a valid
+// checksum and identity whose answer section disagrees with its own
+// result — bytes this node's write path never produces — is counted and
+// removed at its first read, never answered, so its planted answer is
+// never served.
 func TestForeignAnswerNeverKept(t *testing.T) {
 	forged, err := encodeEntry(testEntry(key(0), 777), []byte(`{"Cycles":1}`))
 	if err != nil {
@@ -608,14 +601,44 @@ func TestForeignAnswerNeverKept(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	s := mustOpen(t, Config{Dir: dir, Registry: reg})
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 0 {
+		t.Fatalf("pac_store_corrupt_total = %v before the first read, want 0", got)
+	}
 	if a, ok := s.Answer(key(0)); ok {
-		t.Fatalf("forged orphan answered %s", a.JSON)
+		t.Fatalf("forged entry answered %s", a.JSON)
 	}
 	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
 		t.Errorf("pac_store_corrupt_total = %v, want 1", got)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("forged orphan not removed")
+		t.Error("forged entry not removed")
+	}
+}
+
+// TestPutEntryAnsweredUnverified: an entry Put wrote in this process is
+// answered from its checksum alone, with no decode. The answer section is
+// the caller's rendering, taken on trust: here a rendering that is not
+// json.Marshal of the result is served as written until a restart, where
+// the first read verifies it and discards it.
+func TestPutEntryAnsweredUnverified(t *testing.T) {
+	dir := t.TempDir()
+	rendering := []byte(`{"Cycles":1}`)
+	s := mustOpen(t, Config{Dir: dir})
+	if err := s.PutAnswer(testEntry(key(0), 777), rendering); err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := s.Answer(key(0)); !ok || !bytes.Equal(a.JSON, rendering) {
+		t.Fatalf("Put entry answered %s (ok=%v), want the stored rendering", a.JSON, ok)
+	}
+	s.Close()
+
+	reg := telemetry.NewRegistry()
+	s2 := mustOpen(t, Config{Dir: dir, Registry: reg})
+	if _, ok := s2.Answer(key(0)); ok {
+		t.Fatal("entry found at Open answered without verification")
+	}
+	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
+		t.Errorf("pac_store_corrupt_total = %v, want 1", got)
 	}
 }
 

@@ -334,8 +334,8 @@ type (
 	StoreEntry = store.Entry
 )
 
-// OpenStore creates or reopens a durable result store, replaying and
-// compacting its index journal.
+// OpenStore creates or reopens a durable result store, indexing the
+// entry files in its directory.
 func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
 
 // Write-ahead job journal (cmd/pacd -wal): a crash-safe record of every

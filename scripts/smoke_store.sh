@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end durable-store smoke (single node): simulate, restart pacd
 # over the same store directory, and require the repeat request to be a
-# disk hit with zero new simulation runs.
+# disk hit with zero new simulation runs. Then simulate a new key, kill
+# pacd with SIGKILL, and require the reboot to answer it from disk too:
+# an entry is durable once its reply is sent, clean shutdown or not.
 #
 # Usage: scripts/smoke_store.sh [pacd-port]
 set -euo pipefail
@@ -74,6 +76,8 @@ t0=$(now_ms)
 first=$(simulate "$D" "$body" "$hdr")
 miss_ms=$(( $(now_ms) - t0 ))
 echo "$first" | grep -q '"status": "done"' || fail "first simulate did not finish: $first"
+key=$(echo "$first" | sed -nE 's/.*"configHash": *"([0-9a-f]+)".*/\1/p' | head -n 1)
+[ -n "$key" ] || fail "first simulate reply carries no configHash: $first"
 [ "$(cache_header "$hdr")" = "miss" ] || fail "first simulate cache source '$(cache_header "$hdr")', want miss"
 rm -f "$hdr"
 writes=$(metric "$D" pac_store_writes_total)
@@ -84,7 +88,8 @@ kill -TERM "$D_PID"
 status=0; wait "$D_PID" || status=$?
 [ "$status" = "0" ] || fail "pacd exited $status on SIGTERM"
 grep -q "drained cleanly" "$LOGDIR/pacd1.log" || fail "boot-1 drain not clean"
-[ -s "$STOREDIR/index.journal" ] || fail "no index journal after clean shutdown"
+[ -s "$STOREDIR/$key.res" ] || fail "no entry file $key.res after clean shutdown"
+[ -z "$(find "$STOREDIR" -maxdepth 1 -name '.tmp-*' -print)" ] || fail "staged .tmp- files left after clean shutdown"
 
 # Boot 2: an empty memo, so the repeat request must hit the DISK path.
 "$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" \
@@ -106,6 +111,32 @@ sims=$(metric "$D" pac_sims_started_total)
 [ "$sims" = "0" ] || fail "disk-hit boot ran $sims simulations, want 0"
 echo "smoke-store: restart + disk hit ok (${disk_ms}ms, hits=$hits, sims=0)"
 
+# A new key, then SIGKILL: no clean shutdown follows the write.
+body2='{"benchmark": "STREAM", "mode": "pac"}'
+hdr="$(mktemp)"
+fresh=$(simulate "$D" "$body2" "$hdr")
+echo "$fresh" | grep -q '"status": "done"' || fail "new-key simulate did not finish: $fresh"
+[ "$(cache_header "$hdr")" = "miss" ] || fail "new-key cache source '$(cache_header "$hdr")', want miss"
+rm -f "$hdr"
+kill -9 "$D_PID"
+wait "$D_PID" 2>/dev/null || true
+
+# Boot 3: the entry written just before the kill answers from disk.
+"$BINDIR/pacd" -addr "127.0.0.1:$P0" -quick -store "$STOREDIR" \
+  >"$LOGDIR/pacd3.log" 2>&1 &
+D_PID=$!
+PIDS+=("$D_PID")
+wait_up "$D" "$D_PID" "pacd (boot 3)"
+
+hdr="$(mktemp)"
+third=$(simulate "$D" "$body2" "$hdr")
+echo "$third" | grep -q '"status": "done"' || fail "post-kill simulate did not finish: $third"
+[ "$(cache_header "$hdr")" = "disk" ] || fail "post-kill cache source '$(cache_header "$hdr")', want disk"
+rm -f "$hdr"
+sims=$(metric "$D" pac_sims_started_total)
+[ "$sims" = "0" ] || fail "post-kill boot ran $sims simulations, want 0"
+echo "smoke-store: kill -9 + reboot + disk hit ok (sims=0)"
+
 kill -TERM "$D_PID"
-wait "$D_PID" || fail "pacd boot 2 did not drain cleanly"
+wait "$D_PID" || fail "pacd boot 3 did not drain cleanly"
 echo "smoke-store: PASS"
