@@ -99,25 +99,14 @@ type Eviction struct {
 // for full-line write-backs arriving from an upper level, which need no
 // memory read).
 func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction) {
-	blk := mem.BlockNumber(addr)
-	base := int(blk&c.setMask) * c.ways
-	ws := c.Tags[base : base+c.ways] // one slice header: bounds-checked once
-	key := blk<<2 | tagValid
-
-	// Lookup: compare ignoring the dirty bit.
-	for w := range ws {
-		if ws[w]&^uint64(tagDirty) == key {
-			c.Hits++
-			tw := ws[w]
-			if write {
-				tw |= tagDirty
-			}
-			copy(ws[1:w+1], ws[:w]) // move to front
-			ws[0] = tw
-			return true, Eviction{}
-		}
+	if c.AccessIfHit(addr, write) {
+		return true, Eviction{}
 	}
 	c.Misses++
+	blk := mem.BlockNumber(addr)
+	base := int(blk&c.setMask) * c.ways
+	ws := c.Tags[base : base+c.ways]
+	key := blk<<2 | tagValid
 
 	// Allocate: prefer an invalid way, else the LRU (last) way. Valid
 	// ways form a prefix — fills grow the prefix and hits permute it —
@@ -145,6 +134,31 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction) {
 	}
 	ws[0] = key
 	return false, ev
+}
+
+// AccessIfHit is Access restricted to hits: when the block holding addr
+// is resident it applies exactly what Access would (hit count, dirty
+// bit, move to MRU) and returns true; on a miss it changes nothing, not
+// even the miss count, and returns false.
+func (c *Cache) AccessIfHit(addr uint64, write bool) bool {
+	blk := mem.BlockNumber(addr)
+	base := int(blk&c.setMask) * c.ways
+	ws := c.Tags[base : base+c.ways] // one slice header: bounds-checked once
+	key := blk<<2 | tagValid
+	// Compare ignoring the dirty bit.
+	for w := range ws {
+		if ws[w]&^uint64(tagDirty) == key {
+			c.Hits++
+			tw := ws[w]
+			if write {
+				tw |= tagDirty
+			}
+			copy(ws[1:w+1], ws[:w]) // move to front
+			ws[0] = tw
+			return true
+		}
+	}
+	return false
 }
 
 // Contains reports whether the block holding addr is currently resident.

@@ -221,6 +221,20 @@ func (h *Hierarchy) AccessInto(out *Outcome, core int, addr uint64, op mem.Op, p
 	h.fill(out, core, addr, proc, cycle, ids, h.wbBuf[:0])
 }
 
+// L1Hit applies a load (write=false) or store (write=true) by core to
+// addr when it hits that core's private L1, with exactly the effects
+// AccessInto would have for it, and reports true. On an L1 miss it
+// changes nothing and reports false; the caller then runs the access
+// through AccessInto.
+func (h *Hierarchy) L1Hit(core int, addr uint64, write bool) bool {
+	if !h.l1[core].AccessIfHit(addr, write) {
+		return false
+	}
+	h.Accesses++
+	h.L1Hits++
+	return true
+}
+
 // fill services an L1 miss from the LLC, recording an LLC miss request
 // when the block is absent there too.
 func (h *Hierarchy) fill(out *Outcome, core int, addr uint64, proc int, cycle int64, ids *uint64, wbs []mem.Request) {

@@ -92,6 +92,8 @@ func decodeCheckpointFile(blob []byte) (*sim.Checkpoint, error) {
 // started is replaced by a newer one for the same key, so a checkpoint
 // whose cell finished first is never encoded. load waits for the key's
 // pending or in-flight record; wait waits for the writer to go idle.
+// close makes the store refuse new records, so once it returns the
+// directory no longer changes.
 type checkpointStore struct {
 	dir string
 
@@ -104,6 +106,7 @@ type checkpointStore struct {
 	queue    []string
 	inFlight string // key whose record the writer is applying
 	writing  bool   // the writer goroutine is running
+	closed   bool   // close was called: new records are dropped
 
 	writes     *telemetry.Counter
 	writeFails *telemetry.Counter
@@ -147,10 +150,13 @@ func (c *checkpointStore) save(key string, ck *sim.Checkpoint) { c.record(key, c
 func (c *checkpointStore) drop(key string) { c.record(key, nil) }
 
 // record makes ck (nil for removal) the key's newest wanted state and
-// starts the writer if it is not running.
+// starts the writer if it is not running. A closed store drops it.
 func (c *checkpointStore) record(key string, ck *sim.Checkpoint) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
 	if old, ok := c.pending[key]; ok {
 		if old != nil {
 			c.superseded.Inc()
@@ -225,6 +231,19 @@ func (c *checkpointStore) wait() {
 	for c.writing {
 		c.idle.Wait()
 	}
+}
+
+// close stops the store taking records and waits for the writer to
+// apply the ones it has. A cancelled job's simulation may still be
+// running, detached, until its next context poll; what it saves or drops
+// after close is discarded, so the directory stays as close left it. A
+// dropped save only costs resume time, and a file a drop would have
+// removed resumes a run byte-identical to a fresh one.
+func (c *checkpointStore) close() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.wait()
 }
 
 // writeFileSync writes blob and fsyncs before close, so the following

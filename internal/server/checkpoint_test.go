@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +211,100 @@ func TestCheckpointDrainKeepsCancelledJobSnapshot(t *testing.T) {
 	if ck.Now != last.Now {
 		t.Errorf("checkpoint on disk after Drain is from cycle %d, want the last snapshot's %d", ck.Now, last.Now)
 	}
+}
+
+// TestDrainLeavesCheckpointDirQuiet: once Drain returns, the checkpoint
+// directory no longer changes, not even while a cancelled job's detached
+// simulation runs on to its next context poll. The directory is compared
+// before and after that simulation reports its cancellation, and again
+// after a save and a drop reach the store past Drain, as such a
+// simulation's sink would send them.
+func TestDrainLeavesCheckpointDirQuiet(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	dir := t.TempDir()
+	srv := newTestServer(t, func(c *Config) {
+		c.Registry = reg
+		c.CheckpointDir = dir
+		c.CheckpointEvery = 500
+	})
+	code, _, job := do(t, srv.Handler(), "POST", "/v1/simulate",
+		SimulateRequest{Benchmark: "STREAM", Mode: "pac", AccessesPerCore: 200000})
+	if code != http.StatusAccepted {
+		t.Fatalf("async simulate = %d %v", code, job)
+	}
+	id := job["id"].(string)
+	j, _ := srv.jobs.get(id)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if n, _ := reg.Value("pac_checkpoint_writes_total"); n >= 1 {
+			break
+		}
+		if j.Status().terminal() {
+			t.Fatal("job finished before its first checkpoint was written")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint written within 30s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	do(t, srv.Handler(), "DELETE", "/v1/jobs/"+id, nil)
+	<-j.Done()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before := dirState(t, dir)
+	if len(before) != 1 {
+		t.Fatalf("checkpoint directory after Drain holds %v, want one checkpoint", before)
+	}
+	for {
+		if n, _ := reg.Value(telemetry.MetricSimsCancelled); n >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("simulation not cancelled within 30s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	srv.ckpts.wait()
+	if after := dirState(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("checkpoint directory changed after Drain while the simulation stopped:\nbefore %v\nafter  %v", before, after)
+	}
+
+	var key string
+	for name := range before {
+		key = name[:len(name)-len(".ck")]
+	}
+	srv.ckpts.save(key, testCheckpoints(t, 1)[0])
+	srv.ckpts.drop(key)
+	srv.ckpts.wait()
+	if after := dirState(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("checkpoint directory changed by a save and a drop after Drain:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// dirState describes every file in dir by name, size, modification time
+// and content digest.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(ents))
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fmt.Sprintf("%d bytes %s sha256:%x", info.Size(), info.ModTime().Format(time.RFC3339Nano), sha256.Sum256(blob))
+	}
+	return out
 }
 
 // TestCheckpointWriterConcurrentKeys drives one store from several

@@ -286,10 +286,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // jobManager.drain. It first flips /readyz to 503 (so gateway probes
 // route around the node) and waits for async boot to settle — draining
 // concurrently with WAL replay would race re-enqueues against queue
-// close. Once the jobs are done it waits for the checkpoint writer to
-// go idle, even past ctx: a cancelled job's last snapshot is what the
-// next boot resumes from, and the writer holds at most one record per
-// key.
+// close. Once the jobs are done it closes the checkpoint store and
+// waits for its writer to go idle, even past ctx: a cancelled job's last
+// snapshot is what the next boot resumes from, and the writer holds at
+// most one record per key. After Drain returns the checkpoint directory
+// no longer changes, even while a cancelled job's detached simulation
+// runs on to its next context poll.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	select {
@@ -299,7 +301,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	err := s.jobs.drain(ctx)
 	if s.ckpts != nil {
-		s.ckpts.wait()
+		s.ckpts.close()
 	}
 	return err
 }

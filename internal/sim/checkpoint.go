@@ -253,12 +253,16 @@ func (r *Runner) restore(ck *Checkpoint) error {
 		r.ckptNext = r.now + r.ckptEvery
 	}
 
-	// Wind the generators forward to each core's stream position. The
-	// workload contract (the k-th Next for a core yields the same access
-	// regardless of other cores' calls) makes per-core fast-forward exact.
+	// Wind the generators forward to each core's stream position: past
+	// every issued access and the held one, if any. The generator
+	// contract (workload.Generator) makes per-core fast-forward exact.
 	for i := range r.cores {
 		c := &r.cores[i]
-		for k := 0; k < c.Issued; k++ {
+		drawn := c.Issued
+		if c.HasLook {
+			drawn++
+		}
+		for k := 0; k < drawn; k++ {
 			r.gens[c.proc].Next(c.localIdx)
 		}
 	}

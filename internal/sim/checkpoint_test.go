@@ -95,7 +95,8 @@ func stalledAt(t *testing.T, cfg Config, ck *Checkpoint) bool {
 // component snapshot. Checkpoints cross the gob codec on the way, so
 // the serialized form is proven lossless too. The tiny-caches input
 // makes some resumes start stalled (full MSHR file, held-back head
-// packet); the test fails if no event-driver resume does.
+// packet); the test fails if no event-driver resume does, and if none
+// starts with a core holding an access its L1 run-ahead drew.
 func TestCheckpointResumeByteIdentity(t *testing.T) {
 	inputs := []struct {
 		name string // subtest prefix; the base input keeps the bare mode/driver names
@@ -108,7 +109,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 		}},
 		{"tiny", tinyCachesConfig},
 	}
-	stalled := 0
+	stalled, held := 0, 0
 	for _, in := range inputs {
 		for _, mode := range allModes {
 			for _, ref := range []bool{false, true} {
@@ -137,6 +138,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 						if !ref && stalledAt(t, cfg, cks[i]) {
 							stalled++
 						}
+						held += heldAccesses(cks[i])
 						got := resumeRun(t, cfg, cks[i])
 						assertSameResult(t, fmt.Sprintf("checkpoint %d @%d", i, cks[i].Now), got, base)
 					}
@@ -146,6 +148,9 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 	}
 	if stalled == 0 {
 		t.Error("no resume under the event driver started from a stalled state")
+	}
+	if held == 0 {
+		t.Error("no resume under the event driver started with a held run-ahead access")
 	}
 }
 
@@ -343,35 +348,81 @@ func encodedCheckpoints(t *testing.T, cfg Config, every int64, resume *Checkpoin
 // container whose iteration order depends on its insertion history (the
 // hierarchy's pending-fill set) must be saved in sorted order for this
 // to hold. The reference stepper visits every cycle, so both runs
-// checkpoint at the same cycles.
+// checkpoint at the same cycles. The events/ cases run the event
+// driver, whose checkpoints carry held accesses and L1 state ahead of
+// the clock: a resumed run reaches the same step boundaries (its first,
+// cold step only adds a boundary the cadence never lands on), and its
+// checkpoints match modulo SkippedCycles, which counts only the cycles
+// the resumed run itself skipped.
 func TestCheckpointCanonical(t *testing.T) {
-	for _, bench := range []string{"STREAM", "BFS"} {
-		for _, mode := range allModes {
-			bench, mode := bench, mode
-			t.Run(fmt.Sprintf("%s/%s", bench, mode), func(t *testing.T) {
-				cfg := smallConfig(bench, mode)
-				cfg.AccessesPerCore = 1_200
-				cfg.ReferenceStepper = true
-				every := cadenceFor(run(t, cfg).Cycles)
-				want := encodedCheckpoints(t, cfg, every, nil)
-				_, cks := checkpointedRun(t, cfg, every)
-				compared := 0
-				for _, ck := range cks {
-					for at, got := range encodedCheckpoints(t, cfg, every, ck) {
-						w, ok := want[at]
-						if !ok {
-							t.Fatalf("resumed run checkpointed at cycle %d, the uninterrupted run did not", at)
+	for _, ref := range []bool{true, false} {
+		for _, bench := range []string{"STREAM", "BFS"} {
+			for _, mode := range allModes {
+				ref, bench, mode := ref, bench, mode
+				name := fmt.Sprintf("%s/%s", bench, mode)
+				if !ref {
+					name = "events/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					cfg := smallConfig(bench, mode)
+					cfg.AccessesPerCore = 1_200
+					cfg.ReferenceStepper = ref
+					every := cadenceFor(run(t, cfg).Cycles)
+					want := encodedCheckpoints(t, cfg, every, nil)
+					_, cks := checkpointedRun(t, cfg, every)
+					compared, held := 0, 0
+					for _, ck := range cks {
+						held += heldAccesses(ck)
+						for at, got := range encodedCheckpoints(t, cfg, every, ck) {
+							w, ok := want[at]
+							if !ok {
+								t.Fatalf("resumed run checkpointed at cycle %d, the uninterrupted run did not", at)
+							}
+							if !ref {
+								got, w = withoutSkipped(t, got), withoutSkipped(t, w)
+							}
+							if !bytes.Equal(got, w) {
+								t.Errorf("checkpoint at cycle %d, resumed from %d: bytes differ from the uninterrupted run's", at, ck.Now)
+							}
+							compared++
 						}
-						if !bytes.Equal(got, w) {
-							t.Errorf("checkpoint at cycle %d, resumed from %d: bytes differ from the uninterrupted run's", at, ck.Now)
-						}
-						compared++
 					}
-				}
-				if compared == 0 {
-					t.Fatal("no resumed run emitted a checkpoint; test is vacuous")
-				}
-			})
+					if compared == 0 {
+						t.Fatal("no resumed run emitted a checkpoint; test is vacuous")
+					}
+					if ref != (held == 0) {
+						t.Errorf("checkpoints hold %d run-ahead accesses; want some under the event driver only", held)
+					}
+				})
+			}
 		}
 	}
+}
+
+// heldAccesses counts the cores of ck holding an access the event
+// driver's run-ahead drew but did not apply.
+func heldAccesses(ck *Checkpoint) int {
+	n := 0
+	for _, c := range ck.Cores {
+		if c.HasLook {
+			n++
+		}
+	}
+	return n
+}
+
+// withoutSkipped re-encodes a gob checkpoint with Res.SkippedCycles
+// zeroed.
+func withoutSkipped(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	ck, err := DecodeCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("DecodeCheckpoint: %v", err)
+	}
+	ck.Res.SkippedCycles = 0
+	var buf bytes.Buffer
+	if err := EncodeCheckpoint(&buf, ck); err != nil {
+		t.Fatalf("EncodeCheckpoint: %v", err)
+	}
+	return buf.Bytes()
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/pacsim/pac/internal/engine"
 	"github.com/pacsim/pac/internal/mem"
+	"github.com/pacsim/pac/internal/workload"
 )
 
 // runEvents is the discrete-event driver: each iteration advances the
@@ -166,8 +167,10 @@ func (r *Runner) stepEvents() {
 	wake := engine.Never
 	for i, w := range r.wakes {
 		if w <= now {
-			r.issueCore(i)
 			c := &r.cores[i]
+			if r.issueCore(i) {
+				r.runAhead(i, c)
+			}
 			w = r.coreWakeOf(c, now)
 			r.wakes[i] = w
 			if w == engine.Never && c.HasPending {
@@ -181,6 +184,65 @@ func (r *Runner) stepEvents() {
 	r.coreWake = wake
 
 	r.pipe.Tick()
+}
+
+// runAhead applies, right after core i issued an access, the run of
+// private-L1 hits that follows it in the core's trace, each at the cycle
+// the reference stepper would issue it, so the driver steps no machine
+// cycle for them. The first access that is not such a hit is held in
+// c.Look and issued through the normal path at its pacing cycle. This is
+// exact because:
+//
+//   - only core i touches its L1: the hierarchy is non-inclusive, and
+//     fills and prefetches change only the LLC and its pending set;
+//   - a hit's other effects are counters, whose order does not matter;
+//   - the core's outstanding-load count cannot grow before its next
+//     miss, so an access with budget now has budget at its issue cycle,
+//     and with nothing parked the core issues exactly at NextIssue;
+//   - each core's generator stream is independent of how the cores
+//     interleave (workload.Generator).
+//
+// The core's last access is never applied early, so the core marks
+// itself done on the reference cycle.
+func (r *Runner) runAhead(i int, c *coreState) {
+	if c.parked() > 0 || c.outstanding.Len() >= r.cfg.MaxOutstandingLoads {
+		return
+	}
+	for c.Issued+1 < r.cfg.AccessesPerCore {
+		// A retried access may leave NextIssue in the past; the next
+		// access then issues on the following cycle.
+		t := max(c.NextIssue, r.now+1)
+		if t > r.cfg.MaxCycles {
+			return // the run wedges before the reference reaches t
+		}
+		a := r.nextAccess(c)
+		if !r.l1Hit(i, c, a) {
+			c.Look, c.HasLook = a, true
+			return
+		}
+		c.Issued++
+		c.NextIssue = t + int64(r.cfg.IssueInterval)
+	}
+}
+
+// l1Hit applies access a of core i when it is a load or store that hits
+// the core's L1, and reports whether it did. Fences and atomics always
+// go through the normal path, and so does an access whose virtual page
+// is not mapped yet: mapping it now would allocate its frame ahead of
+// other cores' first touches.
+func (r *Runner) l1Hit(i int, c *coreState, a workload.Access) bool {
+	if a.Op != mem.OpLoad && a.Op != mem.OpStore {
+		return false
+	}
+	addr := a.Addr
+	if r.spaces != nil {
+		pa, ok := r.spaces[c.proc].Lookup(addr)
+		if !ok {
+			return false
+		}
+		addr = pa
+	}
+	return r.hier.L1Hit(i, addr, a.Op == mem.OpStore)
 }
 
 // wakeUp zeroes core i's cached wake, forcing the event driver to

@@ -103,7 +103,12 @@ func (r *Runner) buildMachine() error {
 	return nil
 }
 
-// nextAccess yields core c's next workload access.
+// nextAccess yields core c's next workload access: the one run-ahead
+// drew and held, if any, else the generator's next.
 func (r *Runner) nextAccess(c *coreState) workload.Access {
+	if c.HasLook {
+		c.HasLook = false
+		return c.Look
+	}
 	return r.gens[c.proc].Next(c.localIdx)
 }

@@ -248,6 +248,13 @@ type coreState struct {
 	// stored by value so a stall never allocates.
 	Pending    workload.Access
 	HasPending bool
+	// Look is the core's next trace access, drawn early by the event
+	// driver's run-ahead (runAhead) and held because it is not a private
+	// L1 hit it could apply ahead of time. It is not yet issued (Issued
+	// does not count it) and goes through the normal issue path at the
+	// core's next pacing cycle.
+	Look    workload.Access
+	HasLook bool
 	// PendingOut[outHead:] are hierarchy outputs awaiting coalescer
 	// queue space; the buffer is reused once fully placed. A saved
 	// state holds only that tail.
@@ -662,8 +669,9 @@ func (r *Runner) completeRaw(req mem.Request) {
 }
 
 // issueCore lets core i make progress: place parked output requests,
-// retry a stalled access, or issue the next trace access.
-func (r *Runner) issueCore(i int) {
+// retry a stalled access, or issue the next trace access. It reports
+// whether an access entered the hierarchy.
+func (r *Runner) issueCore(i int) bool {
 	c := &r.cores[i]
 
 	// Parked LLC outputs must be placed before anything else.
@@ -671,7 +679,7 @@ func (r *Runner) issueCore(i int) {
 		o := c.PendingOut[c.outHead]
 		if !r.enqueue(o.Req, o.WB) {
 			r.res.CoreStallCycles++
-			return
+			return false
 		}
 		c.outHead++
 	}
@@ -686,14 +694,14 @@ func (r *Runner) issueCore(i int) {
 		c.HasPending = false
 	} else {
 		if c.Done {
-			return
+			return false
 		}
 		if c.Issued >= r.cfg.AccessesPerCore {
 			c.Done = true
-			return
+			return false
 		}
 		if r.now < c.NextIssue {
-			return // pacing: ALU work between memory accesses
+			return false // pacing: ALU work between memory accesses
 		}
 		a = r.nextAccess(c)
 		c.Issued++
@@ -704,7 +712,9 @@ func (r *Runner) issueCore(i int) {
 		c.Pending = a
 		c.HasPending = true
 		r.res.CoreStallCycles++
+		return false
 	}
+	return true
 }
 
 // issueAccess pushes one CPU access into the machine. It returns false if

@@ -66,6 +66,16 @@ func (a *AddressSpace) Translate(va uint64) uint64 {
 	return mem.PageBase(pfn) | mem.PageOff(va)
 }
 
+// Lookup is Translate without allocation: it maps va when its page is
+// already mapped and reports false, changing nothing, when it is not.
+func (a *AddressSpace) Lookup(va uint64) (uint64, bool) {
+	pfn, ok := a.table[mem.PPN(va)]
+	if !ok {
+		return 0, false
+	}
+	return mem.PageBase(pfn) | mem.PageOff(va), true
+}
+
 // allocate picks a deterministic pseudo-random free frame for the page.
 func (a *AddressSpace) allocate(vpn uint64) uint64 {
 	h := mix(a.seed ^ mix(uint64(a.proc)+1) ^ mix(vpn))

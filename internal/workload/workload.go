@@ -13,7 +13,8 @@
 //
 // Every generator is an infinite, deterministic stream: for a fixed
 // (Config, benchmark) pair, core i's sequence of accesses is identical run
-// to run and independent of how cores are interleaved by the simulator.
+// to run and independent of how cores are interleaved by the simulator
+// (the Generator contract).
 package workload
 
 import (
@@ -37,10 +38,20 @@ type Access struct {
 
 // Generator produces the access stream of one benchmark.
 //
-// Next must be deterministic per core: the k-th call for core i always
-// yields the same access regardless of calls made for other cores. All
-// generators in this package are infinite (Next never exhausts); the
-// simulation driver decides how many accesses constitute a run.
+// Contract: each core's stream is independent of how the cores'
+// calls interleave. The k-th call to Next(i) yields the same access
+// whatever calls were made for other cores before it, so a core's
+// stream is a function of its own call count alone. The simulator
+// relies on this twice: a checkpoint restore rebuilds a core's stream
+// position by calling Next for that core alone, and the event driver's
+// private-L1 run-ahead draws a core's next accesses before the other
+// cores' accesses that precede them in simulated time. Every generator
+// that reaches sim.Config.Generators must keep the contract; the
+// built-in benchmarks, custom specs (NewCustom) and trace replay
+// (trace.Replayer) do, and TestDeterminism checks all three.
+//
+// All generators in this package are infinite (Next never exhausts);
+// the simulation driver decides how many accesses constitute a run.
 type Generator interface {
 	// Name returns the canonical benchmark name (e.g. "BFS").
 	Name() string

@@ -47,38 +47,6 @@ func TestGeneratorNameMatchesRegistryKey(t *testing.T) {
 	}
 }
 
-// TestDeterminism: the same (name, config) must yield identical streams,
-// and per-core streams must be interleave-independent.
-func TestDeterminism(t *testing.T) {
-	for _, n := range Names() {
-		cfg := Config{Cores: 2, Seed: 42, Scale: 0.01}
-		g1 := MustNew(n, cfg)
-		g2 := MustNew(n, cfg)
-		// g1: strictly alternating cores. g2: core 0 fully first.
-		var a0, a1, b0, b1 []Access
-		for i := 0; i < 500; i++ {
-			a0 = append(a0, g1.Next(0))
-			a1 = append(a1, g1.Next(1))
-		}
-		for i := 0; i < 500; i++ {
-			b0 = append(b0, g2.Next(0))
-		}
-		for i := 0; i < 500; i++ {
-			b1 = append(b1, g2.Next(1))
-		}
-		for i := range a0 {
-			if a0[i] != b0[i] {
-				t.Errorf("%s: core 0 stream differs at %d under different interleaving: %+v vs %+v", n, i, a0[i], b0[i])
-				break
-			}
-			if a1[i] != b1[i] {
-				t.Errorf("%s: core 1 stream differs at %d under different interleaving", n, i)
-				break
-			}
-		}
-	}
-}
-
 // TestCoreStreamsDiffer: distinct cores should not emit byte-identical
 // address streams (they work on different data or different random seeds).
 func TestCoreStreamsDiffer(t *testing.T) {
