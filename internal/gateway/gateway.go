@@ -64,7 +64,8 @@ type Config struct {
 	// Registry receives the pac_gw_* metrics; nil creates a fresh one.
 	Registry *telemetry.Registry
 	// Client performs backend requests; nil builds one with no overall
-	// timeout (long-poll ?wait= flows through) and sane keep-alives.
+	// timeout (long-poll ?wait= flows through) that keeps
+	// SweepConcurrency idle connections per backend.
 	Client *http.Client
 }
 
@@ -102,7 +103,14 @@ func (c Config) withDefaults() Config {
 		c.Registry = telemetry.NewRegistry()
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{}
+		// A sweep may hold SweepConcurrency cells in flight on one
+		// backend. Keeping that many idle connections per backend lets
+		// the next sweep reuse them; the transport's default of 2 made
+		// every sweep dial most of its connections again.
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = c.SweepConcurrency
+		t.MaxIdleConns = max(t.MaxIdleConns, c.SweepConcurrency*len(c.Backends))
+		c.Client = &http.Client{Transport: t}
 	}
 	return c
 }

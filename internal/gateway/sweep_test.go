@@ -3,10 +3,14 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/pacsim/pac/internal/server"
 )
 
 // tenCellSweep is a 2-benchmark x 5-mode sweep: the shape that
@@ -121,5 +125,46 @@ func TestSweepEjectedNodeAllToSurvivor(t *testing.T) {
 		if r.Attempts != 1 {
 			t.Errorf("cell %s/%s took %d attempts, want 1", r.Benchmark, r.Mode, r.Attempts)
 		}
+	}
+}
+
+// TestSweepReusesBackendConnections: a sweep holds up to its fan-out of
+// cells in flight at once, 5 per node for a 10-cell sweep over two
+// nodes. The gateway's client keeps that many idle connections per
+// backend, so back-to-back sweeps dial no new ones: over several sweeps
+// the nodes accept at most the fan-out's connections in all.
+func TestSweepReusesBackendConnections(t *testing.T) {
+	var dials atomic.Int64
+	backends := make([]string, 2)
+	for i := range backends {
+		srv := server.New(server.Config{
+			Options:     quickOpts(),
+			Parallel:    1,
+			Concurrency: 1,
+			QueueDepth:  64,
+			NodeID:      fmt.Sprintf("b%d", i),
+		})
+		ts := httptest.NewUnstartedServer(srv.Handler())
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				dials.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		backends[i] = ts.URL
+	}
+	_, front := testGateway(t, backends, func(c *Config) { c.HealthInterval = time.Hour })
+
+	const sweeps, fanOut = 4, 10
+	for s := 0; s < sweeps; s++ {
+		// A fresh seed per sweep: every cell simulates, so the cells of a
+		// sweep overlap on their connections.
+		if routes := runSweep(t, front.URL, tenCellSweep(100+s)); len(routes) != fanOut {
+			t.Fatalf("sweep %d returned %d routes, want %d", s, len(routes), fanOut)
+		}
+	}
+	if n := dials.Load(); n > fanOut {
+		t.Errorf("%d sweeps opened %d backend connections, want at most the fan-out's %d", sweeps, n, fanOut)
 	}
 }

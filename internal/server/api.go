@@ -289,6 +289,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 type simulateAnswer struct {
 	head   SimulateResult // Result unset
 	result []byte
+	// persist, when set, writes a fresh simulation's store entry. The
+	// job's committer calls it before the terminal WAL record and before
+	// finish, off the worker, then clears it.
+	persist func()
 }
 
 // newSimulateAnswer records where an answer came from around its stored
@@ -382,8 +386,9 @@ func (s *Server) buildSimulateRun(req SimulateRequest) (simulateJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
-		return answer(CacheMiss, js), nil
+		a := answer(CacheMiss, js)
+		a.persist = func() { s.storeWrite(hash, optsKey, bench, mode, opts, res, js) }
+		return a, nil
 	}
 	meta := jobMeta{bench: bench, mode: mode.String()}
 	return simulateJob{payload: payload, meta: meta, local: local, run: run}, nil

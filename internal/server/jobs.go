@@ -355,8 +355,10 @@ func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetr
 		accepting:  true,
 	}
 	for i := 0; i < workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
+		commits := make(chan commit, 1)
+		m.wg.Add(2)
+		go m.worker(commits)
+		go m.committer(commits)
 	}
 	return m
 }
@@ -625,9 +627,23 @@ func (m *jobManager) cancelJob(j *Job) {
 	j.mu.Unlock()
 }
 
-// worker executes jobs in queue order until the queue closes.
-func (m *jobManager) worker() {
+// commit is a job whose terminal status execute has decided, on its way
+// from the worker to the worker's committer.
+type commit struct {
+	j       *Job
+	status  Status
+	payload json.RawMessage
+	ans     *simulateAnswer
+	err     error
+}
+
+// worker executes jobs in queue order until the queue closes. It hands
+// each finished job to its committer and takes the next job at once;
+// the hand-off holds one job, so the worker runs at most two jobs ahead
+// of the committer. Closing commits on exit lets the committer drain.
+func (m *jobManager) worker(commits chan<- commit) {
 	defer m.wg.Done()
+	defer close(commits)
 	running := m.reg.Gauge("pac_jobs_running", "Jobs currently executing.")
 	for j := range m.queue {
 		m.noteDepth()
@@ -639,7 +655,26 @@ func (m *jobManager) worker() {
 		j.status = StatusRunning
 		j.started = time.Now()
 		j.mu.Unlock()
-		m.execute(j, running)
+		commits <- m.execute(j, running)
+	}
+}
+
+// committer makes one worker's finished jobs durable, in the order the
+// worker finished them, and only then releases their waiters: first the
+// simulate answer's store entry, then the fsynced terminal WAL record,
+// then finish. A client that sees a terminal status therefore finds the
+// result stored and the journal no longer holding the job live; until
+// then the job reads as running.
+func (m *jobManager) committer(commits <-chan commit) {
+	defer m.wg.Done()
+	for c := range commits {
+		if c.ans != nil && c.ans.persist != nil {
+			c.ans.persist()
+			c.ans.persist = nil // the retained answer keeps only its bytes
+		}
+		m.journalFinished(c.j.id, c.status)
+		c.j.finish(c.status, c.payload, c.ans, c.err)
+		m.noteFinished(c.j, c.status)
 	}
 }
 
@@ -649,8 +684,9 @@ func (m *jobManager) worker() {
 // in pac_job_watchdog_kills_total, and — like an internal error or a
 // recovered panic — retried after an exponential backoff with jitter.
 // A client cancellation (DELETE) or daemon drain ends the job
-// immediately with StatusCancelled, never a retry.
-func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
+// immediately with StatusCancelled, never a retry. The returned commit
+// carries the job's terminal status; the committer applies it.
+func (m *jobManager) execute(j *Job, running *telemetry.Gauge) commit {
 	var result any
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -729,9 +765,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 	default:
 		status = StatusFailed
 	}
-	m.journalFinished(j.id, status)
-	j.finish(status, payload, ans, err)
-	m.noteFinished(j, status)
+	return commit{j: j, status: status, payload: payload, ans: ans, err: err}
 }
 
 // runAttempt runs the job body once, converting a panic into an error
@@ -782,9 +816,10 @@ func isCancelled(err error) bool {
 }
 
 // journalFinished appends a queued job's terminal WAL record, fsynced.
-// It runs before finish releases the job's waiters, so a client that
-// sees the terminal status never meets a journal that still holds the
-// job live.
+// It runs before finish releases the job's waiters (on the committer,
+// or on the handler that cancels a queued job), so a client that sees
+// the terminal status never meets a journal that still holds the job
+// live.
 func (m *jobManager) journalFinished(id string, status Status) {
 	if m.wal == nil {
 		return
@@ -832,8 +867,9 @@ func (m *jobManager) broadcastProgress(line string) {
 }
 
 // drain stops accepting jobs, closes the queue, and waits for the
-// workers to finish the backlog. When ctx expires first, the remaining
-// jobs are cancelled and drain waits for them to unwind.
+// workers to finish the backlog and for their committers to commit
+// every job handed to them. When ctx expires first, the remaining jobs
+// are cancelled and drain waits for them to unwind and commit.
 func (m *jobManager) drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.accepting = false

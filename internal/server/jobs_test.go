@@ -1,13 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/pacsim/pac/internal/coalesce"
+	"github.com/pacsim/pac/internal/telemetry"
+	"github.com/pacsim/pac/internal/wal"
 )
 
 // TestRetentionEvictsOldestFinishedFirst: with the table at its cap,
@@ -168,4 +177,185 @@ func TestQueueDepthIsExact(t *testing.T) {
 	waitForStatus(t, h, queued[0].ID(), StatusRunning)
 	mustAccept()
 	mustRefuse()
+}
+
+// committedAnswer is a job body whose answer's store write runs commit.
+func committedAnswer(commit func()) func(ctx context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		a := newSimulateAnswer("GS", coalesce.ModePAC, "00", CacheMiss, []byte(`{}`))
+		a.persist = commit
+		return a, nil
+	}
+}
+
+// TestCommitOverlapsNextJob: once a job's body returns, the worker hands
+// the job to its committer and starts the next job at once. While the
+// first job's store write is blocked, its successor runs, and the first
+// job still reads as running: it is done only once it is committed.
+func TestCommitOverlapsNextJob(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.Concurrency = 1 })
+	m := srv.jobs
+	committing, release := make(chan struct{}), make(chan struct{})
+	first, err := m.submit("test", nil, jobMeta{}, committedAnswer(func() {
+		close(committing)
+		<-release
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	second, err := m.submit("test", nil, jobMeta{}, func(ctx context.Context) (any, error) {
+		close(started)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-committing
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the next job did not start while the first job's commit was blocked")
+	}
+	if s := first.Status(); s != StatusRunning {
+		t.Errorf("first job reads %q during its commit, want %q", s, StatusRunning)
+	}
+	select {
+	case <-second.Done():
+		t.Error("the second job finished before the first job's commit: commits left worker order")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-first.Done()
+	<-second.Done()
+	if s := first.Status(); s != StatusDone {
+		t.Errorf("first job = %q after its commit, want %q", s, StatusDone)
+	}
+}
+
+// TestCommitWaitReplyFindsStoreAndJournal: a ?wait= reply that reports a
+// fresh simulation done finds the result in the store and the job's
+// terminal record in the journal, with the worker already on the next
+// request's simulation.
+func TestCommitWaitReplyFindsStoreAndJournal(t *testing.T) {
+	storeDir, walDir := t.TempDir(), t.TempDir()
+	reg := telemetry.NewRegistry()
+	st := openTestStore(t, storeDir, reg)
+	w, _ := openTestWAL(t, walDir, reg)
+	srv := newTestServer(t, func(c *Config) {
+		c.Registry, c.Store, c.WAL = reg, st, w
+		c.Concurrency = 1
+	})
+	journal := filepath.Join(walDir, "jobs.wal")
+
+	const clients = 4
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			body, _ := json.Marshal(SimulateRequest{Benchmark: "STREAM", Mode: "pac", Seed: seed})
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate?wait=30s", bytes.NewReader(body)))
+			var job struct {
+				ID     string
+				Status Status
+				Result SimulateResult
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &job); rec.Code != http.StatusOK || err != nil {
+				t.Errorf("seed %d: %d %s", seed, rec.Code, rec.Body)
+				return
+			}
+			if job.Status != StatusDone || job.Result.Cache != CacheMiss {
+				t.Errorf("seed %d: status %q cache %q, want done miss", seed, job.Status, job.Result.Cache)
+			}
+			if !st.Has(job.Result.ConfigHash) {
+				t.Errorf("seed %d: reply came before the store entry %s", seed, job.Result.ConfigHash)
+			}
+			if liveInJournal(t, journal)[job.ID] {
+				t.Errorf("seed %d: reply came before job %s's terminal record", seed, job.ID)
+			}
+		}(uint64(100 + i))
+	}
+	wg.Wait()
+}
+
+// liveInJournal reads a journal file and returns the IDs it still holds
+// live: submitted, with no terminal record. A torn last line, an append
+// in progress, is skipped as boot replay skips it.
+func liveInJournal(t *testing.T, path string) map[string]bool {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	live := map[string]bool{}
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		rec, ok := wal.ParseRecord(line)
+		switch {
+		case !ok:
+		case rec.Op == wal.OpSubmit:
+			live[rec.ID] = true
+		case rec.Op == wal.OpDone || rec.Op == wal.OpFail || rec.Op == wal.OpCancel:
+			delete(live, rec.ID)
+		}
+	}
+	return live
+}
+
+// TestDrainWaitsForCommits: Drain returns only once every job a worker
+// handed to its committer is stored, journaled and finished, even while
+// a commit is blocked when the drain begins.
+func TestDrainWaitsForCommits(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	w, _ := openTestWAL(t, t.TempDir(), reg)
+	srv := newTestServer(t, func(c *Config) {
+		c.Registry, c.WAL = reg, w
+		c.Concurrency = 1
+	})
+	entered, release := make(chan struct{}, 3), make(chan struct{})
+	var persisted atomic.Int32
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		j, err := srv.jobs.submit("test", nil, jobMeta{}, committedAnswer(func() {
+			entered <- struct{}{}
+			<-release
+			persisted.Add(1)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	<-entered // the first commit is blocked; the worker has moved on
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	select {
+	case err := <-drained:
+		close(release)
+		t.Fatalf("Drain returned (%v) while a commit was blocked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return once the commits were released")
+	}
+	if n := persisted.Load(); n != 3 {
+		t.Errorf("%d of 3 store writes ran before Drain returned", n)
+	}
+	for _, j := range jobs {
+		if s := j.Status(); s != StatusDone {
+			t.Errorf("job %s = %q after Drain, want %q", j.ID(), s, StatusDone)
+		}
+	}
+	if n := w.Live(); n != 0 {
+		t.Errorf("journal holds %d live jobs after Drain, want 0", n)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/core"
 	"github.com/pacsim/pac/internal/fault"
+	"github.com/pacsim/pac/internal/gobenc"
 	"github.com/pacsim/pac/internal/hmc"
 	"github.com/pacsim/pac/internal/mshr"
 	"github.com/pacsim/pac/internal/prefetch"
@@ -269,11 +270,15 @@ func (r *Runner) restore(ck *Checkpoint) error {
 	return nil
 }
 
-// EncodeCheckpoint writes a checkpoint in gob encoding. The stats
-// codecs (Mean, Histogram) are exact, so a decoded checkpoint restores
-// bit-identical float state.
+// ckptEncoder sends the checkpoint type descriptors once per process.
+var ckptEncoder gobenc.Encoder[Checkpoint]
+
+// EncodeCheckpoint writes a checkpoint in gob encoding: the bytes a
+// fresh gob.Encoder writes, with the type descriptors captured once. The
+// stats codecs (Mean, Histogram) are exact, so a decoded checkpoint
+// restores bit-identical float state.
 func EncodeCheckpoint(w io.Writer, ck *Checkpoint) error {
-	return gob.NewEncoder(w).Encode(ck)
+	return ckptEncoder.Encode(w, ck)
 }
 
 // DecodeCheckpoint reads a gob-encoded checkpoint.

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"github.com/pacsim/pac/internal/coalesce"
+	"github.com/pacsim/pac/internal/gobenc"
 )
 
 // checkpointedRun executes cfg with checkpointing at the given cadence
@@ -425,4 +427,36 @@ func withoutSkipped(t *testing.T, raw []byte) []byte {
 		t.Fatalf("EncodeCheckpoint: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// TestEncodeCheckpointMatchesFreshEncoder: EncodeCheckpoint sends the
+// type descriptors once per process, yet each checkpoint's bytes are
+// those a new gob.Encoder writes for it, for every fixture machine,
+// faults, processes and page tables included. That holds only while
+// Checkpoint has no interface-typed field, whose descriptors gob would
+// send with the first value that carries it.
+func TestEncodeCheckpointMatchesFreshEncoder(t *testing.T) {
+	if path := gobenc.InterfaceField(reflect.TypeFor[Checkpoint]()); path != "" {
+		t.Fatalf("Checkpoint holds interface field %s", path)
+	}
+	compared := 0
+	for _, fc := range fixtureCases() {
+		_, cks := checkpointedRun(t, fc.cfg, cadenceFor(run(t, fc.cfg).Cycles))
+		for _, ck := range cks {
+			var got, want bytes.Buffer
+			if err := EncodeCheckpoint(&got, ck); err != nil {
+				t.Fatalf("EncodeCheckpoint: %v", err)
+			}
+			if err := gob.NewEncoder(&want).Encode(ck); err != nil {
+				t.Fatalf("gob: %v", err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s @%d: %d bytes, a fresh encoder writes %d", fc.name, ck.Now, got.Len(), want.Len())
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no checkpoints compared")
+	}
 }

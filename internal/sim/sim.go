@@ -799,8 +799,10 @@ func (r *Runner) appendPrefetch(group []outReq, coreIdx int, c *coreState, blk u
 func (r *Runner) route(c *coreState, group []outReq) {
 	lone := len(group) == 1 && r.pac != nil && !r.cfg.DisableNetworkCtrl &&
 		r.pac.MAQEmpty() && r.pac.InputBacklog() == 0 && !r.file.Full()
+	if r.cfg.TraceSink != nil {
+		r.observe(group)
+	}
 	for _, o := range group {
-		r.observe(o.Req)
 		if o.Req.Op == mem.OpAtomic || (lone && o.Req.Op != mem.OpFence) {
 			if r.directAdmit(o.Req, o.WB) {
 				continue
@@ -881,9 +883,12 @@ func (r *Runner) countRaw(req mem.Request, wb bool) {
 	}
 }
 
-// observe feeds the trace sink.
-func (r *Runner) observe(req mem.Request) {
-	if r.cfg.TraceSink != nil {
+// observe feeds one access's request group to the trace sink. route
+// calls it only when there is a sink, so an untraced run copies no
+// request for it.
+func (r *Runner) observe(group []outReq) {
+	for _, o := range group {
+		req := o.Req
 		req.Issue = r.now
 		r.cfg.TraceSink(req)
 	}

@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"github.com/pacsim/pac/internal/experiments"
+	"github.com/pacsim/pac/internal/gobenc"
 	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/telemetry"
 )
@@ -284,6 +285,10 @@ type envelope struct {
 // answer section from e.Result.
 func EncodeEntry(e Entry) ([]byte, error) { return encodeEntry(e, nil) }
 
+// entryEncoder sends the entry type descriptors once per process; the
+// job committers and the handlers' memo-hit write-throughs share it.
+var entryEncoder gobenc.Encoder[Entry]
+
 // encodeEntry builds an envelope. answer is the rendering of
 // e.Result the caller already holds; nil renders it here.
 func encodeEntry(e Entry, answer []byte) ([]byte, error) {
@@ -313,7 +318,7 @@ func encodeEntry(e Entry, answer []byte) ([]byte, error) {
 	binary.BigEndian.PutUint32(u32[:], uint32(len(answer)))
 	payload.Write(u32[:])
 	payload.Write(answer)
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
+	if err := entryEncoder.Encode(&payload, &e); err != nil {
 		return nil, fmt.Errorf("store: encoding entry: %w", err)
 	}
 	return seal(e.Key, payload.Bytes()), nil

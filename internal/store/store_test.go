@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/pacsim/pac/internal/experiments"
+	"github.com/pacsim/pac/internal/gobenc"
 	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/stats"
 	"github.com/pacsim/pac/internal/telemetry"
@@ -666,5 +669,38 @@ func TestAnswerVerifiesChecksum(t *testing.T) {
 	}
 	if got := metricValue(t, reg, "pac_store_corrupt_total"); got != 1 {
 		t.Errorf("pac_store_corrupt_total = %v, want 1", got)
+	}
+}
+
+// TestEncodeEntryMatchesFreshEncoder: encodeEntry sends the Entry type
+// descriptors once per process, yet every envelope's gob section holds
+// the bytes a new gob.Encoder writes for the entry, which is what
+// envelopes written before held. That holds only while Entry has no
+// interface-typed field.
+func TestEncodeEntryMatchesFreshEncoder(t *testing.T) {
+	if path := gobenc.InterfaceField(reflect.TypeFor[Entry]()); path != "" {
+		t.Fatalf("Entry holds interface field %s", path)
+	}
+	for i := 0; i < 4; i++ {
+		e := testEntry(key(i), int64(1000*i+7))
+		if i%2 == 1 {
+			e.Result.Faults.LinkCRCErrors = int64(i)
+			e.Options.Faults.LinkCRCRate = 0.01
+		}
+		blob, err := encodeEntry(e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := openEnvelope(e.Key, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := gob.NewEncoder(&want).Encode(e); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(env.entry, want.Bytes()) {
+			t.Fatalf("entry %d: gob section of %d bytes, a fresh encoder writes %d", i, len(env.entry), want.Len())
+		}
 	}
 }
