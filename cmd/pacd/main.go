@@ -220,10 +220,7 @@ func main() {
 	}
 	if jobWAL != nil {
 		// After a clean drain every journaled job has its terminal record;
-		// Flush compacts the journal so the next boot replays nothing.
-		if err := jobWAL.Flush(); err != nil {
-			log.Printf("pacd: wal flush: %v", err)
-		}
+		// Close compacts the journal so the next boot replays nothing.
 		if err := jobWAL.Close(); err != nil {
 			log.Printf("pacd: wal close: %v", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"github.com/pacsim/pac/internal/coalesce"
+	"github.com/pacsim/pac/internal/durable"
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/telemetry"
@@ -23,17 +24,17 @@ import (
 // its last checkpoint instead of restarting it — the resumed run is
 // byte-identical to an uninterrupted one (the sim layer's contract).
 //
-// On-disk format (same crash-safety playbook as internal/store):
+// On-disk format:
 //
 //	PACCKPT1 <8-byte big-endian payload length> <32-byte SHA-256> <gob payload>
 //
 // gob alone has no integrity check — a flipped byte can still decode —
 // so the envelope carries an explicit digest. Files are committed by
-// temp + fsync + rename, off the simulation goroutine (checkpointStore);
-// a file that fails the magic, length, or digest check at load is
-// quarantined (renamed to *.bad), counted in
-// pac_checkpoint_corrupt_total, and treated as absent, so a torn or
-// garbled checkpoint can never crash a boot or poison a run.
+// durable.WriteFile, off the simulation goroutine (checkpointStore); a
+// file that fails the magic, length, or digest check at load is counted
+// in pac_checkpoint_corrupt_total, removed and treated as absent, as the
+// result store treats a corrupt entry, so a torn or garbled checkpoint
+// can never crash a boot or poison a run.
 
 // ckptMagic brands checkpoint files; a version bump changes the string.
 var ckptMagic = []byte("PACCKPT1")
@@ -96,6 +97,7 @@ func decodeCheckpointFile(blob []byte) (*sim.Checkpoint, error) {
 // directory no longer changes.
 type checkpointStore struct {
 	dir string
+	fs  durable.FS
 
 	mu   sync.Mutex
 	idle *sync.Cond // broadcast whenever the writer finishes a record
@@ -116,9 +118,13 @@ type checkpointStore struct {
 	corrupt    *telemetry.Counter
 }
 
+// newCheckpointStore creates dir if it is missing and removes the staged
+// files a crash left in it. A directory it cannot create shows as failed
+// writes.
 func newCheckpointStore(dir string, reg *telemetry.Registry) *checkpointStore {
 	c := &checkpointStore{
 		dir:     dir,
+		fs:      durable.OS,
 		pending: make(map[string]*sim.Checkpoint),
 		writes: reg.Counter("pac_checkpoint_writes_total",
 			"Simulation checkpoints committed to the checkpoint directory."),
@@ -131,9 +137,11 @@ func newCheckpointStore(dir string, reg *telemetry.Registry) *checkpointStore {
 		drops: reg.Counter("pac_checkpoint_drops_total",
 			"Checkpoint files removed after their simulation completed (or failed to restore)."),
 		corrupt: reg.Counter("pac_checkpoint_corrupt_total",
-			"Checkpoint files quarantined (*.bad) after failing the envelope check."),
+			"Checkpoint files removed after failing the envelope check."),
 	}
 	c.idle = sync.NewCond(&c.mu)
+	os.MkdirAll(dir, 0o755)
+	durable.SweepTemps(dir, "")
 	return c
 }
 
@@ -198,26 +206,14 @@ func (c *checkpointStore) write() {
 	c.mu.Unlock()
 }
 
-// commit writes one checkpoint by temp + fsync + rename. Failures are
-// swallowed (and counted): losing a checkpoint only costs resume time.
+// commit writes one checkpoint. Failures are swallowed (and counted):
+// losing a checkpoint only costs resume time.
 func (c *checkpointStore) commit(key string, ck *sim.Checkpoint) {
 	blob, err := encodeCheckpointFile(ck)
+	if err == nil {
+		err = durable.WriteFile(c.fs, c.path(key), blob)
+	}
 	if err != nil {
-		c.writeFails.Inc()
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		c.writeFails.Inc()
-		return
-	}
-	tmp := c.path(key) + ".tmp"
-	if err := writeFileSync(tmp, blob); err != nil {
-		os.Remove(tmp)
-		c.writeFails.Inc()
-		return
-	}
-	if err := os.Rename(tmp, c.path(key)); err != nil {
-		os.Remove(tmp)
 		c.writeFails.Inc()
 		return
 	}
@@ -246,29 +242,10 @@ func (c *checkpointStore) close() {
 	c.wait()
 }
 
-// writeFileSync writes blob and fsyncs before close, so the following
-// rename publishes fully durable bytes.
-func writeFileSync(path string, blob []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // load returns the stored checkpoint for key, or nil, once the key's
 // pending or in-flight record is on disk. It reads under the lock, so
 // the writer cannot start a newer record for the key meanwhile. A file
-// that fails the envelope check is quarantined as *.bad and reported
-// absent.
+// that fails the envelope check is counted, removed and reported absent.
 func (c *checkpointStore) load(key string) *sim.Checkpoint {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -284,7 +261,7 @@ func (c *checkpointStore) load(key string) *sim.Checkpoint {
 	}
 	ck, err := decodeCheckpointFile(blob)
 	if err != nil {
-		os.Rename(c.path(key), c.path(key)+".bad")
+		os.Remove(c.path(key))
 		c.corrupt.Inc()
 		return nil
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/pacsim/pac/internal/coalesce"
+	"github.com/pacsim/pac/internal/durable/durabletest"
 	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/telemetry"
 )
@@ -348,5 +349,62 @@ func TestCheckpointWriterConcurrentKeys(t *testing.T) {
 	if n := writes + superseded; n != workers*float64(len(cks)) {
 		t.Errorf("writes %v + superseded %v = %v, want one per save (%d)",
 			writes, superseded, n, workers*len(cks))
+	}
+}
+
+// TestCheckpointCommitFaults: a checkpoint write that fails at create
+// (ENOSPC), with a short write, at fsync or at rename is counted in
+// pac_checkpoint_write_failures_total, leaves no staged file, and the
+// key's previous checkpoint still loads. The writer keeps going.
+func TestCheckpointCommitFaults(t *testing.T) {
+	for _, fault := range durabletest.Faults {
+		t.Run(fault.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			reg := telemetry.NewRegistry()
+			cs := newCheckpointStore(dir, reg)
+			cks := testCheckpoints(t, 3)
+			cs.save("k1", cks[0])
+			cs.wait()
+			fsys := durabletest.New()
+			cs.fs = fsys
+			fsys.Arm(fault)
+			cs.save("k1", cks[1])
+			cs.wait()
+			if n, _ := reg.Value("pac_checkpoint_write_failures_total"); n != 1 {
+				t.Errorf("pac_checkpoint_write_failures_total = %v, want 1", n)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+				t.Errorf("staged files left: %v", left)
+			}
+			if ck := newCheckpointStore(dir, telemetry.NewRegistry()).load("k1"); ck == nil || ck.Now != 1 {
+				t.Errorf("after the failed write k1 loads %v, want the previous checkpoint (cycle 1)", nowOf(ck))
+			}
+			cs.save("k1", cks[2])
+			if ck := cs.load("k1"); ck == nil || ck.Now != 3 {
+				t.Errorf("write after the fault: k1 loads %v, want cycle 3", nowOf(ck))
+			}
+			cs.close()
+		})
+	}
+}
+
+// TestCheckpointStoreSweepsTemps: a write a crash cut short leaves a
+// staged file; the next checkpoint store on the directory removes it and
+// keeps the committed checkpoints.
+func TestCheckpointStoreSweepsTemps(t *testing.T) {
+	dir := t.TempDir()
+	cs := newCheckpointStore(dir, telemetry.NewRegistry())
+	cs.save("k1", testCheckpoints(t, 1)[0])
+	cs.close()
+	staged := filepath.Join(dir, ".tmp-k2.ck-1")
+	if err := os.WriteFile(staged, []byte("PACCKPT1 partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cs = newCheckpointStore(dir, telemetry.NewRegistry())
+	if _, err := os.Stat(staged); !os.IsNotExist(err) {
+		t.Errorf("staged file not swept: %v", err)
+	}
+	if ck := cs.load("k1"); ck == nil {
+		t.Error("committed checkpoint lost by the sweep")
 	}
 }

@@ -400,11 +400,10 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 		if err := m.wal.Submit(j.id, kind, payload); err != nil {
 			// The job is already on the queue; poison it so the worker
 			// skips it on pickup, and refuse the submission — a job the
-			// journal cannot make durable is never acknowledged.
+			// journal cannot make durable is never acknowledged. The
+			// journal counts the failure (pac_wal_journal_errors_total).
 			m.mu.Unlock()
 			j.finish(StatusFailed, nil, nil, err)
-			m.reg.Counter("pac_wal_journal_errors_total",
-				"WAL appends that failed.").Inc()
 			return nil, fmt.Errorf("server: journaling job: %w", err)
 		}
 	}
@@ -533,16 +532,15 @@ func (m *jobManager) bumpNextIDLocked(id string) {
 }
 
 // journal applies one WAL lifecycle append. Errors after acceptance are
-// counted but never fail the job: once the submit record is durable the
-// journal is an at-least-once floor, not a gate — a lost terminal record
-// merely means one extra (memo-deduplicated) replay next boot.
+// counted by the journal but never fail the job: once the submit record
+// is durable the journal is an at-least-once floor, not a gate — a lost
+// terminal record merely means one extra (memo-deduplicated) replay next
+// boot.
 func (m *jobManager) journal(op func(id string) error, id string) {
 	if m.wal == nil {
 		return
 	}
-	if err := op(id); err != nil {
-		m.reg.Counter("pac_wal_journal_errors_total", "WAL appends that failed.").Inc()
-	}
+	_ = op(id) // counted in pac_wal_journal_errors_total
 }
 
 // evictLocked drops finished jobs beyond the retention cap, oldest

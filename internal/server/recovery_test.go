@@ -384,7 +384,7 @@ func TestCheckpointEnvelopeLayout(t *testing.T) {
 }
 
 // TestCheckpointStoreCorruptQuarantine: a garbled checkpoint file is
-// quarantined as *.bad, counted, and reported absent — never fatal.
+// counted, removed and reported absent — never fatal.
 func TestCheckpointStoreCorruptQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
@@ -395,8 +395,11 @@ func TestCheckpointStoreCorruptQuarantine(t *testing.T) {
 	if ck := cs.load("deadbeef"); ck != nil {
 		t.Fatal("load returned a checkpoint from a garbled file")
 	}
-	if _, err := os.Stat(cs.path("deadbeef") + ".bad"); err != nil {
-		t.Errorf("corrupt file not quarantined: %v", err)
+	if _, err := os.Stat(cs.path("deadbeef")); !os.IsNotExist(err) {
+		t.Errorf("corrupt file not removed: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Errorf("files left in the checkpoint dir: %v", left)
 	}
 	if n, _ := reg.Value("pac_checkpoint_corrupt_total"); n != 1 {
 		t.Errorf("pac_checkpoint_corrupt_total = %v, want 1", n)

@@ -265,3 +265,25 @@ func TestSimulateAnswerBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateClosedStoreCountsWriteFailure: a store write that fails
+// does not fail the job: the simulate still finishes done with its
+// answer, and the failure is counted in pac_store_write_failures_total.
+func TestSimulateClosedStoreCountsWriteFailure(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	st := openTestStore(t, t.TempDir(), reg)
+	srv := newTestServer(t, func(c *Config) { c.Registry = reg; c.Store = st })
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, src := simulateOK(t, srv, SimulateRequest{Benchmark: "STREAM", Mode: "pac"})
+	if src != CacheMiss || res["result"] == nil {
+		t.Fatalf("simulate: cache %q, result %v; want a fresh answer", src, res["result"])
+	}
+	if st.Has(res["configHash"].(string)) {
+		t.Error("closed store took the write")
+	}
+	if got, _ := reg.Value("pac_store_write_failures_total"); got != 1 {
+		t.Errorf("pac_store_write_failures_total = %v, want 1", got)
+	}
+}

@@ -1,10 +1,11 @@
 // Package store is the durable, content-addressed result store beneath
 // the pacd session memo. Completed simulation results are serialized as
 // write-once entry files keyed by the canonical options-hash + sim-key
-// address (server.SimKey) and committed crash-safely via temp-file +
-// fsync + rename. Identical configurations resolve to identical, durably
-// stored results — the property that lets a restarted daemon answer
-// repeat requests from disk instead of re-simulating.
+// address (server.SimKey) and committed crash-safely by
+// durable.WriteFile (temp file + fsync + rename). Identical
+// configurations resolve to identical, durably stored results — the
+// property that lets a restarted daemon answer repeat requests from disk
+// instead of re-simulating.
 //
 // The directory is the whole index. Inside it:
 //
@@ -58,9 +59,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/pacsim/pac/internal/durable"
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/gobenc"
 	"github.com/pacsim/pac/internal/sim"
@@ -147,6 +148,7 @@ type idxEntry struct {
 type Store struct {
 	cfg Config
 	dir string
+	fs  durable.FS
 
 	mu      sync.Mutex
 	entries map[string]*idxEntry
@@ -154,13 +156,12 @@ type Store struct {
 	seq     int64
 	closed  bool
 
-	staged atomic.Uint64 // temp-file name counter
-
-	hits      *telemetry.Counter
-	misses    *telemetry.Counter
-	writes    *telemetry.Counter
-	evictions *telemetry.Counter
-	corrupt   *telemetry.Counter
+	hits       *telemetry.Counter
+	misses     *telemetry.Counter
+	writes     *telemetry.Counter
+	writeFails *telemetry.Counter
+	evictions  *telemetry.Counter
+	corrupt    *telemetry.Counter
 }
 
 // Open creates or reopens the store at cfg.Dir. It scans the directory:
@@ -178,12 +179,14 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:     cfg,
 		dir:     cfg.Dir,
+		fs:      durable.OS,
 		entries: make(map[string]*idxEntry),
 	}
 	reg := cfg.Registry
 	s.hits = reg.Counter("pac_store_hits_total", "Result-store reads served from disk.")
 	s.misses = reg.Counter("pac_store_misses_total", "Result-store reads that found no usable entry.")
 	s.writes = reg.Counter("pac_store_writes_total", "Result-store entries committed to disk.")
+	s.writeFails = reg.Counter("pac_store_write_failures_total", "Result-store writes that failed (the result is recomputed on a later miss).")
 	s.evictions = reg.Counter("pac_store_evictions_total", "Result-store entries evicted by the size caps.")
 	s.corrupt = reg.Counter("pac_store_corrupt_total", "Corrupt, truncated or unverifiable store entries discarded.")
 	reg.GaugeFunc("pac_store_bytes", "Summed size of the stored entry files.", func() float64 {
@@ -197,6 +200,7 @@ func Open(cfg Config) (*Store, error) {
 		return float64(len(s.entries))
 	})
 
+	durable.SweepTemps(s.dir, "")
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -208,12 +212,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	var files []found
 	for _, de := range names {
-		name := de.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(filepath.Join(s.dir, name)) // staged write that never committed
-			continue
-		}
-		key, ok := strings.CutSuffix(name, entryExt)
+		key, ok := strings.CutSuffix(de.Name(), entryExt)
 		if !ok || !ValidKey(key) {
 			continue
 		}
@@ -469,20 +468,28 @@ func (s *Store) Put(e Entry) error { return s.PutAnswer(e, nil) }
 // PutAnswer is Put with the answer section supplied: answer must be the
 // caller's rendering of e.Result (json.Marshal), which the serving path
 // already holds, so a result is rendered once; nil renders it here.
+// A failed write is counted in pac_store_write_failures_total and leaves
+// the key's earlier entry, if any, in place.
 func (s *Store) PutAnswer(e Entry, answer []byte) error {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		s.writeFails.Inc()
+		return errors.New("store: closed")
+	}
 	blob, err := encodeEntry(e, answer)
 	if err != nil {
+		s.writeFails.Inc()
 		return err
 	}
 	key := e.Key
-	if err := s.writeEntryFile(key, blob); err != nil {
-		return err
+	if err := durable.WriteFile(s.fs, s.entryPath(key), blob); err != nil {
+		s.writeFails.Inc()
+		return fmt.Errorf("store: writing entry: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("store: closed")
-	}
 	size := int64(len(blob))
 	s.seq++
 	if ie, exists := s.entries[key]; exists {
@@ -496,32 +503,6 @@ func (s *Store) PutAnswer(e Entry, answer []byte) error {
 	}
 	s.writes.Inc()
 	s.evictLocked()
-	return nil
-}
-
-// writeEntryFile stages blob in a temp file, fsyncs it and renames it
-// over the key's entry file. The rename is the commit point; a crash
-// before it leaves only a .tmp- file that the next Open sweeps away.
-func (s *Store) writeEntryFile(key string, blob []byte) error {
-	staged := filepath.Join(s.dir, fmt.Sprintf(".tmp-%s-%d", key, s.staged.Add(1)))
-	f, err := os.OpenFile(staged, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: staging entry: %w", err)
-	}
-	if _, err = f.Write(blob); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(staged)
-		return fmt.Errorf("store: staging entry: %w", err)
-	}
-	if err := os.Rename(staged, s.entryPath(key)); err != nil {
-		os.Remove(staged)
-		return fmt.Errorf("store: committing entry: %w", err)
-	}
 	return nil
 }
 
@@ -667,8 +648,9 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// Close marks the store closed; later Puts fail. Every committed entry
-// is already durable on disk, so Close writes nothing. It is idempotent.
+// Close marks the store closed; later Puts fail and write nothing. Every
+// entry was committed by its rename, so Close writes nothing. It is
+// idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

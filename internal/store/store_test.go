@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pacsim/pac/internal/durable/durabletest"
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/gobenc"
 	"github.com/pacsim/pac/internal/sim"
@@ -702,5 +703,62 @@ func TestEncodeEntryMatchesFreshEncoder(t *testing.T) {
 		if !bytes.Equal(env.entry, want.Bytes()) {
 			t.Fatalf("entry %d: gob section of %d bytes, a fresh encoder writes %d", i, len(env.entry), want.Len())
 		}
+	}
+}
+
+// TestPutFaults: a Put whose write fails at create (ENOSPC), with a short
+// write, at fsync or at rename returns an error, counts one write
+// failure, leaves no staged file, and leaves the key's earlier entry
+// answering, before and after a reopen. The store keeps serving.
+func TestPutFaults(t *testing.T) {
+	for _, fault := range durabletest.Faults {
+		t.Run(fault.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			reg := telemetry.NewRegistry()
+			s := mustOpen(t, Config{Dir: dir, Registry: reg})
+			if err := s.Put(testEntry(key(0), 1)); err != nil {
+				t.Fatal(err)
+			}
+			fsys := durabletest.New()
+			s.fs = fsys
+			fsys.Arm(fault)
+			if err := s.Put(testEntry(key(0), 2)); err == nil {
+				t.Fatal("Put returned no error")
+			}
+			if got := metricValue(t, reg, "pac_store_write_failures_total"); got != 1 {
+				t.Errorf("pac_store_write_failures_total = %v, want 1", got)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) != 0 {
+				t.Errorf("staged files left: %v", left)
+			}
+			if e, ok := s.Get(key(0)); !ok || e.Result.Cycles != 1 {
+				t.Errorf("after the failed Put: ok=%v, want the earlier entry (cycles 1)", ok)
+			}
+			if err := s.Put(testEntry(key(1), 3)); err != nil {
+				t.Errorf("Put after the fault: %v", err)
+			}
+			s2 := mustOpen(t, Config{Dir: dir})
+			if e, ok := s2.Get(key(0)); !ok || e.Result.Cycles != 1 {
+				t.Errorf("after reopen: ok=%v, want the earlier entry (cycles 1)", ok)
+			}
+		})
+	}
+}
+
+// TestPutAfterCloseCounted: a Put on a closed store fails, writes
+// nothing and counts one write failure.
+func TestPutAfterCloseCounted(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{Dir: dir, Registry: reg})
+	s.Close()
+	if err := s.Put(testEntry(key(0), 1)); err == nil {
+		t.Fatal("Put on a closed store returned no error")
+	}
+	if got := metricValue(t, reg, "pac_store_write_failures_total"); got != 1 {
+		t.Errorf("pac_store_write_failures_total = %v, want 1", got)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 0 {
+		t.Errorf("closed store wrote %d files", len(names))
 	}
 }

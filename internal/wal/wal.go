@@ -8,12 +8,13 @@
 // with the content-addressed result store's deduplication this yields
 // effectively exactly-once execution from an at-least-once journal.
 //
-// The on-disk format follows the same crash-safety playbook as the
-// result store's index journal (package store): one CRC-guarded line
-// per record, appends fsynced before the caller proceeds, replay that
-// skips torn or corrupt lines instead of failing the boot, and
-// compaction that atomically rewrites the journal (temp + fsync +
-// rename) down to the records still needed to describe live jobs.
+// The on-disk format is one CRC-guarded line per record, appends
+// fsynced before the caller proceeds, replay that skips torn or corrupt
+// lines instead of failing the boot, and compaction that atomically
+// rewrites the journal (durable.WriteFile, then a directory fsync) down
+// to the records still needed to describe live jobs. Of pacd's three
+// stores only the journal promises to survive power loss (DESIGN.md §13
+// "Crash model").
 //
 //	<op> <id> <kind> <base64-payload>#<crc32-hex>\n
 //
@@ -32,10 +33,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 
+	"github.com/pacsim/pac/internal/durable"
 	"github.com/pacsim/pac/internal/telemetry"
 )
 
@@ -74,9 +77,6 @@ type Config struct {
 	// Path is the journal file; created if missing, parent directory
 	// must exist.
 	Path string
-	// NoSync skips the per-append fsync — only for tests and
-	// benchmarks; production durability depends on the sync.
-	NoSync bool
 	// Registry receives the pac_wal_* metrics; nil creates a fresh
 	// (unexposed) one.
 	Registry *telemetry.Registry
@@ -86,18 +86,21 @@ type Config struct {
 // Close. Safe for concurrent use.
 type Log struct {
 	cfg Config
+	fs  durable.FS
 
 	mu      sync.Mutex
-	f       *os.File
+	f       durable.File
 	jobs    map[string]*jobEntry
 	order   []string // live job IDs in submit order
 	records int      // records since the last compaction
 	closed  bool
+	torn    bool // an append failed; the next one compacts first
 
 	recs        *telemetry.Counter
 	replayed    *telemetry.Counter
 	corrupt     *telemetry.Counter
 	compactions *telemetry.Counter
+	errs        *telemetry.Counter
 }
 
 // jobEntry is the in-memory image of one live (non-terminal) job.
@@ -118,12 +121,13 @@ func Open(cfg Config) (*Log, []Job, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	l := &Log{cfg: cfg, jobs: make(map[string]*jobEntry)}
+	l := &Log{cfg: cfg, fs: durable.OS, jobs: make(map[string]*jobEntry)}
 	reg := cfg.Registry
 	l.recs = reg.Counter("pac_wal_records_total", "Job-journal records appended.")
 	l.replayed = reg.Counter("pac_wal_replayed_jobs_total", "Non-terminal jobs recovered from the journal at boot.")
 	l.corrupt = reg.Counter("pac_wal_corrupt_records_total", "Torn or corrupt job-journal records skipped during replay.")
 	l.compactions = reg.Counter("pac_wal_compactions_total", "Job-journal compactions performed.")
+	l.errs = reg.Counter("pac_wal_journal_errors_total", "Job-journal appends and compactions that failed.")
 	reg.GaugeFunc("pac_wal_live_jobs", "Non-terminal jobs tracked by the journal.", func() float64 {
 		l.mu.Lock()
 		defer l.mu.Unlock()
@@ -133,6 +137,7 @@ func Open(cfg Config) (*Log, []Job, error) {
 	if err := l.replay(); err != nil {
 		return nil, nil, err
 	}
+	durable.SweepTemps(filepath.Dir(cfg.Path), filepath.Base(cfg.Path))
 	recovered := make([]Job, 0, len(l.order))
 	for _, id := range l.order {
 		e := l.jobs[id]
@@ -244,9 +249,10 @@ func (l *Log) Live() int {
 	return len(l.jobs)
 }
 
-// append journals one record: apply to the in-memory image, write the
-// line, fsync, and maybe fold the journal. The fsync-before-return is
-// what makes the journal a durability barrier.
+// append journals one record: write the line, fsync, apply it to the
+// in-memory image, and maybe fold the journal. The fsync-before-return
+// is what makes the journal a durability barrier. A failed append is
+// counted in pac_wal_journal_errors_total and never reaches the image.
 func (l *Log) append(rec Record) error {
 	if !ValidID(rec.ID) {
 		return fmt.Errorf("wal: invalid job id %q", rec.ID)
@@ -256,79 +262,67 @@ func (l *Log) append(rec Record) error {
 	if l.closed {
 		return errors.New("wal: closed")
 	}
+	// After a failed append the file may end in a partial line, which
+	// would swallow this one, or in a line whose fsync failed, and a
+	// retried fsync proves nothing: the kernel may already have dropped
+	// the pages. So rewrite it first from the in-memory image, which
+	// never received the failed record.
+	if l.torn {
+		if err := l.compactLocked(); err != nil {
+			return err
+		}
+	}
 	if l.f == nil {
-		f, err := os.OpenFile(l.cfg.Path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		f, err := l.fs.OpenFile(l.cfg.Path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
+			l.errs.Inc()
 			return fmt.Errorf("wal: opening journal: %w", err)
 		}
 		l.f = f
 	}
-	if _, err := l.f.WriteString(FormatRecord(rec)); err != nil {
+	if err := durable.Append(l.f, []byte(FormatRecord(rec))); err != nil {
+		l.torn = true
+		l.errs.Inc()
 		return fmt.Errorf("wal: journal append: %w", err)
-	}
-	if !l.cfg.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: journal sync: %w", err)
-		}
 	}
 	l.applyLocked(rec)
 	l.records++
 	l.recs.Inc()
 	// Terminal-record churn grows the journal without bound; fold it
-	// back to the live set once dead records clearly dominate.
+	// back to the live set once dead records clearly dominate. The
+	// record is durable either way, so a failed fold (counted; the old
+	// journal stays in place) does not fail the append.
 	if l.records > 8*len(l.jobs)+1024 {
-		return l.compactLocked()
+		l.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked rewrites the journal down to the records describing the
-// live jobs (one submit per job), fsyncs
-// the replacement, and renames it into place. Called with l.mu held (or
-// from Open before the log is shared).
+// compactLocked atomically rewrites the journal down to the records
+// describing the live jobs (one submit per job), then fsyncs its
+// directory so the rewrite survives power loss. A failure is counted;
+// if the rewrite did not land, the old journal stays in place. Called
+// with l.mu held (or from Open before the log is shared).
 func (l *Log) compactLocked() error {
 	var buf bytes.Buffer
 	for _, id := range l.order {
 		e := l.jobs[id]
 		buf.WriteString(FormatRecord(Record{Op: OpSubmit, ID: id, Kind: e.kind, Payload: e.payload}))
 	}
-	tmp := l.cfg.Path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: compacting journal: %w", err)
-	}
-	if _, err = f.Write(buf.Bytes()); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compacting journal: %w", err)
-	}
-	if err := os.Rename(tmp, l.cfg.Path); err != nil {
-		os.Remove(tmp)
+	if err := durable.WriteFile(l.fs, l.cfg.Path, buf.Bytes()); err != nil {
+		l.errs.Inc()
 		return fmt.Errorf("wal: compacting journal: %w", err)
 	}
 	if l.f != nil {
 		l.f.Close() // points at the unlinked file
 		l.f = nil
 	}
+	l.torn = false
 	l.records = len(l.order)
 	l.compactions.Inc()
-	return nil
-}
-
-// Flush fsyncs the journal — the SIGTERM drain path.
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: journal fsync: %w", err)
+	if err := durable.SyncDir(l.fs, filepath.Dir(l.cfg.Path)); err != nil {
+		l.errs.Inc()
+		return fmt.Errorf("wal: compacting journal: %w", err)
 	}
 	return nil
 }

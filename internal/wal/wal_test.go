@@ -8,12 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/pacsim/pac/internal/durable/durabletest"
 	"github.com/pacsim/pac/internal/telemetry"
 )
 
 func openT(t *testing.T, path string) (*Log, []Job) {
 	t.Helper()
-	l, jobs, err := Open(Config{Path: path, NoSync: true})
+	l, jobs, err := Open(Config{Path: path})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -77,9 +78,6 @@ func TestTornFinalRecord(t *testing.T) {
 	if err := l.Submit("a-j1", "simulate", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	// Simulate the torn append: a half-written submit for a second job.
 	full := FormatRecord(Record{Op: OpSubmit, ID: "a-j2", Kind: "simulate", Payload: []byte("two")})
 	blob, err := os.ReadFile(path)
@@ -91,7 +89,7 @@ func TestTornFinalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, jobs, err := Open(Config{Path: path, NoSync: true})
+	l2, jobs, err := Open(Config{Path: path})
 	if err != nil {
 		t.Fatalf("Open after torn write: %v", err)
 	}
@@ -249,7 +247,7 @@ func TestReplayJournalWithRunRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	l, jobs, err := Open(Config{Path: path, NoSync: true, Registry: reg})
+	l, jobs, err := Open(Config{Path: path, Registry: reg})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -276,4 +274,161 @@ func TestReplayJournalWithRunRecords(t *testing.T) {
 	if got := string(compacted); strings.Count(got, "\n") != 2 || strings.Contains(got, "run ") {
 		t.Errorf("compacted journal = %q, want the two submits only", got)
 	}
+}
+
+// walErrors reads pac_wal_journal_errors_total.
+func walErrors(t *testing.T, reg *telemetry.Registry) float64 {
+	t.Helper()
+	n, _ := reg.Value("pac_wal_journal_errors_total")
+	return n
+}
+
+// replayIDs reopens the journal at path and returns the live job IDs.
+func replayIDs(t *testing.T, path string) []string {
+	t.Helper()
+	_, jobs := openT(t, path)
+	var ids []string
+	for _, j := range jobs {
+		ids = append(ids, j.ID)
+	}
+	return ids
+}
+
+// TestAppendFaultKeepsNextRecord: an append that fails at open (ENOSPC),
+// with a short write or at fsync is counted and returns an error, and
+// the next append still lands intact: the journal is rewritten from the
+// in-memory image before it, so the failed record's partial line cannot
+// swallow it. Replay finds the acknowledged jobs and not the failed one.
+// An append does not rename; its rename case is the rewrite before the
+// next append failing, which fails that append too.
+func TestAppendFaultKeepsNextRecord(t *testing.T) {
+	for _, fault := range durabletest.Faults {
+		t.Run(fault.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.wal")
+			reg := telemetry.NewRegistry()
+			l, _, err := Open(Config{Path: path, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Submit("n-j1", "simulate", []byte("one")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil { // compacts: the next append opens the file
+				t.Fatal(err)
+			}
+			if l, _, err = Open(Config{Path: path, Registry: reg}); err != nil {
+				t.Fatal(err)
+			}
+			fsys := durabletest.New()
+			l.fs = fsys
+			wantErrs := 1.0
+			if fault == durabletest.RenameError {
+				fsys.Arm(durabletest.ShortWrite)
+				if err := l.Submit("n-j2", "simulate", []byte("two")); err == nil {
+					t.Fatal("Submit after a short write returned no error")
+				}
+				wantErrs++
+			}
+			fsys.Arm(fault)
+			if err := l.Submit("n-j2", "simulate", []byte("two")); err == nil {
+				t.Fatal("Submit returned no error")
+			}
+			if got := walErrors(t, reg); got != wantErrs {
+				t.Errorf("pac_wal_journal_errors_total = %v, want %v", got, wantErrs)
+			}
+			if err := l.Submit("n-j3", "simulate", []byte("three")); err != nil {
+				t.Fatalf("Submit after the fault: %v", err)
+			}
+			if l.Live() != 2 {
+				t.Errorf("Live = %d, want 2", l.Live())
+			}
+			if left, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".tmp-*")); len(left) != 0 {
+				t.Errorf("staged files left: %v", left)
+			}
+			// Reopen without Close: what a kill -9 leaves.
+			if got := replayIDs(t, path); len(got) != 2 || got[0] != "n-j1" || got[1] != "n-j3" {
+				t.Errorf("replayed %v, want [n-j1 n-j3]", got)
+			}
+			l.Close()
+		})
+	}
+}
+
+// TestCompactionFaults: a compaction that fails at create, write, fsync
+// or rename is counted, Close reports it, no staged file is left, and
+// reopening finds the journal as it was before the compaction. A failed
+// compaction inside an append does not fail the append, whose record is
+// already durable.
+func TestCompactionFaults(t *testing.T) {
+	for _, fault := range durabletest.Faults {
+		t.Run(fault.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "jobs.wal")
+			reg := telemetry.NewRegistry()
+			l, _, err := Open(Config{Path: path, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsys := durabletest.New()
+			l.fs = fsys
+			for _, id := range []string{"n-j1", "n-j2"} {
+				if err := l.Submit(id, "simulate", []byte(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Done("n-j1"); err != nil {
+				t.Fatal(err)
+			}
+			fsys.Arm(fault)
+			if err := l.Close(); err == nil {
+				t.Fatal("Close returned no error")
+			}
+			if got := walErrors(t, reg); got != 1 {
+				t.Errorf("pac_wal_journal_errors_total = %v, want 1", got)
+			}
+			if left, _ := filepath.Glob(filepath.Join(filepath.Dir(path), ".tmp-*")); len(left) != 0 {
+				t.Errorf("staged files left: %v", left)
+			}
+			if got := replayIDs(t, path); len(got) != 1 || got[0] != "n-j2" {
+				t.Errorf("replayed %v, want [n-j2]", got)
+			}
+		})
+	}
+	t.Run("in-append", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "jobs.wal")
+		reg := telemetry.NewRegistry()
+		l, _, err := Open(Config{Path: path, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsys := durabletest.New()
+		l.fs = fsys
+		for i := 0; i < 512; i++ {
+			id := fmt.Sprintf("n-j%06d", i)
+			if err := l.Submit(id, "simulate", nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Done(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// 1024 records: the next terminal record, leaving no live job,
+		// folds the journal.
+		if err := l.Submit("n-x", "simulate", nil); err != nil {
+			t.Fatal(err)
+		}
+		fsys.Arm(durabletest.RenameError)
+		if err := l.Done("n-x"); err != nil {
+			t.Fatalf("Done whose compaction failed: %v", err)
+		}
+		if fsys.Fired() != 1 || walErrors(t, reg) != 1 {
+			t.Fatalf("fired %d, pac_wal_journal_errors_total = %v; want 1 and 1", fsys.Fired(), walErrors(t, reg))
+		}
+		if err := l.Submit("n-keep", "simulate", []byte("live")); err != nil {
+			t.Fatal(err)
+		}
+		if got := replayIDs(t, path); len(got) != 1 || got[0] != "n-keep" {
+			t.Errorf("replayed %v, want [n-keep]", got)
+		}
+		l.Close()
+	})
 }
