@@ -4,9 +4,9 @@
 GO ?= go
 
 .PHONY: all build test test-short test-race smoke serve smoke-serve \
-        smoke-cluster smoke-store smoke-recovery bench-cluster chaos \
-        vet fmt bench bench-kernel bench-alloc test-alloc figures \
-        figures-quick examples fuzz fuzz-smoke verify clean
+        smoke-cluster smoke-store smoke-recovery chaos vet fmt bench \
+        test-alloc figures figures-quick examples fuzz fuzz-smoke verify \
+        clean
 
 all: vet test build
 
@@ -55,15 +55,8 @@ smoke-store:
 # restart it, and require the journal replay to resume the simulation
 # from its last checkpoint with a result identical to an uninterrupted
 # run. Also covers pacload -follow SSE resume and torn-journal boot.
-# Emits BENCH_recovery.json.
 smoke-recovery:
 	scripts/smoke_recovery.sh
-
-# Fleet load benchmark: pacload drives the gateway with a mixed hot/cold
-# key stream and distills throughput/latency/affinity into
-# BENCH_cluster.json.
-bench-cluster:
-	scripts/bench_cluster.sh
 
 # Chaos smoke under the race detector: the fault-injection subsystem,
 # the sim-level fault/equivalence suite, the daemon resilience tests
@@ -84,23 +77,12 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Event-kernel baseline: figure benches plus the event-vs-reference
-# driver comparison, distilled into BENCH_kernel.json (ns/op, skipped-
-# cycle ratios, per-mode speedups).
-bench-kernel:
-	scripts/bench_baseline.sh
-
-# Allocation baseline: the BenchmarkAllocs suite distilled into
-# BENCH_alloc.json (ns/op, B/op, allocs/op). Fails if any steady-state
-# path regressed from 0 allocs/op.
-bench-alloc:
-	scripts/bench_alloc.sh
-
-# The steady-state zero-alloc unit gates plus the arena aliasing
-# oracles. Must run WITHOUT -race: race instrumentation allocates, so
-# the gates skip themselves under the race detector.
+# The steady-state zero-alloc unit gates, the cold-run allocation
+# budget and the arena aliasing oracles. Must run WITHOUT -race: race
+# instrumentation allocates, so the gates skip themselves under the
+# race detector.
 test-alloc:
-	$(GO) test -run 'SteadyStateAllocFree|ScratchReuse|Poison|Aliasing' \
+	$(GO) test -run 'SteadyStateAllocFree|RunColdAllocBudget|ScratchReuse|Poison|Aliasing' \
 		./internal/coalesce/ ./internal/mshr/ ./internal/hmc/ \
 		./internal/core/ ./internal/sim/ ./internal/arena/
 

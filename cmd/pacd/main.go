@@ -62,8 +62,7 @@ func main() {
 		queue        = flag.Int("queue", 16, "jobs that may wait for a worker; one more answers 429")
 		maxSessions  = flag.Int("max-sessions", 8, "LRU cap on distinct-option result-cache sessions")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "cap on synchronous ?wait= windows")
-		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "abort jobs running longer than this")
-		jobDeadline  = flag.Duration("job-deadline", 0, "per-attempt watchdog deadline; overrides -job-timeout when set")
+		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "per-attempt watchdog deadline: an attempt running longer is cancelled (and retried up to -max-retries)")
 		maxRetries   = flag.Int("max-retries", 2, "retries per job after a watchdog kill, panic, or internal error (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -90,9 +89,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *jobDeadline > 0 {
-		*jobTimeout = *jobDeadline
-	}
 	faults := pac.FaultConfig{
 		LinkCRCRate:        *faultCRC,
 		PoisonRate:         *faultPoison,

@@ -31,15 +31,26 @@ func quickOpts() experiments.Options {
 // startBackends launches n real pacd servers (httptest) named b0..bN.
 func startBackends(t *testing.T, n int) []string {
 	t.Helper()
+	return startBackendsWith(t, n, nil)
+}
+
+// startBackendsWith is startBackends with each server's Config passed
+// through mutate (when non-nil) before it starts.
+func startBackendsWith(t *testing.T, n int, mutate func(*server.Config)) []string {
+	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv := server.New(server.Config{
+		cfg := server.Config{
 			Options:     quickOpts(),
 			Parallel:    2,
 			Concurrency: 2,
 			QueueDepth:  64,
 			NodeID:      fmt.Sprintf("b%d", i),
-		})
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		srv := server.New(cfg)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL

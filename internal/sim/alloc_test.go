@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/pacsim/pac/internal/arena"
+	"github.com/pacsim/pac/internal/coalesce"
 )
 
 // TestStepSteadyStateAllocFree drives the reference step path directly:
@@ -95,6 +96,34 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 				t.Errorf("%s: warmed run allocates %.0f times vs %.0f cold — scratch reuse is not engaging", mode, warm, cold)
 			}
 		})
+	}
+}
+
+// TestRunColdAllocBudget bounds what a whole simulation allocates when
+// it runs on a warmed Scratch with a fresh seed, as every cold run of a
+// Session does: the component graph and the workload generators are
+// built anew, and every pooled buffer should come back from the arena.
+// It measures 142; a per-run buffer that stops being recycled pushes it
+// over the budget (a fresh Scratch per run reads 190).
+func TestRunColdAllocBudget(t *testing.T) {
+	if arena.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const budget = 160
+	cfg := DefaultConfig("GS", coalesce.ModePAC)
+	cfg.Procs = []ProcSpec{{Benchmark: "GS", Cores: 2}}
+	cfg.Scale = 0.02
+	cfg.AccessesPerCore = 2_000
+	cfg.Scratch = NewScratch()
+	run(t, cfg) // warm the arena
+	seed := cfg.Seed
+	got := testing.AllocsPerRun(20, func() {
+		seed++
+		cfg.Seed = seed
+		run(t, cfg)
+	})
+	if got > budget {
+		t.Errorf("a cold run on a warmed Scratch allocates %.0f times, budget %d", got, budget)
 	}
 }
 

@@ -7,7 +7,6 @@
 # request on a clean daemon. On top of that: pacload -follow tails the
 # recovered job's SSE stream to completion, and a journal with torn
 # trailing garbage must boot cleanly (skipped + counted, never fatal).
-# Emits BENCH_recovery.json (full-run vs resumed cycles, latencies).
 #
 # Usage: scripts/smoke_recovery.sh [victim-port [ref-port]]
 set -euo pipefail
@@ -175,20 +174,5 @@ kill -TERM "$V_PID"
 wait "$V_PID" || fail "victim (torn boot) did not drain cleanly"
 echo "smoke-recovery: torn-journal boot ok (skipped + counted)"
 
-# ---------------------------------------------------------------------
-# Benchmark artifact.
-cat > BENCH_recovery.json <<EOF
-{
-  "schema": "pac-bench-recovery/v1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "fullRunCycles": $full_cycles,
-  "checkpointCycle": $ckpt_cycle,
-  "resumeCycles": $resume_cycles,
-  "recoveredJobs": 1,
-  "identicalResult": true,
-  "referenceLatencyMs": $ref_ms,
-  "recoveryLatencyMs": $recovery_ms
-}
-EOF
-echo "smoke-recovery: wrote BENCH_recovery.json (full $full_cycles cycles, resume $resume_cycles)"
-echo "smoke-recovery: PASS"
+echo "smoke-recovery: PASS (full run $full_cycles cycles in ${ref_ms}ms;" \
+  "checkpoint at cycle $ckpt_cycle, resumed $resume_cycles cycles in ${recovery_ms}ms)"
