@@ -60,11 +60,11 @@ smoke-recovery:
 
 # Chaos smoke under the race detector: the fault-injection subsystem,
 # the sim-level fault/equivalence suite, the daemon resilience tests
-# (watchdog kills, retry with backoff, panic recovery), and the gateway
-# cluster chaos suite (backend death mid-job, dead fleet).
+# (watchdog kills, panic recovery, client cancellation), and the gateway
+# cluster chaos suite (backend death mid-job, dead fleet, worker restart).
 chaos:
 	$(GO) test -race ./internal/fault/
-	$(GO) test -race -run 'Fault|Chaos|Watchdog|Retr|Panic|Poison' ./internal/sim/ ./internal/server/
+	$(GO) test -race -run 'Fault|Chaos|Watchdog|ClientCancel|Panic|Poison' ./internal/sim/ ./internal/server/
 	$(GO) test -race -run 'Chaos' ./internal/gateway/
 
 vet:
@@ -103,24 +103,25 @@ examples:
 # Short fuzzing passes over the binary-format parser, the coalescing
 # pipeline, the gateway's consistent-hash ring, the job WAL's record
 # parser, the store's entry envelope and checkpoint resume at an
-# arbitrary cycle.
+# arbitrary cycle. -run '^$' skips each package's unit tests, which the
+# test targets already run.
 fuzz:
-	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 30s
-	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 30s
-	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 30s
-	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
-	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 30s
-	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointResume -fuzztime 30s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzRead -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzPipeline -fuzztime 30s
+	$(GO) test ./internal/gateway/ -run '^$$' -fuzz FuzzRing -fuzztime 30s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzRecord -fuzztime 30s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzEntry -fuzztime 30s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 30s
 
 # The CI-sized fuzz pass: ~30s total across every target, on top of the
 # always-on seed-corpus replay in the regular test run.
 fuzz-smoke:
-	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 5s
-	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 5s
-	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 5s
-	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
-	$(GO) test ./internal/store/ -fuzz FuzzEntry -fuzztime 5s
-	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointResume -fuzztime 5s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzRead -fuzztime 5s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzPipeline -fuzztime 5s
+	$(GO) test ./internal/gateway/ -run '^$$' -fuzz FuzzRing -fuzztime 5s
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzRecord -fuzztime 5s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzEntry -fuzztime 5s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 5s
 
 # The local pre-merge gate: formatting, vet, build, the full test suite,
 # and the pinned static analyzers when they are installed (they are

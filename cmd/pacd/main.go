@@ -15,12 +15,17 @@
 // the on-disk footprint with LRU eviction. A node's store holds only what
 // that node computed; a node that lacks a result simulates it.
 //
+// Every job runs once, under the -job-timeout watchdog deadline: a job
+// that errs, panics or outlives the deadline fails and is not rerun,
+// because a rerun of the same request would end the same way.
+//
 // With -wal, every accepted job is journaled to a write-ahead log before
 // it runs: a daemon killed mid-job replays the unfinished work at the
-// next boot under the original job IDs. Add -checkpoint-dir and long
-// simulations also persist periodic deterministic checkpoints, so the
-// replay resumes mid-run instead of starting over (-checkpoint-interval
-// sets the cadence in simulated cycles). See DESIGN.md §13.
+// next boot under the original job IDs. This replay is the only path
+// that re-runs a job. Add -checkpoint-dir and long simulations also
+// persist periodic deterministic checkpoints, so the replay resumes
+// mid-run instead of starting over (-checkpoint-interval sets the
+// cadence in simulated cycles). See DESIGN.md §13.
 //
 // Endpoints (see internal/server and README "Running pacd"):
 //
@@ -62,8 +67,7 @@ func main() {
 		queue        = flag.Int("queue", 16, "jobs that may wait for a worker; one more answers 429")
 		maxSessions  = flag.Int("max-sessions", 8, "LRU cap on distinct-option result-cache sessions")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "cap on synchronous ?wait= windows")
-		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "per-attempt watchdog deadline: an attempt running longer is cancelled (and retried up to -max-retries)")
-		maxRetries   = flag.Int("max-retries", 2, "retries per job after a watchdog kill, panic, or internal error (0 disables)")
+		jobTimeout   = flag.Duration("job-timeout", 45*time.Minute, "per-job watchdog deadline: a job running longer is cancelled and fails")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		node         = flag.String("node", "", "node name within a pacgw fleet (sets X-Pac-Node and job attribution)")
@@ -160,7 +164,6 @@ func main() {
 		MaxSessions:     *maxSessions,
 		RequestTimeout:  *reqTimeout,
 		JobTimeout:      *jobTimeout,
-		MaxRetries:      *maxRetries,
 		EnablePprof:     *pprofOn,
 		NodeID:          *node,
 		Registry:        registry,

@@ -5,9 +5,10 @@
 // /readyz, ejects and routes around failing or booting nodes, fans sweep
 // requests out across the fleet with a deterministic table merge, and
 // exposes pac_gw_* Prometheus metrics. When a WAL-backed backend crashes
-// and reboots, the gateway reconciles on reinstatement: it re-dispatches
-// the node's orphaned simulate jobs through the ring
-// (pac_gw_orphan_redispatch_total counts them).
+// and reboots, the gateway reinstates it once /readyz answers 200 and
+// creates no job for it: the backend's own WAL replay finishes the jobs
+// it had accepted. -max-retries bounds the failover of a routed request
+// that meets a transport error, so a waiting client is still answered.
 //
 // Usage:
 //

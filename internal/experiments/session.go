@@ -268,8 +268,8 @@ func (s *Session) simEntry(ctx context.Context, k simKey) (*memoEntry[*sim.Resul
 // finishes and then share its entry; a caller whose ctx expires first
 // unregisters, and the last such caller aborts the run. No failure stays
 // memoised: cancellations leave the memo because a fresh caller must
-// rerun, and hard failures so the daemon's job-retry layer gets a real
-// second attempt instead of the cached error. bench and mode label the
+// rerun, and hard failures so a later request for the same work runs it
+// fresh instead of receiving the cached error. bench and mode label the
 // memo hit or miss event.
 func join[K comparable, T any](ctx context.Context, s *Session, memo map[K]*memoEntry[T], k K,
 	bench, mode string, run func(*Session, context.Context, K) (T, error)) (*memoEntry[T], error) {
@@ -346,7 +346,7 @@ func (s *Session) runSim(ctx context.Context, k simKey) (*sim.Result, error) {
 	putScratch(cfg.Scratch)
 	if err != nil {
 		// A cancelled run keeps its latest checkpoint: the whole point is
-		// that the next attempt resumes instead of restarting.
+		// that the replay at the next boot resumes instead of restarting.
 		return nil, fmt.Errorf("experiments: %s: %w", k, err)
 	}
 	if cp := s.ckpt; cp != nil && cp.Drop != nil && k.v == varDefault {
@@ -525,8 +525,7 @@ func allTraces() []need {
 // Options.Parallel, and to runtime.GOMAXPROCS(0) when that is unset too.
 // Failed simulations are reported but never stay memoised — Precompute
 // returns the first error encountered, and a caller re-running the
-// failing experiment (the daemon's job-retry path) executes the failed
-// work fresh.
+// failing experiment executes the failed work fresh.
 func (s *Session) Precompute(ctx context.Context, workers int, ids ...string) error {
 	exps := All()
 	if len(ids) > 0 {

@@ -402,70 +402,6 @@ func (g *Gateway) noteSuccess(b *backend) {
 			"backend", b.name).Inc()
 		g.reg.Gauge("pac_gw_backend_up", "Backend liveness as seen by the gateway health loop.",
 			"backend", b.name).Set(1)
-		// A reinstated backend just finished a boot (or recovered from a
-		// partition) — reconcile the jobs its journal replayed, so work a
-		// crashed worker left behind finishes even if clients moved on.
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.recoverOrphans(b)
-		}()
-	}
-}
-
-// recoverOrphans asks a just-reinstated backend for its orphaned jobs —
-// journaled before the crash, re-enqueued at boot, not yet terminal —
-// and re-dispatches each simulate payload through the normal routing
-// path. The redispatch lands as an ordinary request: the ring may route
-// it to the recovering node itself (where it dedups against the replayed
-// job's session memo) or to a failover node that already computed the
-// result while the owner was down (a store hit). Either way the fleet
-// converges without re-simulating finished work.
-func (g *Gateway) recoverOrphans(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	go func() {
-		select {
-		case <-g.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	resp, err := g.forward(ctx, b, http.MethodGet, "/v1/jobs", "state=orphaned", nil, http.Header{})
-	if err != nil {
-		return
-	}
-	var listing struct {
-		Jobs []struct {
-			ID      string          `json:"id"`
-			Kind    string          `json:"kind"`
-			Request json.RawMessage `json:"request"`
-		} `json:"jobs"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&listing)
-	resp.Body.Close()
-	if err != nil {
-		return
-	}
-	hdr := http.Header{}
-	hdr.Set("Content-Type", "application/json")
-	for _, oj := range listing.Jobs {
-		if oj.Kind != "simulate" || len(oj.Request) == 0 {
-			continue
-		}
-		key, _, _, err := g.simKeyFor(oj.Request)
-		if err != nil {
-			continue
-		}
-		res, err := g.dispatch(ctx, key, http.MethodPost, "/v1/simulate", "", oj.Request, hdr)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, res.resp.Body)
-		res.resp.Body.Close()
-		g.reg.Counter("pac_gw_orphan_redispatch_total",
-			"Orphaned jobs re-dispatched after a backend was reinstated.",
-			"backend", b.name).Inc()
 	}
 }
 
@@ -742,20 +678,19 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // Endpoint handlers.
 
 // simKeyFor resolves a simulate body to its canonical routing key — the
-// exact SimKey the chosen backend's session pool derives — plus the
-// resolved benchmark/mode for observability.
-func (g *Gateway) simKeyFor(body []byte) (key, bench, mode string, err error) {
+// exact SimKey the chosen backend's session pool derives.
+func (g *Gateway) simKeyFor(body []byte) (string, error) {
 	var req server.SimulateRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return "", "", "", fmt.Errorf("bad request body: %w", err)
+		return "", fmt.Errorf("bad request body: %w", err)
 	}
 	opts, bench, m, err := server.ResolveSimulate(g.base, req)
 	if err != nil {
-		return "", "", "", err
+		return "", err
 	}
-	return server.SimKey(server.OptionsHash(opts), bench, m), bench, m.String(), nil
+	return server.SimKey(server.OptionsHash(opts), bench, m), nil
 }
 
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -763,7 +698,7 @@ func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key, _, _, err := g.simKeyFor(body)
+	key, err := g.simKeyFor(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -807,7 +742,9 @@ func (g *Gateway) handleListExperiments(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleListJobs merges every live backend's job list, attributing each
-// job to its node.
+// job to its node. The query (?state=) goes to every backend; a backend
+// that refuses it with 400 refuses it for the whole fleet, so that answer
+// is relayed instead of a merged list.
 func (g *Gateway) handleListJobs(w http.ResponseWriter, r *http.Request) {
 	merged := []json.RawMessage{}
 	for _, name := range g.names {
@@ -815,10 +752,14 @@ func (g *Gateway) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		if !b.isUp() {
 			continue
 		}
-		resp, err := g.forward(r.Context(), b, http.MethodGet, "/v1/jobs", "", nil, r.Header)
+		resp, err := g.forward(r.Context(), b, http.MethodGet, "/v1/jobs", r.URL.RawQuery, nil, r.Header)
 		if err != nil {
 			g.noteFailure(b)
 			continue
+		}
+		if resp.StatusCode == http.StatusBadRequest {
+			g.relay(w, proxyResult{resp: resp, backend: b})
+			return
 		}
 		var payload struct {
 			Jobs []map[string]any `json:"jobs"`

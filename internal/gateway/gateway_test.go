@@ -149,7 +149,7 @@ func newStubBackend(t *testing.T, healthy func() bool, simulate http.HandlerFunc
 func benchOwnedBy(t *testing.T, g *Gateway, backend string) string {
 	t.Helper()
 	for _, bench := range []string{"GS", "STREAM", "BFS", "FFT", "SORT", "HPCG", "EP", "CG", "LU", "SP", "IS", "MG", "SSCA2", "SPARSELU"} {
-		key, _, _, err := g.simKeyFor([]byte(fmt.Sprintf(`{"benchmark": %q}`, bench)))
+		key, err := g.simKeyFor([]byte(fmt.Sprintf(`{"benchmark": %q}`, bench)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,5 +420,55 @@ func TestGatewayJobsMergeAndLookup(t *testing.T) {
 	}
 	if body := readAll(t, resp); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job lookup: %d %s, want 404", resp.StatusCode, body)
+	}
+}
+
+// TestGatewayJobsStateFilter: the merged job listing honours ?state=
+// like a single backend does, and a state no backend knows answers 400
+// rather than an empty list.
+func TestGatewayJobsStateFilter(t *testing.T) {
+	backends := startBackends(t, 2)
+	_, front := testGateway(t, backends, nil)
+	resp, payload := postJSON(t, front.URL+"/v1/simulate?wait=60s", `{"benchmark": "GS"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: %d %s", resp.StatusCode, payload)
+	}
+	var done struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal([]byte(payload), &done); err != nil {
+		t.Fatal(err)
+	}
+	list := func(state string) (int, []string) {
+		t.Helper()
+		resp, err := http.Get(front.URL + "/v1/jobs?state=" + state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		var listing struct {
+			Jobs []struct {
+				ID string `json:"id"`
+			} `json:"jobs"`
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal([]byte(body), &listing); err != nil {
+				t.Fatalf("state=%s: decoding %v: %s", state, err, body)
+			}
+		}
+		var ids []string
+		for _, j := range listing.Jobs {
+			ids = append(ids, j.ID)
+		}
+		return resp.StatusCode, ids
+	}
+	if code, ids := list("running"); code != http.StatusOK || len(ids) != 0 {
+		t.Errorf("running jobs: %d %v, want 200 and none", code, ids)
+	}
+	if code, ids := list("done"); code != http.StatusOK || len(ids) != 1 || ids[0] != done.ID {
+		t.Errorf("done jobs: %d %v, want 200 and only %s", code, ids, done.ID)
+	}
+	if code, ids := list("orphaned"); code != http.StatusBadRequest {
+		t.Errorf("unknown state: %d %v, want 400", code, ids)
 	}
 }

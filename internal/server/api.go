@@ -272,7 +272,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// and the journal.
 	var job *Job
 	if ans, ok := sj.local(true); ok {
-		job, err = s.jobs.completed("simulate", sj.payload, ans)
+		job, err = s.jobs.completed("simulate", ans)
 	} else {
 		job, err = s.jobs.submit("simulate", sj.payload, sj.meta, sj.run)
 	}
@@ -561,26 +561,21 @@ func (s *Server) await(ctx context.Context, job *Job, window time.Duration) bool
 	return job.Status().terminal()
 }
 
-// handleListJobs lists retained jobs, optionally filtered by ?state=.
-// Besides the five job statuses, state=orphaned selects WAL-recovered
-// jobs that have not yet finished — the reconciliation set a gateway
-// re-dispatches after a worker restart; those views carry the journaled
-// request body so the redispatch is verbatim.
+// handleListJobs lists retained jobs, optionally filtered by ?state=,
+// which must name one of the five job statuses.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	state := r.URL.Query().Get("state")
+	state := Status(r.URL.Query().Get("state"))
+	switch state {
+	case "", StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+			"unknown state %q: want one of queued, running, done, failed, cancelled", state))
+		return
+	}
 	views := []jobView{}
 	for _, j := range s.jobs.list() {
-		switch state {
-		case "":
+		if state == "" || j.Status() == state {
 			views = append(views, j.view(false))
-		case "orphaned":
-			if j.isOrphaned() {
-				views = append(views, j.view(true))
-			}
-		default:
-			if string(j.Status()) == state {
-				views = append(views, j.view(false))
-			}
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})

@@ -1,14 +1,13 @@
 package server
 
-// Chaos suite for the daemon resilience layer: watchdog kills, retries
-// with backoff, panic recovery, request-body caps, and SSE keep-alives.
-// The white-box tests drive s.jobs.submit directly so an attempt's
-// behaviour is scripted exactly; the end-to-end tests go through the
+// Chaos suite for the daemon resilience layer: watchdog kills, panic
+// recovery, client cancellation, request-body caps, and SSE keep-alives.
+// The white-box tests drive s.jobs.submit directly so a job's behaviour
+// is scripted exactly; the end-to-end tests go through the
 // HTTP handler and the metrics endpoint like a real client.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -41,23 +40,16 @@ func metricLine(body, name string) string {
 	return ""
 }
 
-// TestWatchdogKillThenRetrySucceeds is the tentpole chaos scenario: the
-// first attempt wedges until the per-attempt watchdog deadline cancels
-// it, the retry layer backs off and re-runs, and the second attempt
-// succeeds — all visible in the job view and both job metrics.
-func TestWatchdogKillThenRetrySucceeds(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) {
-		c.JobTimeout = 50 * time.Millisecond
-		c.MaxRetries = 2
-		c.RetryBaseDelay = time.Millisecond
-	})
-	var attempts atomic.Int32
+// TestWatchdogKillFailsJobOnce: a job that wedges until the watchdog
+// deadline cancels it runs exactly once, fails with the watchdog named
+// in its error, and the kill is counted.
+func TestWatchdogKillFailsJobOnce(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.JobTimeout = 50 * time.Millisecond })
+	var runs atomic.Int32
 	job, err := srv.jobs.submit("chaos", nil, jobMeta{}, func(ctx context.Context) (any, error) {
-		if attempts.Add(1) == 1 {
-			<-ctx.Done() // wedge until the watchdog fires
-			return nil, ctx.Err()
-		}
-		return map[string]string{"ok": "true"}, nil
+		runs.Add(1)
+		<-ctx.Done() // wedge until the watchdog fires
+		return nil, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,81 +59,27 @@ func TestWatchdogKillThenRetrySucceeds(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("job never finished")
 	}
-	if got := job.Status(); got != StatusDone {
-		t.Fatalf("status = %q, want %q (err: %s)", got, StatusDone, job.view(false).Error)
+	if got := job.Status(); got != StatusFailed {
+		t.Fatalf("status = %q, want %q", got, StatusFailed)
 	}
-	if v := job.view(false); v.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", v.Attempts)
+	if msg := job.view(false).Error; !strings.Contains(msg, "watchdog") {
+		t.Errorf("error %q does not name the watchdog", msg)
 	}
-	// The retry announcement must carry the watchdog attribution.
-	var sawWatchdog bool
-	for _, line := range job.view(false).Progress {
-		if strings.Contains(line, "watchdog") {
-			sawWatchdog = true
-		}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("wedged job ran %d times, want 1", n)
 	}
-	if !sawWatchdog {
-		t.Errorf("no watchdog attribution in progress: %v", job.view(false).Progress)
-	}
-	body := metricsBody(t, srv.Handler())
-	if l := metricLine(body, "pac_job_watchdog_kills_total"); !strings.Contains(l, "1") {
-		t.Errorf("pac_job_watchdog_kills_total missing or zero: %q", l)
-	}
-	if l := metricLine(body, "pac_job_retries_total"); !strings.Contains(l, "1") {
-		t.Errorf("pac_job_retries_total missing or zero: %q", l)
+	if n, _ := srv.Registry().Value("pac_job_watchdog_kills_total", "kind", "chaos"); n != 1 {
+		t.Errorf("pac_job_watchdog_kills_total = %v, want 1", n)
 	}
 }
 
-// TestPanicRecoveredAndRetried proves one poisoned attempt neither kills
-// the worker pool nor the job: the panic is recovered, attributed, and
-// the retry succeeds.
-func TestPanicRecoveredAndRetried(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) {
-		c.MaxRetries = 1
-		c.RetryBaseDelay = time.Millisecond
-	})
-	var attempts atomic.Int32
+// TestPanicFailsJobPoolSurvives: a panicking job is recovered, counted
+// and failed with the panic in its error, and the worker pool still runs
+// the next job.
+func TestPanicFailsJobPoolSurvives(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.Concurrency = 1 })
 	job, err := srv.jobs.submit("chaos", nil, jobMeta{}, func(ctx context.Context) (any, error) {
-		if attempts.Add(1) == 1 {
-			panic("injected panic")
-		}
-		return "recovered", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-job.Done()
-	if got := job.Status(); got != StatusDone {
-		t.Fatalf("status = %q, want %q", got, StatusDone)
-	}
-	body := metricsBody(t, srv.Handler())
-	if metricLine(body, "pac_job_panics_total") == "" {
-		t.Error("pac_job_panics_total not exposed after a recovered panic")
-	}
-	// The pool must still execute fresh jobs after the panic.
-	ok, err := srv.jobs.submit("chaos", nil, jobMeta{}, func(ctx context.Context) (any, error) { return "fine", nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-ok.Done()
-	if ok.Status() != StatusDone {
-		t.Errorf("post-panic job status = %q", ok.Status())
-	}
-}
-
-// TestRetriesExhaustedFails checks a deterministic failure burns through
-// every attempt and lands StatusFailed with the attempt count in the
-// error.
-func TestRetriesExhaustedFails(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) {
-		c.MaxRetries = 2
-		c.RetryBaseDelay = time.Millisecond
-	})
-	boom := errors.New("boom")
-	var attempts atomic.Int32
-	job, err := srv.jobs.submit("chaos", nil, jobMeta{}, func(ctx context.Context) (any, error) {
-		attempts.Add(1)
-		return nil, boom
+		panic("injected panic")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,25 +88,31 @@ func TestRetriesExhaustedFails(t *testing.T) {
 	if got := job.Status(); got != StatusFailed {
 		t.Fatalf("status = %q, want %q", got, StatusFailed)
 	}
-	if n := attempts.Load(); n != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", n)
+	if msg := job.view(false).Error; !strings.Contains(msg, "injected panic") {
+		t.Errorf("error %q does not carry the panic", msg)
 	}
-	if msg := job.view(false).Error; !strings.Contains(msg, "failed after 3 attempts") {
-		t.Errorf("error %q lacks attempt accounting", msg)
+	if n, _ := srv.Registry().Value("pac_job_panics_total", "kind", "chaos"); n != 1 {
+		t.Errorf("pac_job_panics_total = %v, want 1", n)
+	}
+	next, err := srv.jobs.submit("chaos", nil, jobMeta{}, func(ctx context.Context) (any, error) { return "fine", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-next.Done()
+	if next.Status() != StatusDone {
+		t.Errorf("post-panic job status = %q", next.Status())
 	}
 }
 
-// TestClientCancelNeverRetried checks DELETE is terminal: the attempt is
-// aborted, no retry runs, and the job lands StatusCancelled.
+// TestClientCancelNeverRetried checks DELETE is terminal: the run is
+// aborted, never run again, and the job lands StatusCancelled without a
+// watchdog kill.
 func TestClientCancelNeverRetried(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) {
-		c.MaxRetries = 3
-		c.RetryBaseDelay = time.Millisecond
-	})
+	srv := newTestServer(t, nil)
 	started := make(chan struct{})
-	var attempts atomic.Int32
+	var runs atomic.Int32
 	job, err := srv.jobs.submit("chaos", nil, jobMeta{}, func(ctx context.Context) (any, error) {
-		if attempts.Add(1) == 1 {
+		if runs.Add(1) == 1 {
 			close(started)
 		}
 		<-ctx.Done()
@@ -186,19 +130,19 @@ func TestClientCancelNeverRetried(t *testing.T) {
 	if got := job.Status(); got != StatusCancelled {
 		t.Fatalf("status = %q, want %q", got, StatusCancelled)
 	}
-	if n := attempts.Load(); n != 1 {
-		t.Errorf("cancelled job ran %d attempts, want 1", n)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("cancelled job ran %d times, want 1", n)
+	}
+	if n, _ := srv.Registry().Value("pac_job_watchdog_kills_total", "kind", "chaos"); n != 0 {
+		t.Errorf("client cancel counted as %v watchdog kills", n)
 	}
 }
 
 // TestWatchdogEndToEnd wedges a real simulation through the public API:
-// an oversized request under a tiny deadline with retries disabled must
-// come back failed with the watchdog named in the error.
+// an oversized request under a tiny deadline must come back failed with
+// the watchdog named in the error.
 func TestWatchdogEndToEnd(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) {
-		c.JobTimeout = 30 * time.Millisecond
-		c.MaxRetries = 0
-	})
+	srv := newTestServer(t, func(c *Config) { c.JobTimeout = 30 * time.Millisecond })
 	h := srv.Handler()
 	code, _, body := do(t, h, "POST", "/v1/simulate",
 		SimulateRequest{Benchmark: "GS", AccessesPerCore: 5_000_000})

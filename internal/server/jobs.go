@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
@@ -62,20 +61,9 @@ type Job struct {
 
 	run func(ctx context.Context) (any, error)
 
-	// payload is the canonical request body journaled to the WAL (nil
-	// without a journal); orphaned-job views expose it so a gateway can
-	// re-dispatch the work verbatim.
-	payload []byte
 	// recovered marks a job re-enqueued from the WAL at boot replay; it
-	// runs under its original ID and is reported as "orphaned" until it
-	// reaches a terminal state.
+	// runs under its original ID.
 	recovered bool
-
-	// clientCancel is closed (once) when DELETE /v1/jobs/{id} aborts
-	// the job, distinguishing a user cancellation from a watchdog kill:
-	// the former is terminal, the latter is retryable.
-	clientCancel chan struct{}
-	cancelOnce   sync.Once
 
 	mu     sync.Mutex
 	status Status
@@ -90,21 +78,10 @@ type Job struct {
 	dropped  int // progress lines evicted by the retention cap
 	subs     []chan progressEvent
 	done     chan struct{}
-	cancel   context.CancelFunc // cancels the running attempt's context
-	attempts int                // execution attempts so far (1 = no retries yet)
+	cancel   context.CancelFunc // cancels the running job's context
 	created  time.Time
 	started  time.Time
 	finished time.Time
-}
-
-// abortedByClient reports whether DELETE cancelled the job.
-func (j *Job) abortedByClient() bool {
-	select {
-	case <-j.clientCancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -118,14 +95,6 @@ func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status
-}
-
-// isOrphaned reports a WAL-recovered job that has not yet reached a
-// terminal state — the set a gateway reconciles after a worker restart.
-func (j *Job) isOrphaned() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.recovered && !j.status.terminal()
 }
 
 // progressEvent is one progress line with its absolute 1-based sequence
@@ -231,17 +200,11 @@ type jobView struct {
 	Dropped  int             `json:"progressDropped,omitempty"`
 	Result   json.RawMessage `json:"result,omitempty"`
 	// Recovered marks a job the WAL re-enqueued at boot under its
-	// original ID; with a non-terminal status it is "orphaned" (GET
-	// /v1/jobs?state=orphaned), the set a gateway reconciles after a
-	// worker restart.
-	Recovered bool `json:"recovered,omitempty"`
-	// Request is the journaled request body (detailed views only), so a
-	// gateway can re-dispatch an orphaned job verbatim.
-	Request    json.RawMessage `json:"request,omitempty"`
-	Attempts   int             `json:"attempts,omitempty"`
-	CreatedAt  time.Time       `json:"createdAt"`
-	StartedAt  *time.Time      `json:"startedAt,omitempty"`
-	FinishedAt *time.Time      `json:"finishedAt,omitempty"`
+	// original ID.
+	Recovered  bool       `json:"recovered,omitempty"`
+	CreatedAt  time.Time  `json:"createdAt"`
+	StartedAt  *time.Time `json:"startedAt,omitempty"`
+	FinishedAt *time.Time `json:"finishedAt,omitempty"`
 }
 
 // view snapshots the job; withResult controls whether the (potentially
@@ -269,15 +232,11 @@ func (j *Job) snapshot(withResult bool) (jobView, *simulateAnswer) {
 		Progress:  append([]string(nil), j.progress...),
 		Dropped:   j.dropped,
 		Recovered: j.recovered,
-		Attempts:  j.attempts,
 		CreatedAt: j.created,
 	}
 	var ans *simulateAnswer
 	if withResult {
 		v.Result, ans = j.result, j.answer
-		if len(j.payload) > 0 {
-			v.Request = json.RawMessage(j.payload)
-		}
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -297,12 +256,6 @@ type jobManager struct {
 	jobTimeout time.Duration
 	retain     int
 	node       string // owning daemon's NodeID, stamped onto every job
-	// maxRetries is how many times a failed attempt (error, watchdog
-	// kill, or recovered panic) is re-run before the job fails for
-	// good; 0 disables retries. retryBase seeds the exponential
-	// backoff between attempts.
-	maxRetries int
-	retryBase  time.Duration
 	// wal, when set, journals every job submit accepts before it is
 	// exposed and retires it with a terminal record, so a crashed
 	// daemon's boot replay can re-enqueue unfinished work under its
@@ -335,9 +288,8 @@ type jobManager struct {
 	closing      sync.Once
 }
 
-func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetries int,
-	retryBase time.Duration, node string, journal *wal.Log,
-	hooks *telemetry.Hooks, reg *telemetry.Registry) *jobManager {
+func newJobManager(workers, depth int, jobTimeout time.Duration, retain int,
+	node string, journal *wal.Log, hooks *telemetry.Hooks, reg *telemetry.Registry) *jobManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &jobManager{
 		hooks:      hooks,
@@ -345,8 +297,6 @@ func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetr
 		jobTimeout: jobTimeout,
 		retain:     retain,
 		node:       node,
-		maxRetries: maxRetries,
-		retryBase:  retryBase,
 		wal:        journal,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -368,8 +318,8 @@ func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetr
 // submit record is fsynced before the job is acknowledged, so a crash
 // after the acknowledgement replays it; a job already done at acceptance
 // goes through completed instead. payload is the canonical request body
-// journaled to the WAL (and surfaced on orphaned-job views); nil is fine
-// for unjournaled managers. meta tags the job for pprof attribution.
+// journaled to the WAL; nil is fine for unjournaled managers. meta tags
+// the job for pprof attribution.
 func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(ctx context.Context) (any, error)) (*Job, error) {
 	m.mu.Lock()
 	if !m.accepting {
@@ -377,16 +327,14 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 		return nil, errDraining
 	}
 	j := &Job{
-		id:           m.newIDLocked(),
-		kind:         kind,
-		node:         m.node,
-		meta:         meta,
-		run:          run,
-		payload:      payload,
-		status:       StatusQueued,
-		done:         make(chan struct{}),
-		clientCancel: make(chan struct{}),
-		created:      time.Now(),
+		id:      m.newIDLocked(),
+		kind:    kind,
+		node:    m.node,
+		meta:    meta,
+		run:     run,
+		status:  StatusQueued,
+		done:    make(chan struct{}),
+		created: time.Now(),
 	}
 	select {
 	case m.queue <- j:
@@ -422,18 +370,16 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 // meta: the journal recovers accepted work that has not finished, and
 // this job finished before it was acknowledged. errDraining after drain
 // started.
-func (m *jobManager) completed(kind string, payload []byte, ans *simulateAnswer) (*Job, error) {
+func (m *jobManager) completed(kind string, ans *simulateAnswer) (*Job, error) {
 	now := time.Now()
 	done := make(chan struct{})
 	close(done)
 	j := &Job{
 		kind:     kind,
 		node:     m.node,
-		payload:  payload,
 		status:   StatusDone,
 		answer:   ans,
 		done:     done,
-		attempts: 1,
 		created:  now,
 		started:  now,
 		finished: now,
@@ -483,7 +429,7 @@ func (m *jobManager) noteSubmitted(kind string) {
 // queue send blocks — the workers are live and draining, so recovery
 // applies backpressure instead of dropping work. Returns nil when the
 // manager is already draining.
-func (m *jobManager) resubmit(id, kind string, payload []byte, meta jobMeta, run func(ctx context.Context) (any, error)) *Job {
+func (m *jobManager) resubmit(id, kind string, meta jobMeta, run func(ctx context.Context) (any, error)) *Job {
 	m.resubMu.RLock()
 	defer m.resubMu.RUnlock()
 	m.mu.Lock()
@@ -497,17 +443,15 @@ func (m *jobManager) resubmit(id, kind string, payload []byte, meta jobMeta, run
 	}
 	m.bumpNextIDLocked(id)
 	j := &Job{
-		id:           id,
-		kind:         kind,
-		node:         m.node,
-		meta:         meta,
-		run:          run,
-		payload:      payload,
-		recovered:    true,
-		status:       StatusQueued,
-		done:         make(chan struct{}),
-		clientCancel: make(chan struct{}),
-		created:      time.Now(),
+		id:        id,
+		kind:      kind,
+		node:      m.node,
+		meta:      meta,
+		run:       run,
+		recovered: true,
+		status:    StatusQueued,
+		done:      make(chan struct{}),
+		created:   time.Now(),
 	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
@@ -615,10 +559,6 @@ func (m *jobManager) cancelJob(j *Job) {
 	case j.status == StatusRunning && j.cancel != nil:
 		cancel := j.cancel
 		j.mu.Unlock()
-		// Mark the cancellation as client-initiated before aborting the
-		// attempt, so the worker neither retries nor counts it as a
-		// watchdog kill. The close also interrupts a backoff sleep.
-		j.cancelOnce.Do(func() { close(j.clientCancel) })
 		cancel()
 		return
 	}
@@ -676,141 +616,71 @@ func (m *jobManager) committer(commits <-chan commit) {
 	}
 }
 
-// execute drives one job through up to 1+maxRetries attempts. Every
-// attempt runs under its own wall-clock watchdog deadline (jobTimeout):
-// a wedged simulation is cancelled through the context plumbing, counted
-// in pac_job_watchdog_kills_total, and — like an internal error or a
-// recovered panic — retried after an exponential backoff with jitter.
-// A client cancellation (DELETE) or daemon drain ends the job
-// immediately with StatusCancelled, never a retry. The returned commit
-// carries the job's terminal status; the committer applies it.
+// execute runs one job once, under the wall-clock watchdog deadline
+// (jobTimeout). A job still running at the deadline is cancelled
+// through its context, counted in pac_job_watchdog_kills_total, and
+// fails; so does a job whose run errs or panics. Nothing reruns it: a
+// run is a deterministic function of its request, so a second run
+// would end the same way. A job whose context was cancelled — by DELETE
+// or the daemon drain — ends cancelled. The returned commit carries the
+// job's terminal status; the committer applies it.
 func (m *jobManager) execute(j *Job, running *telemetry.Gauge) commit {
+	ctx, cancel := context.WithTimeout(m.baseCtx, m.jobTimeout)
+	defer cancel()
+	j.mu.Lock()
+	j.cancel = cancel
+	j.mu.Unlock()
+
 	var result any
 	var err error
-	for attempt := 0; ; attempt++ {
-		var ctx context.Context
-		var cancel context.CancelFunc
-		if m.jobTimeout > 0 {
-			ctx, cancel = context.WithTimeout(m.baseCtx, m.jobTimeout)
-		} else {
-			ctx, cancel = context.WithCancel(m.baseCtx)
-		}
-		j.mu.Lock()
-		j.cancel = cancel
-		j.attempts = attempt + 1
-		j.mu.Unlock()
+	running.Inc()
+	// Label the job's goroutine (and everything it spawns) so -pprof
+	// profiles attribute hot time per workload.
+	pprof.Do(ctx, pprof.Labels(
+		"job", j.kind, "bench", j.meta.bench,
+		"mode", j.meta.mode,
+	), func(ctx context.Context) {
+		result, err = m.runJob(ctx, j)
+	})
+	running.Dec()
 
-		running.Inc()
-		// Label the attempt's goroutine (and everything it spawns) so
-		// -pprof profiles attribute hot time per workload.
-		pprof.Do(ctx, pprof.Labels(
-			"job", j.kind, "bench", j.meta.bench,
-			"mode", j.meta.mode,
-		), func(ctx context.Context) {
-			result, err = m.runAttempt(ctx, j)
-		})
-		running.Dec()
-		watchdogKill := err != nil && ctx.Err() == context.DeadlineExceeded &&
-			m.baseCtx.Err() == nil && !j.abortedByClient()
-		cancel()
-
-		if err == nil {
-			break
-		}
-		if watchdogKill {
-			m.reg.Counter("pac_job_watchdog_kills_total",
-				"Job attempts cancelled by the per-job watchdog deadline.",
-				"kind", j.kind).Inc()
-			err = fmt.Errorf("watchdog: attempt exceeded job deadline %s: %v", m.jobTimeout, err)
-		}
-		if j.abortedByClient() || m.baseCtx.Err() != nil {
-			// Client cancellation and daemon drain are terminal; the
-			// classification below maps them to StatusCancelled.
-			break
-		}
-		if attempt >= m.maxRetries {
-			if m.maxRetries > 0 {
-				err = fmt.Errorf("failed after %d attempts: %w", attempt+1, err)
-			}
-			break
-		}
-		delay := m.backoff(attempt)
-		j.addProgress(fmt.Sprintf("attempt %d/%d failed: %v; retrying in %s",
-			attempt+1, m.maxRetries+1, err, delay.Round(time.Millisecond)))
-		m.reg.Counter("pac_job_retries_total", "Job attempts retried after a failure.",
-			"kind", j.kind).Inc()
-		if !m.sleep(delay, j) {
-			break // drain or client cancel interrupted the backoff
-		}
-	}
-
-	var status Status
-	var payload json.RawMessage
-	var ans *simulateAnswer
+	c := commit{j: j, err: err}
 	switch {
 	case err == nil:
-		status = StatusDone
+		c.status = StatusDone
 		if a, ok := result.(*simulateAnswer); ok {
-			ans = a
+			c.ans = a
 		} else if result != nil {
-			if payload, err = json.Marshal(result); err != nil {
-				status = StatusFailed
-				payload = nil
+			if c.payload, c.err = json.Marshal(result); c.err != nil {
+				c.status = StatusFailed
+				c.payload = nil
 			}
 		}
-	case j.abortedByClient() || m.baseCtx.Err() != nil || isCancelled(err):
-		status = StatusCancelled
+	case ctx.Err() == context.DeadlineExceeded && m.baseCtx.Err() == nil:
+		m.reg.Counter("pac_job_watchdog_kills_total",
+			"Jobs cancelled by the per-job watchdog deadline.",
+			"kind", j.kind).Inc()
+		c.status = StatusFailed
+		c.err = fmt.Errorf("watchdog: job exceeded its deadline %s: %v", m.jobTimeout, err)
+	case ctx.Err() != nil:
+		c.status = StatusCancelled
 	default:
-		status = StatusFailed
+		c.status = StatusFailed
 	}
-	return commit{j: j, status: status, payload: payload, ans: ans, err: err}
+	return c
 }
 
-// runAttempt runs the job body once, converting a panic into an error
-// attributed to the job so one poisoned run cannot take down the worker
-// pool.
-func (m *jobManager) runAttempt(ctx context.Context, j *Job) (result any, err error) {
+// runJob runs the job body, converting a panic into an error attributed
+// to the job so one poisoned run cannot take down the worker pool.
+func (m *jobManager) runJob(ctx context.Context, j *Job) (result any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			m.reg.Counter("pac_job_panics_total", "Job attempts that panicked and were recovered.",
+			m.reg.Counter("pac_job_panics_total", "Jobs that panicked and were recovered.",
 				"kind", j.kind).Inc()
 			err = fmt.Errorf("job %s (%s) panicked: %v\n%s", j.id, j.kind, p, debug.Stack())
 		}
 	}()
 	return j.run(ctx)
-}
-
-// backoff returns the jittered exponential delay before retry attempt+1:
-// base<<attempt, capped at 30s, with uniform jitter over [d/2, d].
-func (m *jobManager) backoff(attempt int) time.Duration {
-	base := m.retryBase
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	d := base << uint(attempt)
-	if max := 30 * time.Second; d > max || d <= 0 {
-		d = max
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// sleep waits out a backoff delay, returning false if the daemon drain
-// or a client cancellation interrupted it.
-func (m *jobManager) sleep(d time.Duration, j *Job) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-m.baseCtx.Done():
-		return false
-	case <-j.clientCancel:
-		return false
-	}
-}
-
-func isCancelled(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // journalFinished appends a queued job's terminal WAL record, fsynced.

@@ -50,7 +50,7 @@ func TestRetentionEvictsOldestFinishedFirst(t *testing.T) {
 	}
 	hit := func() *Job {
 		t.Helper()
-		j, err := m.completed("simulate", nil, newSimulateAnswer("GS", coalesce.ModePAC, "00", CacheMemo, []byte(`{}`)))
+		j, err := m.completed("simulate", newSimulateAnswer("GS", coalesce.ModePAC, "00", CacheMemo, []byte(`{}`)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,62 +148,6 @@ func TestWALReplayStalePayload(t *testing.T) {
 	}
 }
 
-// TestOrphanedJobListing: GET /v1/jobs?state=orphaned returns exactly
-// the recovered-and-unfinished jobs, with the journaled request body a
-// gateway needs to re-dispatch them.
-func TestOrphanedJobListing(t *testing.T) {
-	srv := newTestServer(t, nil)
-	h := srv.Handler()
-	block := make(chan struct{})
-	payload := []byte(`{"benchmark":"STREAM","mode":"pac"}`)
-	j := srv.jobs.resubmit("j000042", "simulate", payload, jobMeta{}, func(ctx context.Context) (any, error) {
-		select {
-		case <-block:
-			return map[string]string{"ok": "yes"}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	})
-	if j == nil {
-		t.Fatal("resubmit returned nil")
-	}
-
-	code, _, body := do(t, h, "GET", "/v1/jobs?state=orphaned", nil)
-	if code != http.StatusOK {
-		t.Fatalf("orphaned listing = %d", code)
-	}
-	jobs := body["jobs"].([]any)
-	if len(jobs) != 1 {
-		t.Fatalf("orphaned jobs = %d, want 1", len(jobs))
-	}
-	v := jobs[0].(map[string]any)
-	if v["id"] != "j000042" || v["recovered"] != true {
-		t.Errorf("orphaned view = %v", v)
-	}
-	req, _ := v["request"].(map[string]any)
-	if req["benchmark"] != "STREAM" {
-		t.Errorf("orphaned view request = %v, want the journaled payload", v["request"])
-	}
-
-	close(block)
-	waitForStatus(t, h, "j000042", StatusDone)
-	_, _, body = do(t, h, "GET", "/v1/jobs?state=orphaned", nil)
-	if jobs, _ := body["jobs"].([]any); len(jobs) != 0 {
-		t.Errorf("terminal recovered job still listed as orphaned: %v", jobs)
-	}
-	// The plain listing still shows it, and state=done filters by status.
-	_, _, body = do(t, h, "GET", "/v1/jobs?state=done", nil)
-	found := false
-	for _, it := range body["jobs"].([]any) {
-		if it.(map[string]any)["id"] == "j000042" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("state=done filter dropped the finished job")
-	}
-}
-
 // TestReadyzLifecycle: /readyz is 503 while booting, 200 once boot
 // completes, and 503 again once Drain begins — while /healthz (liveness)
 // stays 200 throughout.

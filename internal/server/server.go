@@ -66,20 +66,12 @@ type Config struct {
 	// RequestTimeout caps synchronous waiting (?wait=...) per request
 	// (default 60s).
 	RequestTimeout time.Duration
-	// JobTimeout is the per-attempt watchdog deadline: an attempt still
-	// running after this long is cancelled through its context, counted
-	// in pac_job_watchdog_kills_total, and retried when MaxRetries
-	// allows (default 15m).
+	// JobTimeout is the per-job watchdog deadline: a job still running
+	// after this long is cancelled through its context, counted in
+	// pac_job_watchdog_kills_total, and fails (default 45m). A job runs
+	// once; only the WAL replay at the next boot re-runs a job, and only
+	// one the previous process never finished.
 	JobTimeout time.Duration
-	// MaxRetries is how many times a failed job attempt (internal
-	// error, watchdog kill, or recovered panic) is retried with
-	// exponential backoff before the job fails for good. 0 disables
-	// retries; client cancellations are never retried.
-	MaxRetries int
-	// RetryBaseDelay seeds the exponential backoff between attempts
-	// (delay ~ base<<attempt with jitter, capped at 30s; default
-	// 250ms).
-	RetryBaseDelay time.Duration
 	// RetainJobs bounds finished jobs kept for GET /v1/jobs
 	// (default 256).
 	RetainJobs int
@@ -142,13 +134,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 60 * time.Second
 	}
 	if c.JobTimeout <= 0 {
-		c.JobTimeout = 15 * time.Minute
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 250 * time.Millisecond
+		c.JobTimeout = 45 * time.Minute
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 256
@@ -208,7 +194,7 @@ func New(cfg Config) *Server {
 		s.ckpts = newCheckpointStore(cfg.CheckpointDir, s.reg)
 	}
 	s.jobs = newJobManager(cfg.Concurrency, cfg.QueueDepth, cfg.JobTimeout,
-		cfg.RetainJobs, cfg.MaxRetries, cfg.RetryBaseDelay, cfg.NodeID, cfg.WAL, s.hooks, s.reg)
+		cfg.RetainJobs, cfg.NodeID, cfg.WAL, s.hooks, s.reg)
 	s.pool = newSessionPool(cfg.MaxSessions, s.hooks, s.jobs.broadcastProgress,
 		s.checkpointPolicy)
 	// Materialise the default session eagerly so the daemon's base
@@ -264,7 +250,7 @@ func (s *Server) replayWAL(recovered []wal.Job) {
 				"Journaled jobs that no longer resolved at boot replay.", "kind", rj.Kind).Inc()
 			continue
 		}
-		s.jobs.resubmit(rj.ID, rj.Kind, rj.Payload, meta, run)
+		s.jobs.resubmit(rj.ID, rj.Kind, meta, run)
 	}
 }
 

@@ -358,6 +358,58 @@ func TestListJobs(t *testing.T) {
 	}
 }
 
+// TestListJobsStateFilter: ?state= selects jobs by status, and a state
+// that is not one of the five statuses answers 400 naming them rather
+// than an empty list.
+func TestListJobsStateFilter(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.Concurrency = 2 })
+	h := srv.Handler()
+	release := make(chan struct{})
+	defer close(release)
+	running, err := srv.jobs.submit("test", nil, jobMeta{}, func(ctx context.Context) (any, error) {
+		select {
+		case <-release:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished, err := srv.jobs.submit("test", nil, jobMeta{}, func(ctx context.Context) (any, error) {
+		return "ok", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStatus(t, h, running.ID(), StatusRunning)
+	waitForStatus(t, h, finished.ID(), StatusDone)
+
+	for state, want := range map[Status]string{StatusRunning: running.ID(), StatusDone: finished.ID()} {
+		code, _, body := do(t, h, "GET", "/v1/jobs?state="+string(state), nil)
+		if code != http.StatusOK {
+			t.Fatalf("state=%s: %d %v", state, code, body)
+		}
+		jobs := body["jobs"].([]any)
+		if len(jobs) != 1 || jobs[0].(map[string]any)["id"] != want {
+			t.Errorf("state=%s listed %v, want only %s", state, jobs, want)
+		}
+	}
+	for _, state := range []string{"orphaned", "bogus"} {
+		code, _, body := do(t, h, "GET", "/v1/jobs?state="+state, nil)
+		if code != http.StatusBadRequest {
+			t.Fatalf("state=%s: %d %v, want 400", state, code, body)
+		}
+		msg, _ := body["error"].(string)
+		for _, s := range []Status{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled} {
+			if !strings.Contains(msg, string(s)) {
+				t.Errorf("state=%s error %q does not name %q", state, msg, s)
+			}
+		}
+	}
+}
+
 // TestAsyncSubmitReturns202 checks the non-waiting path: 202 with a
 // Location header pointing at the job resource.
 func TestAsyncSubmitReturns202(t *testing.T) {

@@ -354,8 +354,9 @@ type (
 )
 
 // OpenWAL creates or reopens a write-ahead job journal, replaying it and
-// returning the jobs that never reached a terminal record (the crash
-// orphans the server must re-run).
+// returning the jobs that never reached a terminal record. Passed to
+// ServerConfig.Recovered, they are the only jobs the server ever
+// re-runs: it replays each once under its original ID.
 func OpenWAL(cfg WALConfig) (*WAL, []WALJob, error) { return wal.Open(cfg) }
 
 // Fleet layer (cmd/pacgw): a consistent-hash gateway that shards
