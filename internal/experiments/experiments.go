@@ -55,7 +55,11 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) normalized() Options {
+// Normalized fills every unset scale field with its Table 1 default: the
+// options a Session made from o runs under. Callers that only need the
+// canonical form (a request's resolved options, a hash key) use this
+// instead of building a Session.
+func (o Options) Normalized() Options {
 	if o.Cores <= 0 {
 		o.Cores = 8
 	}

@@ -130,7 +130,7 @@ type Session struct {
 // NewSession creates a session.
 func NewSession(opts Options) *Session {
 	return &Session{
-		opts:   opts.normalized(),
+		opts:   opts.Normalized(),
 		sims:   make(map[simKey]*memoEntry[*sim.Result]),
 		traces: make(map[string]*memoEntry[[]mem.Request]),
 	}

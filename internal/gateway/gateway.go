@@ -165,7 +165,7 @@ func New(cfg Config) (*Gateway, error) {
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 	}
-	g.base = experiments.NewSession(cfg.Base).Options()
+	g.base = cfg.Base.Normalized()
 	g.baseKey = server.OptionsHash(g.base)
 	g.ring = NewRing(cfg.Replicas)
 	for _, raw := range cfg.Backends {

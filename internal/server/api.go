@@ -244,7 +244,7 @@ func ResolveSimulate(base experiments.Options, req SimulateRequest) (experiments
 		return experiments.Options{}, "", 0, err
 	}
 	opts.Faults = plan
-	return experiments.NewSession(opts).Options(), req.Benchmark, mode, nil
+	return opts.Normalized(), req.Benchmark, mode, nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

@@ -59,6 +59,9 @@ type Job struct {
 	// meta tags the job for pprof attribution; immutable after submit.
 	meta jobMeta
 
+	// run is the job body; the worker takes it under mu when it marks
+	// the job running, and finish clears it, so a retained terminal job
+	// keeps nothing the closure captured (a session, its results).
 	run func(ctx context.Context) (any, error)
 
 	// recovered marks a job re-enqueued from the WAL at boot replay; it
@@ -176,6 +179,7 @@ func (j *Job) finish(status Status, result json.RawMessage, ans *simulateAnswer,
 	j.status = status
 	j.result = result
 	j.answer = ans
+	j.run, j.cancel = nil, nil
 	if err != nil {
 		j.err = err.Error()
 	}
@@ -592,8 +596,9 @@ func (m *jobManager) worker(commits chan<- commit) {
 		}
 		j.status = StatusRunning
 		j.started = time.Now()
+		run := j.run
 		j.mu.Unlock()
-		commits <- m.execute(j, running)
+		commits <- m.execute(j, run, running)
 	}
 }
 
@@ -624,7 +629,7 @@ func (m *jobManager) committer(commits <-chan commit) {
 // would end the same way. A job whose context was cancelled — by DELETE
 // or the daemon drain — ends cancelled. The returned commit carries the
 // job's terminal status; the committer applies it.
-func (m *jobManager) execute(j *Job, running *telemetry.Gauge) commit {
+func (m *jobManager) execute(j *Job, run func(ctx context.Context) (any, error), running *telemetry.Gauge) commit {
 	ctx, cancel := context.WithTimeout(m.baseCtx, m.jobTimeout)
 	defer cancel()
 	j.mu.Lock()
@@ -640,7 +645,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) commit {
 		"job", j.kind, "bench", j.meta.bench,
 		"mode", j.meta.mode,
 	), func(ctx context.Context) {
-		result, err = m.runJob(ctx, j)
+		result, err = m.runJob(ctx, j, run)
 	})
 	running.Dec()
 
@@ -672,7 +677,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) commit {
 
 // runJob runs the job body, converting a panic into an error attributed
 // to the job so one poisoned run cannot take down the worker pool.
-func (m *jobManager) runJob(ctx context.Context, j *Job) (result any, err error) {
+func (m *jobManager) runJob(ctx context.Context, j *Job, run func(ctx context.Context) (any, error)) (result any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			m.reg.Counter("pac_job_panics_total", "Jobs that panicked and were recovered.",
@@ -680,7 +685,7 @@ func (m *jobManager) runJob(ctx context.Context, j *Job) (result any, err error)
 			err = fmt.Errorf("job %s (%s) panicked: %v\n%s", j.id, j.kind, p, debug.Stack())
 		}
 	}()
-	return j.run(ctx)
+	return run(ctx)
 }
 
 // journalFinished appends a queued job's terminal WAL record, fsynced.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"github.com/pacsim/pac/internal/coalesce"
+	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/telemetry"
 	"github.com/pacsim/pac/internal/wal"
 )
@@ -357,5 +359,62 @@ func TestDrainWaitsForCommits(t *testing.T) {
 	}
 	if n := w.Live(); n != 0 {
 		t.Errorf("journal holds %d live jobs after Drain, want 0", n)
+	}
+}
+
+// TestFinishedJobReleasesEvictedSession: a retained terminal simulate
+// job keeps only its answer. After more fresh-seed jobs than
+// MaxSessions, the pool has evicted the first job's session, and the
+// first job, still listed, must not keep that session (and with it its
+// memoized results) reachable: finish drops the job's run closure,
+// which captured the session.
+func TestFinishedJobReleasesEvictedSession(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) {
+		c.Concurrency = 1
+		c.MaxSessions = 2
+	})
+	h := srv.Handler()
+	request := func(seed uint64) SimulateRequest {
+		return SimulateRequest{Benchmark: "GS", Mode: "pac", Seed: seed}
+	}
+	simulate := func(seed uint64) string {
+		t.Helper()
+		code, _, v := do(t, h, "POST", "/v1/simulate?wait=30s", request(seed))
+		if code != http.StatusOK || v["status"] != string(StatusDone) {
+			t.Fatalf("simulate seed %d: %d %v", seed, code, v)
+		}
+		return v["id"].(string)
+	}
+	first := simulate(101)
+	opts, _, _, err := srv.validate(request(101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	func() {
+		srv.pool.mu.Lock()
+		defer srv.pool.mu.Unlock()
+		e, ok := srv.pool.entries[OptionsHash(opts)]
+		if !ok {
+			t.Fatal("the first job's session is not in the pool")
+		}
+		runtime.SetFinalizer(e.sess, func(*experiments.Session) { close(collected) })
+	}()
+	for seed := uint64(102); seed <= 103; seed++ {
+		simulate(seed)
+	}
+	if code, _, v := do(t, h, "GET", "/v1/jobs/"+first, nil); code != http.StatusOK || v["status"] != string(StatusDone) {
+		t.Fatalf("first job: GET = %d %v, want it retained and done", code, v["status"])
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("the evicted session is still reachable 10s after its job finished — a retained job pins it")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

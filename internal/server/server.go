@@ -259,7 +259,7 @@ func (s *Server) replayWAL(recovered []wal.Job) {
 func (s *Server) defaultOptions() experiments.Options {
 	o := s.cfg.Options
 	o.Parallel = s.cfg.Parallel
-	return experiments.NewSession(o).Options() // normalized
+	return o.Normalized()
 }
 
 // Registry exposes the metric registry (for /metrics and tests).

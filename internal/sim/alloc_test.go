@@ -13,8 +13,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/pacsim/pac/internal/arena"
+	"github.com/pacsim/pac/internal/cache"
 	"github.com/pacsim/pac/internal/coalesce"
 )
 
@@ -103,7 +105,7 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 // it runs on a warmed Scratch with a fresh seed, as every cold run of a
 // Session does: the component graph and the workload generators are
 // built anew, and every pooled buffer should come back from the arena.
-// It measures 142; a per-run buffer that stops being recycled pushes it
+// It measures 144; a per-run buffer that stops being recycled pushes it
 // over the budget (a fresh Scratch per run reads 190).
 func TestRunColdAllocBudget(t *testing.T) {
 	if arena.RaceEnabled {
@@ -149,5 +151,47 @@ func TestDebugPoisonEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResultDoesNotPinMachine keeps each mode's Result after Run and
+// requires the Runner's cache hierarchy to be collected: a Result that
+// points into its Runner (the Runner's own result slot, or a PAC stats
+// slot inside it) keeps the whole machine — caches, HMC, MSHR file,
+// pipeline — reachable for as long as a memo or a retained job keeps
+// the Result. The finalizer sits on the hierarchy, not the Runner,
+// because the Runner is part of a cycle (its packet-ID closure) and a
+// finalizer on a cycle member never runs.
+func TestResultDoesNotPinMachine(t *testing.T) {
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := smallConfig("GS", mode)
+			cfg.AccessesPerCore = 500
+			collected := make(chan struct{})
+			res := func() *Result {
+				r, err := NewRunner(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.SetFinalizer(r.hier, func(*cache.Hierarchy) { close(collected) })
+				res, err := r.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}()
+			defer runtime.KeepAlive(res)
+			deadline := time.After(10 * time.Second)
+			for {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-deadline:
+					t.Fatalf("%s: the machine is still reachable 10s after Run returned — the kept Result pins its Runner", mode)
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		})
 	}
 }

@@ -70,8 +70,11 @@ type Result struct {
 	PAC *core.Stats
 }
 
-// collect snapshots component state into the result.
-func (r *Runner) collect() {
+// collect snapshots component state into the result and returns a copy
+// of it with a PAC snapshot of its own. The copy holds no pointer into
+// the Runner, so a caller that keeps the Result (a memo, a retained job)
+// does not keep the whole machine reachable.
+func (r *Runner) collect() *Result {
 	r.res.Cycles = r.now
 	r.res.Cache = CacheStats(r.hier.Stats)
 	r.res.MSHR = MSHRStats(r.file.Stats)
@@ -79,10 +82,12 @@ func (r *Runner) collect() {
 	if r.faults != nil {
 		r.res.Faults = r.faults.Stats
 	}
+	res := r.res
 	if r.pac != nil {
-		r.pacStats = r.pac.Stats
-		r.res.PAC = &r.pacStats
+		pac := r.pac.Stats
+		res.PAC = &pac
 	}
+	return &res
 }
 
 // CoalescingEfficiency is the paper's Equation 1 at the whole-system

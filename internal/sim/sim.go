@@ -345,10 +345,6 @@ type Runner struct {
 	probeBuf [1]mem.Request
 	released bool
 
-	// pacStats is the Result's PAC snapshot slot, so collect need not
-	// allocate one per run.
-	pacStats core.Stats
-
 	// ckptEvery/ckptNext drive checkpoint cadence: every driver loop
 	// emits a checkpoint at the first step boundary with now >= ckptNext.
 	// ckptEvery is zero when checkpointing is off.
@@ -405,7 +401,8 @@ const cancelCheckMask = 1<<12 - 1
 // returned error wraps ctx.Err() on cancellation, so callers can test it
 // with errors.Is. Telemetry hooks, when configured, see one started
 // event and exactly one terminal event — completed, cancelled, or
-// failed — per call.
+// failed — per call. The returned Result owns its memory: it points
+// nowhere into the Runner, so keeping it keeps no part of the machine.
 //
 // The machine is driven by the event kernel by default: runEvents
 // advances the clock straight to the next cycle at which any component
@@ -443,20 +440,20 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		})
 		return nil, err
 	}
-	r.collect()
+	res := r.collect()
 	hooks.Emit(telemetry.Event{
 		Kind:         telemetry.KindSimCompleted,
 		Bench:        bench,
 		Mode:         mode,
 		Wall:         time.Since(start),
-		Cycles:       r.res.Cycles,
-		Skipped:      r.res.SkippedCycles,
+		Cycles:       res.Cycles,
+		Skipped:      res.SkippedCycles,
 		FaultsCRC:    fs.LinkCRCErrors,
 		FaultsStall:  fs.VaultStalls,
 		FaultsPoison: fs.PoisonedResponses,
 	})
 	r.hier.Record(hooks, bench)
-	return &r.res, nil
+	return res, nil
 }
 
 // release returns the run's recyclable buffers to its Scratch so the
