@@ -36,12 +36,12 @@ serve:
 	$(GO) run ./cmd/pacd -addr :8080
 
 # End-to-end service smoke: start pacd, exercise the API, check the
-# memo-hit telemetry, and verify a clean SIGTERM drain.
+# store-hit telemetry, and verify a clean SIGTERM drain.
 smoke-serve:
 	scripts/smoke_serve.sh
 
 # End-to-end fleet smoke: a pacgw gateway over two pacd backends —
-# routing, session-cache affinity, fan-out sweep, backend kill with
+# routing, store affinity, fan-out sweep, backend kill with
 # ejection, and a clean gateway drain.
 smoke-cluster:
 	scripts/smoke_cluster.sh

@@ -1,6 +1,6 @@
 // Command pacd is the resident PAC simulation service: it keeps one
-// process-wide result cache warm across many small queries and exposes
-// the experiment harness over an HTTP JSON API with Prometheus metrics.
+// process-wide result store across many small queries and exposes the
+// experiment harness over an HTTP JSON API with Prometheus metrics.
 //
 // Usage:
 //
@@ -9,11 +9,12 @@
 //	pacd -cores 8 -accesses 100000 -parallel 8 -queue 32
 //	pacd -store /var/lib/pacd -store-max-bytes 268435456
 //
-// With -store, completed simulation results persist in a crash-safe,
-// content-addressed store under the given directory: restarts answer
-// repeat requests from disk, and -store-max-bytes/-store-max-entries cap
-// the on-disk footprint with LRU eviction. A node's store holds only what
-// that node computed; a node that lacks a result simulates it.
+// Completed simulation results go to a content-addressed store that
+// answers repeat requests; -store-max-bytes/-store-max-entries cap it
+// with LRU eviction. Without -store it lives in memory. With -store the
+// entries persist crash-safely under the given directory, so restarts
+// answer repeat requests from disk. A node's store holds only what that
+// node computed; a node that lacks a result simulates it.
 //
 // Every job runs once, under the -job-timeout watchdog deadline: a job
 // that errs, panics or outlives the deadline fails and is not rerun,
@@ -65,15 +66,15 @@ func main() {
 		parallel     = flag.Int("parallel", runtime.GOMAXPROCS(0), "simulation workers per experiment job")
 		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "jobs executing at once")
 		queue        = flag.Int("queue", 16, "jobs that may wait for a worker; one more answers 429")
-		maxSessions  = flag.Int("max-sessions", 8, "LRU cap on distinct-option result-cache sessions")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "cap on synchronous ?wait= windows")
 		jobTimeout   = flag.Duration("job-timeout", 45*time.Minute, "per-job watchdog deadline: a job running longer is cancelled and fails")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		node         = flag.String("node", "", "node name within a pacgw fleet (sets X-Pac-Node and job attribution)")
 
-		// Durable result store; empty -store keeps the daemon memory-only.
-		storeDir     = flag.String("store", "", "directory of the durable content-addressed result store (empty disables)")
+		// Result store, pacd's one result cache; empty -store keeps it in
+		// memory.
+		storeDir     = flag.String("store", "", "directory of the content-addressed result store (empty keeps it in memory)")
 		storeBytes   = flag.Int64("store-max-bytes", 1<<30, "byte cap on stored entries, LRU-evicted beyond it (negative = no cap)")
 		storeEntries = flag.Int("store-max-entries", 1<<16, "count cap on stored entries, LRU-evicted beyond it (negative = no cap)")
 
@@ -122,18 +123,16 @@ func main() {
 	// One registry shared by the store and the server, so pac_store_* and
 	// the serving metrics land in the same /metrics exposition.
 	registry := pac.NewTelemetryRegistry()
-	var resultStore *pac.Store
+	resultStore, err := pac.OpenStore(pac.StoreConfig{
+		Dir:        *storeDir,
+		MaxBytes:   *storeBytes,
+		MaxEntries: *storeEntries,
+		Registry:   registry,
+	})
+	if err != nil {
+		fail(err)
+	}
 	if *storeDir != "" {
-		var err error
-		resultStore, err = pac.OpenStore(pac.StoreConfig{
-			Dir:        *storeDir,
-			MaxBytes:   *storeBytes,
-			MaxEntries: *storeEntries,
-			Registry:   registry,
-		})
-		if err != nil {
-			fail(err)
-		}
 		log.Printf("pacd: store %s (%d entries, %d bytes)", *storeDir, resultStore.Len(), resultStore.Bytes())
 	}
 
@@ -161,7 +160,6 @@ func main() {
 		Parallel:        *parallel,
 		Concurrency:     *concurrency,
 		QueueDepth:      *queue,
-		MaxSessions:     *maxSessions,
 		RequestTimeout:  *reqTimeout,
 		JobTimeout:      *jobTimeout,
 		EnablePprof:     *pprofOn,
@@ -209,13 +207,11 @@ func main() {
 		}
 		fail(fmt.Errorf("drain: %w", err))
 	}
-	if resultStore != nil {
-		// Close after the drain so the write-throughs of the last in-flight
-		// jobs land. Each entry was durable at its rename, so neither a
-		// clean exit nor a kill -9 leaves the store anything to recover.
-		if err := resultStore.Close(); err != nil {
-			log.Printf("pacd: store close: %v", err)
-		}
+	// Close after the drain so the store writes of the last in-flight
+	// jobs land. Each entry was durable at its rename, so neither a clean
+	// exit nor a kill -9 leaves the store anything to recover.
+	if err := resultStore.Close(); err != nil {
+		log.Printf("pacd: store close: %v", err)
 	}
 	if jobWAL != nil {
 		// After a clean drain every journaled job has its terminal record;

@@ -18,11 +18,11 @@
 // The base-option flags (-cores, -accesses, -scale, -seed, -quick, ...)
 // MUST match the backends' pacd flags: the gateway resolves each request
 // against this base to compute the same canonical routing key the
-// backends key their session pools with (README "Running a pacd fleet").
+// backends key their stores with (README "Running a pacd fleet").
 //
-// Each backend answers from its own session memo and, with -store, its
-// own durable store; a backend that has neither simulates. Responses
-// report the source in X-Pac-Cache (memo|disk|miss).
+// Each backend answers from its own result store, in memory or, with
+// -store, on disk; a backend whose store lacks the result simulates.
+// Responses report the source in X-Pac-Cache (memo|disk|miss).
 //
 // Endpoints:
 //

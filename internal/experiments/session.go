@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -63,20 +62,6 @@ type memoEntry[T any] struct {
 	err     error
 	waiters int // guarded by the session mutex
 	cancel  context.CancelFunc
-
-	// render, rendered and renderErr cache json.Marshal(val), made at
-	// most once, the first time a caller asks for it after done (see
-	// renderJSON).
-	render    sync.Once
-	rendered  []byte
-	renderErr error
-}
-
-// renderJSON returns the entry's JSON rendering, rendering it on first
-// use. Call only after done closed with a nil err.
-func (e *memoEntry[T]) renderJSON() ([]byte, error) {
-	e.render.Do(func() { e.rendered, e.renderErr = json.Marshal(e.val) })
-	return e.rendered, e.renderErr
 }
 
 // Session runs experiments with memoised simulation results. It is safe
@@ -184,60 +169,12 @@ func cancelled(err error) bool {
 }
 
 // Result runs (or recalls) the benchmark under the given mode with the
-// session's options — the exported entry point the pacd service builds
-// its result cache on. Concurrent callers for the same combination share
+// session's options — the exported entry point pacd runs its simulate
+// misses through. Concurrent callers for the same combination share
 // one simulation; ctx follows the waiter-disconnect contract described
 // on Session.
 func (s *Session) Result(ctx context.Context, bench string, mode coalesce.Mode) (*sim.Result, error) {
 	return s.resultCtx(ctx, bench, mode, varDefault)
-}
-
-// ResultJSON is Result plus the result's JSON rendering
-// (json.Marshal of the *sim.Result), which the memo entry renders once
-// and keeps: every later ResultJSON or Lookup of the combination
-// returns the same bytes without rendering again.
-func (s *Session) ResultJSON(ctx context.Context, bench string, mode coalesce.Mode) (*sim.Result, []byte, error) {
-	e, err := s.simEntry(ctx, simKey{bench, mode, varDefault})
-	if err != nil {
-		return nil, nil, err
-	}
-	js, err := e.renderJSON()
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: rendering %s %s: %w", bench, mode, err)
-	}
-	return e.val, js, nil
-}
-
-// Lookup returns the memoised result of the benchmark/mode combination,
-// with its cached JSON rendering (see ResultJSON), when it has completed
-// successfully — a memo hit served as stored bytes. It never blocks: an
-// absent, in-flight or failed entry reports false, so a caller can
-// neither start nor join a simulation through it. A hit counts as a memo
-// hit, exactly as Result answering it would; a miss counts nothing,
-// leaving the memo miss to the Result call that resolves it. An entry
-// whose result cannot be rendered reports false.
-func (s *Session) Lookup(bench string, mode coalesce.Mode) (*sim.Result, []byte, bool) {
-	s.mu.Lock()
-	e, ok := s.sims[simKey{bench, mode, varDefault}]
-	hooks := s.hooks
-	s.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	select {
-	case <-e.done:
-	default:
-		return nil, nil, false
-	}
-	if e.err != nil {
-		return nil, nil, false
-	}
-	js, err := e.renderJSON()
-	if err != nil {
-		return nil, nil, false
-	}
-	s.noteMemo(hooks, true, bench, mode.String())
-	return e.val, js, true
 }
 
 // result is the context-free recall used by the experiment drivers;
@@ -249,17 +186,11 @@ func (s *Session) result(bench string, mode coalesce.Mode, v variant) (*sim.Resu
 
 // resultCtx runs (or recalls) one simulation.
 func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mode, v variant) (*sim.Result, error) {
-	e, err := s.simEntry(ctx, simKey{bench, mode, v})
+	e, err := join(ctx, s, s.sims, simKey{bench, mode, v}, bench, mode.String(), (*Session).runSim)
 	if err != nil {
 		return nil, err
 	}
 	return e.val, nil
-}
-
-// simEntry runs (or recalls) one simulation and returns its completed
-// memo entry.
-func (s *Session) simEntry(ctx context.Context, k simKey) (*memoEntry[*sim.Result], error) {
-	return join(ctx, s, s.sims, k, k.bench, k.mode.String(), (*Session).runSim)
 }
 
 // join is the session's singleflight: it returns the completed entry for

@@ -101,9 +101,6 @@ func TestResultCancelledWhenLastWaiterLeaves(t *testing.T) {
 				t.Errorf("KindSimCancelled fired %d times, want 1", cancelled)
 			}
 			mu.Unlock()
-			if _, _, ok := s.Lookup("STREAM", coalesce.ModePAC); ok {
-				t.Error("Lookup hits an aborted run")
-			}
 			if s.Completed() != 0 {
 				t.Errorf("Completed() = %d after an aborted run, want 0", s.Completed())
 			}
@@ -170,8 +167,11 @@ func TestResultRerunsAfterCancellation(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("fresh run after cancellation: res=%v err=%v", res, err)
 	}
-	if _, _, ok := s.Lookup("STREAM", coalesce.ModePAC); !ok {
-		t.Error("successful re-run not memoised")
+	if again, err := s.Result(context.Background(), "STREAM", coalesce.ModePAC); err != nil || again != res {
+		t.Errorf("repeat after the re-run = %p, %v; want the memoised %p", again, err, res)
+	}
+	if s.Completed() != 1 {
+		t.Errorf("Completed() = %d, want 1 (the re-run only)", s.Completed())
 	}
 }
 

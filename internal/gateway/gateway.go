@@ -30,7 +30,7 @@ type Config struct {
 	// backends' own base options (same pacd flags fleet-wide): the
 	// gateway resolves requests against it to compute the canonical
 	// routing key, and a mismatched base would still route consistently
-	// but hash-disagree with the backends' own session keys.
+	// but hash-disagree with the backends' own store keys.
 	Base experiments.Options
 	// Replicas is the virtual-node count per backend on the ring
 	// (default DefaultReplicas).
@@ -678,7 +678,7 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // Endpoint handlers.
 
 // simKeyFor resolves a simulate body to its canonical routing key — the
-// exact SimKey the chosen backend's session pool derives.
+// exact SimKey the chosen backend's store derives.
 func (g *Gateway) simKeyFor(body []byte) (string, error) {
 	var req server.SimulateRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -717,8 +717,8 @@ func (g *Gateway) handleRunExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	// Experiments run inside the backend's base-options session; keying
 	// by (base options hash, experiment id) pins each artefact to one
-	// shard so its repeated runs stay memo-warm, while different
-	// artefacts spread across the fleet.
+	// shard so its repeated runs find that session's memo warm, while
+	// different artefacts spread across the fleet.
 	key := g.baseKey + "/experiment/" + id
 	res, err := g.dispatch(r.Context(), key, http.MethodPost,
 		"/v1/experiments/"+id+"/run", r.URL.RawQuery, nil, r.Header)

@@ -163,7 +163,7 @@ func benchOwnedBy(t *testing.T, g *Gateway, backend string) string {
 
 // TestGatewayAffinity pins the affinity contract: repeated identical
 // simulate requests route to the same backend, the repeat is that
-// backend's session-memo hit, and the affinity ratio stays 1.0.
+// backend's store hit, and the affinity ratio stays 1.0.
 func TestGatewayAffinity(t *testing.T) {
 	backends := startBackends(t, 3)
 	gw, front := testGateway(t, backends, nil)
@@ -181,7 +181,7 @@ func TestGatewayAffinity(t *testing.T) {
 		t.Fatal("missing X-Pac-Key header")
 	}
 	if !strings.Contains(payload1, `"cached": false`) {
-		t.Fatalf("first simulate should be a memo miss: %s", payload1)
+		t.Fatalf("first simulate should be a store miss: %s", payload1)
 	}
 
 	resp2, payload2 := postJSON(t, front.URL+"/v1/simulate?wait=60s", body)
@@ -189,7 +189,7 @@ func TestGatewayAffinity(t *testing.T) {
 		t.Fatalf("affinity broken: first on %s, repeat on %s", first, got)
 	}
 	if !strings.Contains(payload2, `"cached": true`) {
-		t.Fatalf("repeat should be a memo hit: %s", payload2)
+		t.Fatalf("repeat should be a store hit: %s", payload2)
 	}
 
 	if m := metric(t, gw, "pac_gw_affinity_misses_total"); m != 0 {

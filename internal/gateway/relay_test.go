@@ -16,9 +16,8 @@ import (
 	"github.com/pacsim/pac/internal/telemetry"
 )
 
-// startStoreBackend launches one pacd with a durable store and a single
-// session slot, so alternating between two option sets serves repeats
-// from disk.
+// startStoreBackend launches one pacd whose store is kept in a
+// directory, so repeats are served from disk.
 func startStoreBackend(t *testing.T) string {
 	t.Helper()
 	reg := telemetry.NewRegistry()
@@ -32,7 +31,6 @@ func startStoreBackend(t *testing.T) string {
 		Parallel:    2,
 		Concurrency: 2,
 		QueueDepth:  16,
-		MaxSessions: 1,
 		NodeID:      "b0",
 		Registry:    reg,
 		Store:       st,
@@ -42,22 +40,32 @@ func startStoreBackend(t *testing.T) string {
 	return ts.URL
 }
 
-// TestRelayCacheHeaderMatchesBody: through the gateway, a miss, a memo
-// hit and a disk hit each carry an X-Pac-Cache header equal to the
-// body's result.cache.
+// TestRelayCacheHeaderMatchesBody: through the gateway, a miss, a hit
+// of a memory-only store (memo) and a hit of a directory store (disk)
+// each carry an X-Pac-Cache header equal to the body's result.cache.
 func TestRelayCacheHeaderMatchesBody(t *testing.T) {
-	_, front := testGateway(t, []string{startStoreBackend(t)}, nil)
+	for _, backend := range []struct{ url, hit string }{
+		{startBackends(t, 1)[0], server.CacheMemo},
+		{startStoreBackend(t), server.CacheDisk},
+	} {
+		relayCacheHeaderMatchesBody(t, backend.url, backend.hit)
+	}
+}
+
+func relayCacheHeaderMatchesBody(t *testing.T, backend, hit string) {
+	t.Helper()
+	_, front := testGateway(t, []string{backend}, nil)
 	a := `{"benchmark": "STREAM", "mode": "pac"}`
 	b := `{"benchmark": "STREAM", "mode": "pac", "seed": 2}`
 	for i, step := range []struct{ body, want string }{
 		{a, server.CacheMiss},
-		{a, server.CacheMemo},
-		{b, server.CacheMiss}, // evicts a's session
-		{a, server.CacheDisk},
+		{a, hit},
+		{b, server.CacheMiss},
+		{a, hit},
 	} {
 		resp, payload := postJSON(t, front.URL+"/v1/simulate?wait=30s", step.body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("step %d: %d %s", i, resp.StatusCode, payload)
+			t.Fatalf("%s step %d: %d %s", hit, i, resp.StatusCode, payload)
 		}
 		var view struct {
 			Result struct {
@@ -68,7 +76,7 @@ func TestRelayCacheHeaderMatchesBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hdr := resp.Header.Get(server.CacheHeader); hdr != step.want || view.Result.Cache != step.want {
-			t.Errorf("step %d: header %q, body result.cache %q, want %q", i, hdr, view.Result.Cache, step.want)
+			t.Errorf("%s step %d: header %q, body result.cache %q, want %q", hit, i, hdr, view.Result.Cache, step.want)
 		}
 	}
 }

@@ -5,13 +5,14 @@
 // backoff/retry discipline, and fans sweep experiments out across the
 // fleet with a deterministic table merge.
 //
-// Routing is the whole point: a pacd node's value is its warm session
-// memo, so a request that lands on the wrong node turns a memo hit into
-// a full re-simulation. The gateway resolves every simulate request
-// through the same server.ResolveSimulate/OptionsHash path the backends
-// use, so the shard key is exactly the key the backend's session pool
-// will use — identical requests always meet the same warm cache
-// (DESIGN.md §10 documents the affinity contract).
+// Routing is the whole point: a pacd node's value is its result store,
+// which holds only what that node computed, so a request that lands on
+// the wrong node turns a store hit into a full re-simulation. The
+// gateway resolves every simulate request through the same
+// server.ResolveSimulate/OptionsHash path the backends use, so the shard
+// key is exactly the key the backend's store will use — identical
+// requests always meet the same store (DESIGN.md §10 documents the
+// locality contract).
 package gateway
 
 import (

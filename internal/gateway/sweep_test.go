@@ -46,7 +46,7 @@ func perBackend(routes []SweepRoute) map[string]int {
 // on each, even for a sweep whose ring owners split unevenly, and every
 // cell reaches the node it was assigned (affinity hits only). Run twice
 // on the same fleet, the sweep routes identically and the repeat is
-// served entirely from the nodes' memos.
+// served entirely from the nodes' stores.
 func TestSweepBalancedFanOut(t *testing.T) {
 	backends := startBackends(t, 2)
 	// No health probes: a probe timing out on a loaded test machine

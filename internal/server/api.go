@@ -10,14 +10,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/experiments"
 	"github.com/pacsim/pac/internal/fault"
 	"github.com/pacsim/pac/internal/report"
-	"github.com/pacsim/pac/internal/telemetry"
 	"github.com/pacsim/pac/internal/workload"
 )
 
@@ -29,77 +27,45 @@ const (
 	maxScale    = 100.0
 )
 
-// sessionPool is the LRU-capped pool of shared experiments.Session
-// result caches, keyed by the canonical hash of their (normalized)
-// options. Every session shares the server's telemetry hooks and
-// broadcasts its progress lines to the running jobs.
-type sessionPool struct {
-	mu       sync.Mutex
-	cap      int
-	seq      int64
-	hooks    *telemetry.Hooks
-	progress func(string)
-	// ckptPolicy, when non-nil, builds the crash-recovery checkpoint
-	// policy each new session is created with (keyed by the session's
-	// canonical options hash); nil keeps sessions checkpoint-free.
-	ckptPolicy func(optsKey string) *experiments.CheckpointPolicy
-	entries    map[string]*poolEntry
+// flight is one simulate key's in-flight run: a session whose
+// singleflight joins every concurrent miss of the key onto one
+// simulation. refs counts the jobs holding it; the key leaves the
+// Server's flights table when the last of them has committed its answer
+// to the store, or failed, or been cancelled.
+type flight struct {
+	sess *experiments.Session
+	refs int // guarded by Server.flightMu
 }
 
-type poolEntry struct {
-	sess    *experiments.Session
-	lastUse int64
+// joinFlight returns the in-flight run of hash, building its session on
+// first use, and takes a reference the caller drops with leaveFlight.
+func (s *Server) joinFlight(hash, optsKey string, opts experiments.Options) *flight {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	f, ok := s.flights[hash]
+	if !ok {
+		f = &flight{sess: s.newSession(opts, optsKey, s.simHooks)}
+		s.flights[hash] = f
+	}
+	f.refs++
+	return f
 }
 
-func newSessionPool(cap int, hooks *telemetry.Hooks, progress func(string),
-	ckptPolicy func(optsKey string) *experiments.CheckpointPolicy) *sessionPool {
-	return &sessionPool{
-		cap:        cap,
-		hooks:      hooks,
-		progress:   progress,
-		ckptPolicy: ckptPolicy,
-		entries:    make(map[string]*poolEntry),
+// leaveFlight drops one reference to hash's in-flight run; the last
+// removes it, and with it the session and its result.
+func (s *Server) leaveFlight(hash string, f *flight) {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if f.refs--; f.refs == 0 {
+		delete(s.flights, hash)
 	}
-}
-
-// session finds or creates the session for the given fully-specified
-// options, returning it with its canonical options hash. The least
-// recently used session is evicted beyond the cap; in-flight jobs keep
-// their own reference, so eviction only drops the pool's cache.
-func (p *sessionPool) session(opts experiments.Options) (*experiments.Session, string) {
-	key := OptionsHash(opts)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.seq++
-	if e, ok := p.entries[key]; ok {
-		e.lastUse = p.seq
-		return e.sess, key
-	}
-	sess := experiments.NewSession(opts)
-	sess.Hooks = p.hooks
-	sess.Progress = p.progress
-	if p.ckptPolicy != nil {
-		sess.Checkpoints = p.ckptPolicy(key)
-	}
-	p.entries[key] = &poolEntry{sess: sess, lastUse: p.seq}
-	for len(p.entries) > p.cap {
-		oldestKey, oldest := "", int64(1<<62)
-		for k, e := range p.entries {
-			if e.lastUse < oldest {
-				oldestKey, oldest = k, e.lastUse
-			}
-		}
-		delete(p.entries, oldestKey)
-	}
-	return sess, key
 }
 
 // OptionsHash is the canonical hash of fully-specified options: the
 // SHA-256 of their fixed-order JSON encoding, truncated for readability.
-// Two requests normalising to the same options share a session (and
-// therefore a result cache). The gateway uses the same hash as its
-// consistent-hash shard key, so cache affinity survives fan-out across a
-// pacd fleet.
+// Two requests normalising to the same options share it, and with it
+// their store keys. The gateway uses the same hash as its consistent-hash
+// shard key, so store locality survives fan-out across a pacd fleet.
 func OptionsHash(o experiments.Options) string {
 	o.Parallel = 0 // worker count never changes results
 	b, _ := json.Marshal(o)
@@ -108,9 +74,9 @@ func OptionsHash(o experiments.Options) string {
 }
 
 // SimKey keys one simulate request: options hash + benchmark + mode. It
-// identifies exactly one memo slot of one session, which makes it the
-// finest-grained routing key a gateway can use without losing
-// session-cache affinity.
+// addresses exactly one store entry, in-flight run and checkpoint, which
+// makes it the finest-grained routing key a gateway can use without
+// losing store locality.
 func SimKey(optsKey, bench string, mode coalesce.Mode) string {
 	sum := sha256.Sum256([]byte(optsKey + "/" + bench + "/" + mode.String()))
 	return hex.EncodeToString(sum[:8])
@@ -157,8 +123,8 @@ type SimulateResult struct {
 	Benchmark  string `json:"benchmark"`
 	Mode       string `json:"mode"`
 	ConfigHash string `json:"configHash"`
-	// Cached reports whether the result was served without running a new
-	// simulation (from the memo or the durable store).
+	// Cached reports whether the result was served from the store
+	// without running a new simulation.
 	Cached bool `json:"cached"`
 	// Cache names the source the result came from: memo|disk|miss.
 	// The same value rides the X-Pac-Cache header on synchronous
@@ -187,7 +153,7 @@ func (s *Server) validate(req SimulateRequest) (experiments.Options, string, coa
 // request will run under, the benchmark, and the mode. Both the daemon
 // and the gateway resolve requests through this one function, so a
 // gateway computing OptionsHash/SimKey from the result derives exactly
-// the key the backend's session pool will use — the property the
+// the key the backend's store will use — the property the
 // consistent-hash routing relies on.
 func ResolveSimulate(base experiments.Options, req SimulateRequest) (experiments.Options, string, coalesce.Mode, error) {
 	if req.Benchmark == "" {
@@ -267,8 +233,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// A memo or local-store hit is answered here, registered as a job that
-	// is already done; only a miss pays for a queue slot, a worker handoff
+	// A store hit is answered here, registered as a job that is already
+	// done; only a miss pays for a queue slot, a worker handoff
 	// and the journal.
 	var job *Job
 	if ans, ok := sj.local(true); ok {
@@ -283,15 +249,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // simulateAnswer is a finished simulate job's answer: the SimulateResult
-// fields, and the result as the memo or the store keeps it — the compact
+// fields, and the result as the store keeps it — the compact
 // json.Marshal of the *sim.Result. Replies are assembled around those
 // bytes; the result is never marshalled again.
 type simulateAnswer struct {
 	head   SimulateResult // Result unset
 	result []byte
-	// persist, when set, writes a fresh simulation's store entry. The
-	// job's committer calls it before the terminal WAL record and before
-	// finish, off the worker, then clears it.
+	// persist, when set, writes a fresh simulation's store entry and
+	// then leaves its in-flight run. The job's committer calls it before
+	// the terminal WAL record and before finish, off the worker, then
+	// clears it.
 	persist func()
 }
 
@@ -328,18 +295,18 @@ type simulateJob struct {
 	payload []byte
 	// meta is the job's bench/mode pprof labels.
 	meta jobMeta
-	// local answers from this node alone — the session memo, then the
-	// local store — and never simulates or blocks. With resident set it
-	// reads the store only for a key the store holds, so the handler's
-	// probe leaves a miss to be counted once, by the job that resolves it.
+	// local answers from the store alone and never simulates or blocks.
+	// With resident set it reads the store only for a key the store
+	// holds, so the handler's probe leaves a miss to be counted once, by
+	// the job that resolves it.
 	local func(resident bool) (*simulateAnswer, bool)
 	// run is the job closure: local, then a fresh simulation.
 	run func(ctx context.Context) (any, error)
 }
 
-// buildSimulateRun resolves a simulate request — validation, session,
-// SimKey and payload, each exactly once — into its resolution chain. The
-// HTTP handler and the boot replay share this one path.
+// buildSimulateRun resolves a simulate request — validation, SimKey and
+// payload, each exactly once — into its resolution chain. The HTTP
+// handler and the boot replay share this one path.
 func (s *Server) buildSimulateRun(req SimulateRequest) (simulateJob, error) {
 	opts, bench, mode, err := s.validate(req)
 	if err != nil {
@@ -349,45 +316,51 @@ func (s *Server) buildSimulateRun(req SimulateRequest) (simulateJob, error) {
 	if err != nil {
 		return simulateJob{}, err
 	}
-	sess, optsKey := s.pool.session(opts)
+	optsKey := OptionsHash(opts)
 	hash := SimKey(optsKey, bench, mode)
 	answer := func(source string, result []byte) *simulateAnswer {
 		return newSimulateAnswer(bench, mode, hash, source, result)
 	}
-	// Resolve the cache source cheapest-first: session memo, local
-	// durable store, then a fresh simulation. Every hit answers with
-	// stored bytes: the memo entry's rendering of its result, or the
-	// store entry's answer section, so a hit decodes and marshals nothing.
-	// A disk hit does not seed the memo — answering from disk again costs
-	// about what a memo hit does. Concurrent misses for the same key share
-	// one run. This layering also makes WAL replay effectively
-	// exactly-once: a job that finished between its terminal record being
-	// lost and the crash re-runs as a memo/disk hit, not a second
-	// simulation.
+	// Resolve from the store, then a fresh simulation. A hit answers with
+	// the entry's stored bytes, so it decodes and marshals nothing. This
+	// also makes WAL replay effectively exactly-once: a job that finished
+	// between its terminal record being lost and the crash re-runs as a
+	// store hit, not a second simulation.
 	local := func(resident bool) (*simulateAnswer, bool) {
-		if res, js, ok := sess.Lookup(bench, mode); ok {
-			s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
-			return answer(CacheMemo, js), true
-		}
-		if resident && (s.store == nil || !s.store.Has(hash)) {
+		if resident && !s.store.Has(hash) {
 			return nil, false
 		}
 		a, ok := s.storeLookup(hash, optsKey, bench, mode)
 		if !ok {
 			return nil, false
 		}
-		return answer(CacheDisk, a.JSON), true
+		return answer(s.storeSource, a.JSON), true
 	}
+	// A miss joins the key's in-flight run before it reads the store: a
+	// run leaves the table only after its answer is stored, so a miss
+	// either shares the run, finished or not, or finds its answer — it
+	// never starts a second simulation. Every job that joined a run
+	// answers miss.
 	run := func(ctx context.Context) (any, error) {
+		f := s.joinFlight(hash, optsKey, opts)
 		if ans, ok := local(false); ok {
+			s.leaveFlight(hash, f)
 			return ans, nil
 		}
-		res, js, err := sess.ResultJSON(ctx, bench, mode)
+		res, err := f.sess.Result(ctx, bench, mode)
+		var js []byte
+		if err == nil {
+			js, err = json.Marshal(res)
+		}
 		if err != nil {
+			s.leaveFlight(hash, f)
 			return nil, err
 		}
 		a := answer(CacheMiss, js)
-		a.persist = func() { s.storeWrite(hash, optsKey, bench, mode, opts, res, js) }
+		a.persist = func() {
+			s.storeWrite(hash, optsKey, bench, mode, opts, res, js)
+			s.leaveFlight(hash, f)
+		}
 		return a, nil
 	}
 	meta := jobMeta{bench: bench, mode: mode.String()}
@@ -465,7 +438,7 @@ func (s *Server) buildExperimentRun(id string) (func(ctx context.Context) (any, 
 	if err != nil {
 		return nil, nil, err
 	}
-	sess, _ := s.pool.session(s.defaultOptions())
+	sess := s.defaultSess
 	parallel := s.cfg.Parallel
 	run := func(ctx context.Context) (any, error) {
 		// Precompute executes every declared simulation under ctx on the

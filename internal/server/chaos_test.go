@@ -236,7 +236,7 @@ func TestSimulateWithFaultPlan(t *testing.T) {
 	if crc, _ := faults["LinkCRCErrors"].(float64); crc == 0 {
 		t.Errorf("20%% CRC plan injected no link errors: %v", faults)
 	}
-	// Fault knobs must key the session, so the clean run is a different
+	// Fault knobs must key the store, so the clean run is a different
 	// cache entry than the faulty one.
 	code, _, clean := do(t, h, "POST", "/v1/simulate?wait=60s",
 		SimulateRequest{Benchmark: "GS", AccessesPerCore: 2_000})
@@ -244,7 +244,7 @@ func TestSimulateWithFaultPlan(t *testing.T) {
 		t.Fatalf("clean simulate: %d", code)
 	}
 	if cached, _ := clean["result"].(map[string]any)["cached"].(bool); cached {
-		t.Error("clean run answered from the fault-enabled session's memo")
+		t.Error("clean run answered from the fault-enabled run's store entry")
 	}
 	// Malformed plan: rejected before any job is queued.
 	code, _, errBody := do(t, h, "POST", "/v1/simulate",

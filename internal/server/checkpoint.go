@@ -270,10 +270,9 @@ func (c *checkpointStore) load(key string) *sim.Checkpoint {
 }
 
 // checkpointPolicy builds the session checkpoint policy for one options
-// key. Every session drawn from the pool gets one, so any default-
-// variant simulation the daemon runs — API-driven or recovered — can
-// checkpoint and resume under the key the rest of the system already
-// uses for it.
+// key. Every session the server builds gets one, so any default-variant
+// simulation the daemon runs — API-driven or recovered — can checkpoint
+// and resume under the key the rest of the system already uses for it.
 func (s *Server) checkpointPolicy(optsKey string) *experiments.CheckpointPolicy {
 	if s.ckpts == nil {
 		return nil

@@ -12,20 +12,31 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pacsim/pac/internal/store"
 	"github.com/pacsim/pac/internal/telemetry"
 	"github.com/pacsim/pac/internal/wal"
 )
 
-// Two option sets that differ only in seed. With one session slot, each
-// request for one evicts the other's session, so alternating between
-// them after both have run serves every request from the local store.
+// Two option sets that differ only in seed.
 var (
 	hitReqA = SimulateRequest{Benchmark: "STREAM", Mode: "pac"}
 	hitReqB = SimulateRequest{Benchmark: "STREAM", Mode: "pac", Seed: 2}
 )
 
-// inlineDaemon is a daemon with a store, a journal and a single session
-// slot, all three sharing one registry.
+// storeKinds are the two stores a daemon can run on, each with the cache
+// source its hits answer: the memory-only store New opens when
+// Config.Store is nil, and a store kept in a directory.
+var storeKinds = []struct {
+	name string
+	disk bool
+	hit  string
+}{
+	{"memory", false, CacheMemo},
+	{"disk", true, CacheDisk},
+}
+
+// inlineDaemon is a daemon with a store and a journal, both sharing one
+// registry.
 type inlineDaemon struct {
 	srv     *Server
 	reg     *telemetry.Registry
@@ -33,17 +44,21 @@ type inlineDaemon struct {
 	walPath string
 }
 
-func newInlineDaemon(t *testing.T, mutate func(*Config)) inlineDaemon {
+// newInlineDaemon builds an inlineDaemon on a directory store when disk
+// is set, else on the memory-only store New opens.
+func newInlineDaemon(t *testing.T, disk bool, mutate func(*Config)) inlineDaemon {
 	t.Helper()
 	dir := t.TempDir()
 	d := inlineDaemon{reg: telemetry.NewRegistry(), walPath: filepath.Join(dir, "jobs.wal")}
-	st := openTestStore(t, filepath.Join(dir, "store"), d.reg)
+	var st *store.Store
+	if disk {
+		st = openTestStore(t, filepath.Join(dir, "store"), d.reg)
+	}
 	d.wal, _ = openTestWAL(t, dir, d.reg)
 	d.srv = newTestServer(t, func(c *Config) {
 		c.Registry = d.reg
 		c.Store = st
 		c.WAL = d.wal
-		c.MaxSessions = 1
 		if mutate != nil {
 			mutate(c)
 		}
@@ -84,13 +99,19 @@ func counterDeltas(reg *telemetry.Registry, series map[string][]string) func() m
 	}
 }
 
-// TestInlineHitsAnswerLikeQueuedJobs: memo and disk hits are answered
-// with the same configHash, cached flag, source and result a queued job
-// produced, write no journal record, and leave a job that resolves by ID
-// and whose event stream ends with done. Misses still journal submit
-// and done.
+// TestInlineHitsAnswerLikeQueuedJobs: hits of a memory or a disk store
+// are answered with the same configHash, cached flag, source and result a
+// queued job produced, write no journal record, and leave a job that
+// resolves by ID and whose event stream ends with done. Misses still
+// journal submit and done.
 func TestInlineHitsAnswerLikeQueuedJobs(t *testing.T) {
-	d := newInlineDaemon(t, nil)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) { testInlineHitsAnswerLikeQueuedJobs(t, kind.disk, kind.hit) })
+	}
+}
+
+func testInlineHitsAnswerLikeQueuedJobs(t *testing.T, disk bool, hit string) {
+	d := newInlineDaemon(t, disk, nil)
 	srv := d.srv
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -106,11 +127,8 @@ func TestInlineHitsAnswerLikeQueuedJobs(t *testing.T) {
 	}
 	missRes := miss["result"].(map[string]any)
 
-	check := func(want string, prepare func()) {
+	check := func(want string) {
 		t.Helper()
-		if prepare != nil {
-			prepare()
-		}
 		r0 := records()
 		job, src := simulateJobOK(t, srv, hitReqA)
 		if src != want {
@@ -151,91 +169,97 @@ func TestInlineHitsAnswerLikeQueuedJobs(t *testing.T) {
 			t.Errorf("%s hit event stream ended with %q, want event: done", want, last)
 		}
 	}
-	check(CacheMemo, nil)
-	check(CacheDisk, func() { simulateJobOK(t, srv, hitReqB) }) // evicts A's session
-	check(CacheDisk, nil)                                       // a disk hit does not seed the memo
+	check(hit)
+	check(hit)
 }
 
 // TestInlineHitsBypassFullQueue: with the only worker busy and the queue
-// full, a miss bounces with 429 but memo and disk hits still answer 200.
+// full, a miss bounces with 429 but a store hit still answers 200.
 func TestInlineHitsBypassFullQueue(t *testing.T) {
-	srv := newInlineDaemon(t, func(c *Config) {
-		c.Concurrency = 1
-		c.QueueDepth = 1
-		// Four session slots: the three slow requests below evict only
-		// A's session, the least recently used, so B stays in the memo
-		// and A is on disk only.
-		c.MaxSessions = 4
-	}).srv
-	h := srv.Handler()
-	simulateJobOK(t, srv, hitReqA)
-	simulateJobOK(t, srv, hitReqB)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			srv := newInlineDaemon(t, kind.disk, func(c *Config) {
+				c.Concurrency = 1
+				c.QueueDepth = 1
+			}).srv
+			h := srv.Handler()
+			simulateJobOK(t, srv, hitReqA)
 
-	code, _, running := do(t, h, "POST", "/v1/simulate", slowRequest(201))
-	if code != http.StatusAccepted {
-		t.Fatalf("slow submit = %d", code)
-	}
-	waitForStatus(t, h, running["id"].(string), StatusRunning)
-	code, _, queued := do(t, h, "POST", "/v1/simulate", slowRequest(202))
-	if code != http.StatusAccepted {
-		t.Fatalf("queued submit = %d", code)
-	}
-	t.Cleanup(func() {
-		do(t, h, "DELETE", "/v1/jobs/"+queued["id"].(string), nil)
-		do(t, h, "DELETE", "/v1/jobs/"+running["id"].(string), nil)
-	})
-	if code, _, _ := do(t, h, "POST", "/v1/simulate", slowRequest(203)); code != http.StatusTooManyRequests {
-		t.Fatalf("miss on a full queue = %d, want 429", code)
-	}
-
-	if _, src := simulateJobOK(t, srv, hitReqB); src != CacheMemo {
-		t.Errorf("memo hit on a full queue served from %q", src)
-	}
-	if _, src := simulateJobOK(t, srv, hitReqA); src != CacheDisk {
-		t.Errorf("disk hit on a full queue served from %q", src)
+			code, _, running := do(t, h, "POST", "/v1/simulate", slowRequest(201))
+			if code != http.StatusAccepted {
+				t.Fatalf("slow submit = %d", code)
+			}
+			waitForStatus(t, h, running["id"].(string), StatusRunning)
+			code, _, queued := do(t, h, "POST", "/v1/simulate", slowRequest(202))
+			if code != http.StatusAccepted {
+				t.Fatalf("queued submit = %d", code)
+			}
+			t.Cleanup(func() {
+				do(t, h, "DELETE", "/v1/jobs/"+queued["id"].(string), nil)
+				do(t, h, "DELETE", "/v1/jobs/"+running["id"].(string), nil)
+			})
+			if code, _, _ := do(t, h, "POST", "/v1/simulate", slowRequest(203)); code != http.StatusTooManyRequests {
+				t.Fatalf("miss on a full queue = %d, want 429", code)
+			}
+			if _, src := simulateJobOK(t, srv, hitReqA); src != kind.hit {
+				t.Errorf("hit on a full queue served from %q, want %q", src, kind.hit)
+			}
+		})
 	}
 }
 
 // TestInlineHitsRejectedWhileDraining: a draining daemon answers 503 to
-// memo and disk hits, as it does to every other submission.
+// store hits, as it does to every other submission.
 func TestInlineHitsRejectedWhileDraining(t *testing.T) {
-	srv := newInlineDaemon(t, nil).srv
-	simulateJobOK(t, srv, hitReqA)
-	simulateJobOK(t, srv, hitReqB) // B in the memo, A on disk only
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := srv.jobs.drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []SimulateRequest{hitReqB, hitReqA} {
-		if code, _, _ := do(t, srv.Handler(), "POST", "/v1/simulate?wait=30s", req); code != http.StatusServiceUnavailable {
-			t.Errorf("hit while draining (seed %d) = %d, want 503", req.Seed, code)
-		}
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			srv := newInlineDaemon(t, kind.disk, nil).srv
+			simulateJobOK(t, srv, hitReqA)
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			if err := srv.jobs.drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if code, _, _ := do(t, srv.Handler(), "POST", "/v1/simulate?wait=30s", hitReqA); code != http.StatusServiceUnavailable {
+				t.Errorf("hit while draining = %d, want 503", code)
+			}
+		})
 	}
 }
 
-// TestInlineHitCounters pins how each source moves the session-memo,
-// store and job counters; the inline path must move them exactly as the
-// queued path did.
+// TestInlineHitCounters pins how a miss and a hit move the store and
+// job counters; the inline path must move them exactly as the queued
+// path does. The session memo counters do not move on the simulate path:
+// the store is its only cache.
 func TestInlineHitCounters(t *testing.T) {
-	d := newInlineDaemon(t, nil)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) { testInlineHitCounters(t, kind.disk, kind.hit) })
+	}
+}
+
+func testInlineHitCounters(t *testing.T, disk bool, hit string) {
+	d := newInlineDaemon(t, disk, nil)
 	srv, reg := d.srv, d.reg
 	series := map[string][]string{
-		telemetry.MetricMemoHits:   nil,
-		telemetry.MetricMemoMisses: nil,
-		"pac_store_hits_total":     nil,
-		"pac_store_misses_total":   nil,
-		"pac_jobs_submitted_total": {"kind", "simulate"},
-		"pac_jobs_finished_total":  {"kind", "simulate", "status", "done"},
+		telemetry.MetricMemoHits:    nil,
+		telemetry.MetricMemoMisses:  nil,
+		telemetry.MetricSimsStarted: nil,
+		"pac_store_hits_total":      nil,
+		"pac_store_misses_total":    nil,
+		"pac_store_writes_total":    nil,
+		"pac_jobs_submitted_total":  {"kind", "simulate"},
+		"pac_jobs_finished_total":   {"kind", "simulate", "status", "done"},
 	}
-	want := func(memoHits, memoMisses, storeHits, storeMisses float64) map[string]float64 {
+	want := func(storeHits, storeMisses float64) map[string]float64 {
 		return map[string]float64{
-			telemetry.MetricMemoHits:   memoHits,
-			telemetry.MetricMemoMisses: memoMisses,
-			"pac_store_hits_total":     storeHits,
-			"pac_store_misses_total":   storeMisses,
-			"pac_jobs_submitted_total": 1,
-			"pac_jobs_finished_total":  1,
+			telemetry.MetricMemoHits:    0,
+			telemetry.MetricMemoMisses:  0,
+			telemetry.MetricSimsStarted: storeMisses,
+			"pac_store_hits_total":      storeHits,
+			"pac_store_misses_total":    storeMisses,
+			"pac_store_writes_total":    storeMisses,
+			"pac_jobs_submitted_total":  1,
+			"pac_jobs_finished_total":   1,
 		}
 	}
 	step := func(name string, req SimulateRequest, wantSrc string, want map[string]float64) {
@@ -254,25 +278,23 @@ func TestInlineHitCounters(t *testing.T) {
 			t.Errorf("%s: counter deltas %v, want %v", name, got, want)
 		}
 	}
-	step("miss", hitReqA, CacheMiss, want(0, 1, 0, 1))
-	step("memo", hitReqA, CacheMemo, want(1, 0, 0, 0))
-	step("miss B", hitReqB, CacheMiss, want(0, 1, 0, 1))
-	// A's session is fresh and has never run a simulation, so its hooks
-	// are not latched yet and the memo hit the seeded entry serves goes
-	// uncounted — on the queued path as on the inline one.
-	step("disk", hitReqA, CacheDisk, want(0, 0, 1, 0))
+	step("miss", hitReqA, CacheMiss, want(0, 1))
+	step("hit", hitReqA, hit, want(1, 0))
+	step("miss B", hitReqB, CacheMiss, want(0, 1))
+	step("hit B", hitReqB, hit, want(1, 0))
+	step("hit A again", hitReqA, hit, want(1, 0))
 }
 
 // TestInlineHitsLeaveNothingToReplay: after several hits and one miss
 // still queued behind a busy worker, a journal read in its crashed state
 // (reopened without being closed) replays only the miss.
 func TestInlineHitsLeaveNothingToReplay(t *testing.T) {
-	d := newInlineDaemon(t, func(c *Config) { c.Concurrency = 1 })
+	d := newInlineDaemon(t, true, func(c *Config) { c.Concurrency = 1 })
 	srv, h := d.srv, d.srv.Handler()
 	simulateJobOK(t, srv, hitReqA)
 	simulateJobOK(t, srv, hitReqB)
 	for i := 0; i < 3; i++ {
-		simulateJobOK(t, srv, hitReqA) // disk hits: each evicts the other's session
+		simulateJobOK(t, srv, hitReqA) // disk hits
 		simulateJobOK(t, srv, hitReqB)
 	}
 	d.records(t) // every miss so far has its done record

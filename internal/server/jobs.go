@@ -74,7 +74,7 @@ type Job struct {
 	result json.RawMessage
 	// answer is a done simulate job's answer, in place of result (nil
 	// for other kinds and for jobs that did not succeed). A retained job
-	// keeps only the stored bytes, often shared with the memo; views
+	// keeps only the stored bytes, often shared with the store; views
 	// render the SimulateResult JSON around them when asked.
 	answer   *simulateAnswer
 	progress []string
@@ -367,13 +367,12 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 }
 
 // completed registers a job that is already done at acceptance: a
-// simulate answered from the session memo or the local store. It shares
-// submit's ID counter and jobs table, so job lookups and /events work as
-// for any finished job, and it counts as submitted and finished. It
-// takes no queue slot, writes no WAL record and carries no scheduling
-// meta: the journal recovers accepted work that has not finished, and
-// this job finished before it was acknowledged. errDraining after drain
-// started.
+// simulate answered from the store. It shares submit's ID counter and
+// jobs table, so job lookups and /events work as for any finished job,
+// and it counts as submitted and finished. It takes no queue slot,
+// writes no WAL record and carries no scheduling meta: the journal
+// recovers accepted work that has not finished, and this job finished
+// before it was acknowledged. errDraining after drain started.
 func (m *jobManager) completed(kind string, ans *simulateAnswer) (*Job, error) {
 	now := time.Now()
 	done := make(chan struct{})
@@ -482,7 +481,7 @@ func (m *jobManager) bumpNextIDLocked(id string) {
 // journal applies one WAL lifecycle append. Errors after acceptance are
 // counted by the journal but never fail the job: once the submit record
 // is durable the journal is an at-least-once floor, not a gate — a lost
-// terminal record merely means one extra (memo-deduplicated) replay next
+// terminal record merely means one extra (store-deduplicated) replay next
 // boot.
 func (m *jobManager) journal(op func(id string) error, id string) {
 	if m.wal == nil {
@@ -729,8 +728,8 @@ func (m *jobManager) noteDepth() {
 }
 
 // broadcastProgress fans one session progress line out to every running
-// job — simulations are shared singleflight work, so every job waiting
-// on the pool legitimately observes the same completions.
+// job — simulations are shared singleflight work, so every running job
+// legitimately observes the same completions.
 func (m *jobManager) broadcastProgress(line string) {
 	for _, j := range m.list() {
 		if j.Status() == StatusRunning {

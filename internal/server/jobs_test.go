@@ -362,49 +362,45 @@ func TestDrainWaitsForCommits(t *testing.T) {
 	}
 }
 
-// TestFinishedJobReleasesEvictedSession: a retained terminal simulate
-// job keeps only its answer. After more fresh-seed jobs than
-// MaxSessions, the pool has evicted the first job's session, and the
-// first job, still listed, must not keep that session (and with it its
-// memoized results) reachable: finish drops the job's run closure,
-// which captured the session.
-func TestFinishedJobReleasesEvictedSession(t *testing.T) {
-	srv := newTestServer(t, func(c *Config) {
-		c.Concurrency = 1
-		c.MaxSessions = 2
-	})
+// TestFinishedJobReleasesInflightSession: a retained terminal simulate
+// job keeps only its answer. The session its run went through, and with
+// it that session's memoised result, must be unreachable once the job is
+// done and still listed: the committer leaves the in-flight run after
+// the store write and clears the answer's persist closure, and finish
+// drops the job's run closure.
+func TestFinishedJobReleasesInflightSession(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.Concurrency = 1 })
 	h := srv.Handler()
-	request := func(seed uint64) SimulateRequest {
-		return SimulateRequest{Benchmark: "GS", Mode: "pac", Seed: seed}
-	}
-	simulate := func(seed uint64) string {
-		t.Helper()
-		code, _, v := do(t, h, "POST", "/v1/simulate?wait=30s", request(seed))
-		if code != http.StatusOK || v["status"] != string(StatusDone) {
-			t.Fatalf("simulate seed %d: %d %v", seed, code, v)
-		}
-		return v["id"].(string)
-	}
-	first := simulate(101)
-	opts, _, _, err := srv.validate(request(101))
+	req := SimulateRequest{Benchmark: "STREAM", Mode: "pac", AccessesPerCore: 1_000_000, Seed: 101}
+	opts, bench, mode, err := srv.validate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected := make(chan struct{})
-	func() {
-		srv.pool.mu.Lock()
-		defer srv.pool.mu.Unlock()
-		e, ok := srv.pool.entries[OptionsHash(opts)]
-		if !ok {
-			t.Fatal("the first job's session is not in the pool")
-		}
-		runtime.SetFinalizer(e.sess, func(*experiments.Session) { close(collected) })
-	}()
-	for seed := uint64(102); seed <= 103; seed++ {
-		simulate(seed)
+	hash := SimKey(OptionsHash(opts), bench, mode)
+	code, _, v := do(t, h, "POST", "/v1/simulate", req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d %v", code, v)
 	}
-	if code, _, v := do(t, h, "GET", "/v1/jobs/"+first, nil); code != http.StatusOK || v["status"] != string(StatusDone) {
-		t.Fatalf("first job: GET = %d %v, want it retained and done", code, v["status"])
+	id := v["id"].(string)
+
+	collected := make(chan struct{})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.flightMu.Lock()
+		f, ok := srv.flights[hash]
+		if ok {
+			runtime.SetFinalizer(f.sess, func(*experiments.Session) { close(collected) })
+		}
+		srv.flightMu.Unlock()
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job's run never showed in the in-flight table")
+		}
+	}
+	waitForStatus(t, h, id, StatusDone)
+	if code, _, v := do(t, h, "GET", "/v1/jobs/"+id, nil); code != http.StatusOK || v["status"] != string(StatusDone) {
+		t.Fatalf("GET = %d %v, want the job retained and done", code, v["status"])
 	}
 	deadline := time.After(10 * time.Second)
 	for {
@@ -413,7 +409,7 @@ func TestFinishedJobReleasesEvictedSession(t *testing.T) {
 		case <-collected:
 			return
 		case <-deadline:
-			t.Fatal("the evicted session is still reachable 10s after its job finished — a retained job pins it")
+			t.Fatal("the in-flight session is still reachable 10s after its job finished — a retained job pins it")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

@@ -1,8 +1,8 @@
 // Package server is the pacd serving layer: an HTTP JSON API over the
-// experiment harness, backed by a bounded job queue and a pool of shared
-// experiments.Session result caches. One resident daemon amortises
-// process startup and simulation work across many small queries — the
-// characterisation-study workload the ROADMAP targets.
+// experiment harness, backed by a bounded job queue and a result store.
+// One resident daemon amortises process startup and simulation work
+// across many small queries — the characterisation-study workload the
+// ROADMAP targets.
 //
 // Endpoints:
 //
@@ -20,9 +20,9 @@
 // Work the API accepts becomes a Job on a bounded queue served by a
 // fixed worker pool; a full queue answers 429 with Retry-After, and
 // SIGTERM handling in cmd/pacd drains the queue before exit. Simulation
-// results are cached in experiments.Session memos keyed by a canonical
-// config hash, so a repeated POST /v1/simulate is a memo hit (visible in
-// pac_session_memo_hits_total) and runs no new simulation.
+// results are cached in the store (internal/store, in memory or on disk)
+// keyed by a canonical config hash, so a repeated POST /v1/simulate is a
+// store hit (visible in pac_store_hits_total) and runs no new simulation.
 package server
 
 import (
@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,7 +49,7 @@ import (
 // Table 1 scale with sensible bounds.
 type Config struct {
 	// Options are the base experiment options: the default session every
-	// experiment job and unparameterised simulate request runs in.
+	// experiment job runs in, and the base of every simulate request.
 	Options experiments.Options
 	// Parallel is the Precompute worker count for experiment jobs
 	// (0: Options.Parallel, then GOMAXPROCS).
@@ -59,10 +60,6 @@ type Config struct {
 	// QueueDepth is exactly how many jobs may wait for a worker; a
 	// submission beyond it answers 429 (default 16).
 	QueueDepth int
-	// MaxSessions caps the LRU pool of distinct-option sessions
-	// (default 8). Each session holds memoised simulation results, so
-	// the cap bounds result-cache memory.
-	MaxSessions int
 	// RequestTimeout caps synchronous waiting (?wait=...) per request
 	// (default 60s).
 	RequestTimeout time.Duration
@@ -91,12 +88,12 @@ type Config struct {
 	// node, and the gateway uses it to attribute merged job listings.
 	// Empty (the default) keeps single-node behaviour unchanged.
 	NodeID string
-	// Store, when set, is the durable content-addressed result store:
-	// simulate requests consult it on a memo miss and completed results
-	// are written through. It holds only entries this node wrote. Nil
-	// (the default) keeps the daemon memory-only. The caller owns the
-	// store's lifecycle (cmd/pacd opens it before New and closes it
-	// after Drain).
+	// Store is the content-addressed result store, pacd's one result
+	// cache: a simulate request is answered from it when it holds the
+	// key, and a fresh simulation's result is written to it. It holds
+	// only entries this node wrote. Nil (the default) makes New open a
+	// memory-only store with the default caps. The caller owns a store it
+	// passes in (cmd/pacd opens it before New and closes it after Drain).
 	Store *store.Store
 	// WAL, when set, is the write-ahead job journal: every accepted job
 	// is journaled before it is acknowledged and each lifecycle
@@ -126,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 8
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -160,18 +154,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server wires the job manager, the session pool, the durable store,
-// and the HTTP mux.
+// Server wires the job manager, the result store, the in-flight
+// simulate runs and the HTTP mux.
 type Server struct {
 	cfg   Config
 	reg   *telemetry.Registry
 	hooks *telemetry.Hooks
-	pool  *sessionPool
-	jobs  *jobManager
-	store *store.Store
-	ckpts *checkpointStore
-	mux   http.Handler
-	start time.Time
+	// simHooks are hooks minus the session memo events: a simulate run's
+	// session is no cache, so only experiment jobs count memo hits.
+	simHooks *telemetry.Hooks
+	jobs     *jobManager
+	store    *store.Store
+	// storeSource is the cache source of a store hit: CacheDisk, or
+	// CacheMemo for a memory-only store.
+	storeSource string
+	// defaultSess runs experiment jobs under the base options.
+	defaultSess *experiments.Session
+	ckpts       *checkpointStore
+	// flights holds the simulate keys with a run in flight (see flight).
+	flightMu sync.Mutex
+	flights  map[string]*flight
+	mux      http.Handler
+	start    time.Time
 	// ready closes once async boot (WAL replay) finishes; /readyz
 	// answers 503 until then. draining flips on Drain so the gateway's
 	// readiness probes route around a stopping node before its listener
@@ -188,24 +192,45 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, reg: cfg.Registry, store: cfg.Store, start: time.Now(),
-		ready: make(chan struct{})}
+		flights: make(map[string]*flight), ready: make(chan struct{})}
+	if s.store == nil {
+		s.store, _ = store.Open(store.Config{Registry: s.reg}) // memory-only: cannot fail
+	}
+	s.storeSource = CacheDisk
+	if s.store.Dir() == "" {
+		s.storeSource = CacheMemo
+	}
 	s.hooks = telemetry.InstrumentedHooks(s.reg)
+	observe := s.hooks.Observer
+	s.simHooks = &telemetry.Hooks{Observer: func(ev telemetry.Event) {
+		if ev.Kind != telemetry.KindMemoHit && ev.Kind != telemetry.KindMemoMiss {
+			observe(ev)
+		}
+	}}
 	if cfg.CheckpointDir != "" {
 		s.ckpts = newCheckpointStore(cfg.CheckpointDir, s.reg)
 	}
 	s.jobs = newJobManager(cfg.Concurrency, cfg.QueueDepth, cfg.JobTimeout,
 		cfg.RetainJobs, cfg.NodeID, cfg.WAL, s.hooks, s.reg)
-	s.pool = newSessionPool(cfg.MaxSessions, s.hooks, s.jobs.broadcastProgress,
-		s.checkpointPolicy)
-	// Materialise the default session eagerly so the daemon's base
-	// options are always resident and experiment jobs share one memo.
-	s.pool.session(s.defaultOptions())
+	opts := s.defaultOptions()
+	s.defaultSess = s.newSession(opts, OptionsHash(opts), s.hooks)
 	s.mux = s.routes()
 	go func() {
 		defer close(s.ready)
 		s.replayWAL(cfg.Recovered)
 	}()
 	return s
+}
+
+// newSession builds a session under opts that reports to hooks,
+// broadcasts its progress lines to the running jobs, and checkpoints
+// under optsKey.
+func (s *Server) newSession(opts experiments.Options, optsKey string, hooks *telemetry.Hooks) *experiments.Session {
+	sess := experiments.NewSession(opts)
+	sess.Hooks = hooks
+	sess.Progress = s.jobs.broadcastProgress
+	sess.Checkpoints = s.checkpointPolicy(optsKey)
+	return sess
 }
 
 // Ready returns a channel closed once boot (WAL replay) finishes and
@@ -216,9 +241,9 @@ func (s *Server) Ready() <-chan struct{} { return s.ready }
 // recovered, under their original IDs. A payload that no longer
 // resolves (changed base options, vanished experiment) is marked failed
 // in the journal rather than wedging recovery. At-least-once semantics
-// compose with the memo/store dedup into effectively exactly-once
-// execution: a job whose work actually completed before the crash
-// replays as a cache hit.
+// compose with the store dedup into effectively exactly-once execution:
+// a job whose work actually completed before the crash replays as a
+// store hit.
 func (s *Server) replayWAL(recovered []wal.Job) {
 	for _, rj := range recovered {
 		var run func(ctx context.Context) (any, error)

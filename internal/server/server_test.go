@@ -119,8 +119,8 @@ func TestListExperiments(t *testing.T) {
 
 // TestSimulateHappyPathAndCacheHit is the service's core acceptance: a
 // synchronous simulate succeeds, and an identical repeat is answered from
-// the session memo — cached=true, the memo-hit counter moves, and no new
-// simulation starts.
+// the store — cached=true from the memory store, the store-hit counter
+// moves, and no new simulation starts.
 func TestSimulateHappyPathAndCacheHit(t *testing.T) {
 	srv := newTestServer(t, nil)
 	h := srv.Handler()
@@ -141,7 +141,7 @@ func TestSimulateHappyPathAndCacheHit(t *testing.T) {
 		t.Errorf("incomplete result payload: %v", result)
 	}
 
-	hits0, _ := srv.Registry().Value(telemetry.MetricMemoHits)
+	hits0, _ := srv.Registry().Value("pac_store_hits_total")
 	started0, _ := srv.Registry().Value(telemetry.MetricSimsStarted)
 
 	code, _, job = do(t, h, "POST", "/v1/simulate?wait=30s", req)
@@ -149,16 +149,16 @@ func TestSimulateHappyPathAndCacheHit(t *testing.T) {
 		t.Fatalf("repeat simulate = %d %v", code, job)
 	}
 	repeat := job["result"].(map[string]any)
-	if repeat["cached"] != true {
-		t.Error("repeat run not served from the memo")
+	if repeat["cached"] != true || repeat["cache"] != CacheMemo {
+		t.Errorf("repeat run served from %v (cached %v), want the memory store", repeat["cache"], repeat["cached"])
 	}
 	if repeat["configHash"] != result["configHash"] {
 		t.Errorf("config hash changed across identical requests: %v vs %v",
 			repeat["configHash"], result["configHash"])
 	}
 
-	if hits, _ := srv.Registry().Value(telemetry.MetricMemoHits); hits != hits0+1 {
-		t.Errorf("memo hits = %v, want %v", hits, hits0+1)
+	if hits, _ := srv.Registry().Value("pac_store_hits_total"); hits != hits0+1 {
+		t.Errorf("store hits = %v, want %v", hits, hits0+1)
 	}
 	if started, _ := srv.Registry().Value(telemetry.MetricSimsStarted); started != started0 {
 		t.Errorf("repeat request started %v new simulations", started-started0)
@@ -486,7 +486,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, name := range []string{
 		telemetry.MetricSimsStarted,
 		telemetry.MetricSimsCompleted,
-		telemetry.MetricMemoMisses,
+		"pac_store_misses_total",
 		"pac_jobs_submitted_total",
 		"pac_jobs_finished_total",
 		"pac_http_requests_total",
@@ -524,33 +524,148 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 	}
 }
 
-// TestSessionPoolSharing checks two requests with identical normalized
-// options share one session while different options get their own, and
-// the LRU cap bounds the pool.
-func TestSessionPoolSharing(t *testing.T) {
-	pool := newSessionPool(2, nil, nil, nil)
-	base := experiments.NewSession(quickOptions()).Options()
-	s1, k1 := pool.session(base)
-	s2, k2 := pool.session(base)
-	if s1 != s2 || k1 != k2 {
-		t.Error("identical options did not share a session")
+// flightRefs returns how many jobs hold hash's in-flight run (0: none).
+func flightRefs(srv *Server, hash string) int {
+	srv.flightMu.Lock()
+	defer srv.flightMu.Unlock()
+	if f, ok := srv.flights[hash]; ok {
+		return f.refs
 	}
-	other := base
-	other.Seed = 99
-	if s3, k3 := pool.session(experiments.NewSession(other).Options()); s3 == s1 || k3 == k1 {
-		t.Error("distinct options shared a session or key")
+	return 0
+}
+
+// flightsLen returns the size of the in-flight table.
+func flightsLen(srv *Server) int {
+	srv.flightMu.Lock()
+	defer srv.flightMu.Unlock()
+	return len(srv.flights)
+}
+
+// TestInflightMissesShareOneRun: concurrent misses of one key join one
+// simulation. N concurrent identical requests start one simulation and
+// answer byte-identical results; with two jobs joined on one run, a
+// DELETE of one leaves the other done on that one simulation, and a
+// DELETE of both aborts the run; and once the jobs are terminal the
+// in-flight table is empty.
+func TestInflightMissesShareOneRun(t *testing.T) {
+	const n = 4
+	srv := newTestServer(t, func(c *Config) {
+		c.Concurrency = n
+		c.QueueDepth = n
+	})
+	h := srv.Handler()
+	reg := srv.Registry()
+	value := func(name string) float64 { v, _ := reg.Value(name); return v }
+	keyOf := func(req SimulateRequest) string {
+		opts, bench, mode, err := srv.validate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SimKey(OptionsHash(opts), bench, mode)
 	}
-	third := base
-	third.Seed = 100
-	pool.session(experiments.NewSession(third).Options())
-	if n := len(pool.entries); n != 2 {
-		t.Errorf("pool holds %d sessions, want LRU cap 2", n)
+
+	t.Run("concurrent misses", func(t *testing.T) {
+		req := SimulateRequest{Benchmark: "STREAM", Mode: "pac", AccessesPerCore: 100_000, Seed: 401}
+		started0 := value(telemetry.MetricSimsStarted)
+		body, _ := json.Marshal(req)
+		type reply struct {
+			code   int
+			status string
+			result json.RawMessage
+		}
+		replies := make(chan reply, n)
+		for i := 0; i < n; i++ {
+			go func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate?wait=60s", bytes.NewReader(body)))
+				var v struct {
+					Status string
+					Result struct{ Result json.RawMessage }
+				}
+				json.Unmarshal(rec.Body.Bytes(), &v)
+				replies <- reply{rec.Code, v.Status, v.Result.Result}
+			}()
+		}
+		var first json.RawMessage
+		for i := 0; i < n; i++ {
+			r := <-replies
+			if r.code != http.StatusOK || r.status != string(StatusDone) || len(r.result) == 0 {
+				t.Fatalf("reply %d: %d %q, %d result bytes", i, r.code, r.status, len(r.result))
+			}
+			if first == nil {
+				first = r.result
+			} else if !bytes.Equal(r.result, first) {
+				t.Errorf("reply %d result differs from the first:\n%s\n%s", i, r.result, first)
+			}
+		}
+		if d := value(telemetry.MetricSimsStarted) - started0; d != 1 {
+			t.Errorf("%d identical misses started %v simulations, want 1", n, d)
+		}
+		if m := flightsLen(srv); m != 0 {
+			t.Errorf("in-flight table holds %d runs after every job finished", m)
+		}
+	})
+
+	// joined submits two jobs of req and waits until both hold its run.
+	joined := func(t *testing.T, req SimulateRequest) (string, string) {
+		t.Helper()
+		var ids [2]string
+		for i := range ids {
+			code, _, v := do(t, h, "POST", "/v1/simulate", req)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit %d = %d %v", i, code, v)
+			}
+			ids[i] = v["id"].(string)
+		}
+		hash := keyOf(req)
+		for deadline := time.Now().Add(10 * time.Second); flightRefs(srv, hash) != 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the two jobs never joined one run (refs %d)", flightRefs(srv, hash))
+			}
+		}
+		return ids[0], ids[1]
 	}
-	// base is now the least recently used entry, so the third session
-	// evicted it; re-requesting base must build a fresh session.
-	if s4, _ := pool.session(base); s4 == s1 {
-		t.Error("evicted session returned from the pool")
-	}
+
+	t.Run("delete one", func(t *testing.T) {
+		started0 := value(telemetry.MetricSimsStarted)
+		a, b := joined(t, slowRequest(402))
+		do(t, h, "DELETE", "/v1/jobs/"+a, nil)
+		waitForStatus(t, h, a, StatusCancelled)
+		waitForStatus(t, h, b, StatusDone)
+		if d := value(telemetry.MetricSimsStarted) - started0; d != 1 {
+			t.Errorf("two joined jobs started %v simulations, want 1", d)
+		}
+		if m := flightsLen(srv); m != 0 {
+			t.Errorf("in-flight table holds %d runs after both jobs ended", m)
+		}
+	})
+
+	t.Run("delete both", func(t *testing.T) {
+		started0 := value(telemetry.MetricSimsStarted)
+		completed0 := value(telemetry.MetricSimsCompleted)
+		cancelled0 := value(telemetry.MetricSimsCancelled)
+		req := slowRequest(403)
+		a, b := joined(t, req)
+		do(t, h, "DELETE", "/v1/jobs/"+a, nil)
+		do(t, h, "DELETE", "/v1/jobs/"+b, nil)
+		waitForStatus(t, h, a, StatusCancelled)
+		waitForStatus(t, h, b, StatusCancelled)
+		started := value(telemetry.MetricSimsStarted) - started0
+		for deadline := time.Now().Add(10 * time.Second); value(telemetry.MetricSimsCancelled)-cancelled0 < started; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%v of %v started runs cancelled", value(telemetry.MetricSimsCancelled)-cancelled0, started)
+			}
+		}
+		if d := value(telemetry.MetricSimsCompleted) - completed0; d != 0 {
+			t.Errorf("%v runs completed after both jobs were deleted, want 0", d)
+		}
+		if srv.store.Has(keyOf(req)) {
+			t.Error("an aborted run's key is stored")
+		}
+		if m := flightsLen(srv); m != 0 {
+			t.Errorf("in-flight table holds %d runs after both jobs ended", m)
+		}
+	})
 }
 
 func TestOptionsHashIgnoresParallel(t *testing.T) {

@@ -8,14 +8,12 @@ import (
 )
 
 // Cache-source values carried in the X-Pac-Cache response header and the
-// "cache" field of a simulate result: where the answer came from, in
-// decreasing order of cheapness.
+// "cache" field of a simulate result: where the answer came from.
 const (
-	// CacheMemo: the in-memory session memo had the result.
+	// CacheMemo: a memory-only store had the result.
 	CacheMemo = "memo"
-	// CacheDisk: the local durable store had it. The answer is the
-	// entry's stored bytes and the session is not seeded, so a repeat is
-	// a disk hit again.
+	// CacheDisk: the store, kept in a directory, had it. The answer is
+	// the entry's stored bytes.
 	CacheDisk = "disk"
 	// CachePeer names a source the daemon no longer produces: answers
 	// fetched from a fleet peer's store. It is kept for readers that
@@ -31,14 +29,10 @@ const (
 // yet.
 const CacheHeader = "X-Pac-Cache"
 
-// storeLookup reads the sim key's answer from the durable store,
-// verifying that the stored identity matches the request before trusting
-// it (a truncated hash collision must read as a miss, not a wrong
-// answer).
+// storeLookup reads the sim key's answer from the store, verifying that
+// the stored identity matches the request before trusting it (a
+// truncated hash collision must read as a miss, not a wrong answer).
 func (s *Server) storeLookup(hash, optsKey, bench string, mode coalesce.Mode) (store.Answer, bool) {
-	if s.store == nil {
-		return store.Answer{}, false
-	}
 	a, ok := s.store.Answer(hash)
 	if !ok {
 		return store.Answer{}, false
@@ -49,13 +43,13 @@ func (s *Server) storeLookup(hash, optsKey, bench string, mode coalesce.Mode) (s
 	return a, true
 }
 
-// storeWrite persists a completed result (write-through) with rendered,
-// its JSON rendering, as the entry's answer section. Memo-sourced results
-// flow through here too, so a store attached to a warm daemon backfills
-// from traffic. Write failures are non-fatal: the simulation answer is
-// already in hand.
+// storeWrite stores a fresh simulation's result with rendered, its JSON
+// rendering, as the entry's answer section; the job committer calls it
+// before the job is done. A key already stored (another job of the same
+// run wrote it) is left as it is. Write failures are non-fatal: the
+// simulation answer is already in hand.
 func (s *Server) storeWrite(hash, optsKey, bench string, mode coalesce.Mode, opts experiments.Options, res *sim.Result, rendered []byte) {
-	if s.store == nil || s.store.Has(hash) {
+	if s.store.Has(hash) {
 		return
 	}
 	_ = s.store.PutAnswer(store.Entry{

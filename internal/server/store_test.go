@@ -77,8 +77,8 @@ func TestStoreDiskHitAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// "Restarted" daemon: same store directory, empty memo, so the repeat
-	// request exercises the disk path.
+	// "Restarted" daemon: same store directory, nothing else carried
+	// over, so the repeat request exercises the disk path.
 	reg2 := telemetry.NewRegistry()
 	st2 := openTestStore(t, dir, reg2)
 	srv2 := newTestServer(t, func(c *Config) { c.Registry = reg2; c.Store = st2 })
@@ -100,8 +100,8 @@ func TestStoreDiskHitAcrossRestart(t *testing.T) {
 		t.Errorf("config hash changed across restart: %v vs %v", res1["configHash"], res2["configHash"])
 	}
 
-	// Third request on the same daemon: a disk hit again (a disk hit does
-	// not seed the session), still without simulating.
+	// Third request on the same daemon: a disk hit again, still without
+	// simulating.
 	res3, src3 := simulateOK(t, srv2, req)
 	if src3 != CacheDisk {
 		t.Errorf("repeat after disk hit = %q, want %q", src3, CacheDisk)
@@ -194,16 +194,22 @@ func TestAsyncSimulateOmitsCacheHeader(t *testing.T) {
 // carries the *sim.Result as its compact stored bytes, and decodes equal
 // to the same job's GET view for every cache source.
 func TestSimulateReplySplicesResult(t *testing.T) {
-	d := newInlineDaemon(t, nil)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) { testSimulateReplySplicesResult(t, kind.disk, kind.hit) })
+	}
+}
+
+func testSimulateReplySplicesResult(t *testing.T, disk bool, hit string) {
+	d := newInlineDaemon(t, disk, nil)
 	h := d.srv.Handler()
 	for _, step := range []struct {
 		req  SimulateRequest
 		want string
 	}{
 		{hitReqA, CacheMiss},
-		{hitReqA, CacheMemo},
+		{hitReqA, hit},
 		{hitReqB, CacheMiss},
-		{hitReqA, CacheDisk},
+		{hitReqA, hit},
 	} {
 		body, _ := json.Marshal(step.req)
 		rec := httptest.NewRecorder()
@@ -249,11 +255,15 @@ func TestSimulateReplySplicesResult(t *testing.T) {
 // SimulateResult with the *sim.Result in it.
 func TestSimulateAnswerBytes(t *testing.T) {
 	sess := experiments.NewSession(quickOptions())
-	res, rendered, err := sess.ResultJSON(context.Background(), "GS", coalesce.ModeDMC)
+	res, err := sess.Result(context.Background(), "GS", coalesce.ModeDMC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, source := range []string{CacheMiss, CacheDisk} {
+	rendered, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, source := range []string{CacheMiss, CacheMemo, CacheDisk} {
 		ans := newSimulateAnswer("GS", coalesce.ModeDMC, "0123456789abcdef", source, rendered)
 		want, err := json.Marshal(SimulateResult{Benchmark: "GS", Mode: coalesce.ModeDMC.String(),
 			ConfigHash: "0123456789abcdef", Cached: source != CacheMiss, Cache: source, Result: res})

@@ -1,13 +1,17 @@
-// Package store is the durable, content-addressed result store beneath
-// the pacd session memo. Completed simulation results are serialized as
-// write-once entry files keyed by the canonical options-hash + sim-key
-// address (server.SimKey) and committed crash-safely by
+// Package store is pacd's result cache: completed simulation results
+// keyed by the canonical options-hash + sim-key address (server.SimKey),
+// held in memory or as write-once entry files committed crash-safely by
 // durable.WriteFile (temp file + fsync + rename). Identical
-// configurations resolve to identical, durably stored results — the
-// property that lets a restarted daemon answer repeat requests from disk
-// instead of re-simulating.
+// configurations resolve to identical stored results — the property
+// that lets a daemon answer repeat requests, across restarts when the
+// store has a directory, instead of re-simulating.
 //
-// The directory is the whole index. Inside it:
+// Open with an empty Dir returns a memory-only store: the same index,
+// LRU, caps, counters and Has/Answer/PutAnswer API, each entry holding
+// its identity and answer bytes, with no envelope, no gob and no file,
+// fsync or scan. It forgets everything at exit.
+//
+// With a Dir, the directory is the whole index. Inside it:
 //
 //	<key>.res  one write-once entry envelope; committed by rename, never
 //	           rewritten in place
@@ -91,11 +95,13 @@ type Entry struct {
 	Result *sim.Result
 }
 
-// Config parameterises Open. Dir is required.
+// Config parameterises Open.
 type Config struct {
-	// Dir is the store directory; created if missing.
+	// Dir is the store directory; created if missing. Empty opens a
+	// memory-only store.
 	Dir string
-	// MaxBytes caps the summed entry-file size; the least recently used
+	// MaxBytes caps the summed entry size (the entry file, or in memory
+	// the answer bytes); the least recently used
 	// entries are evicted beyond it (default 1 GiB, negative = no cap).
 	MaxBytes int64
 	// MaxEntries caps the entry count the same way (default 65536,
@@ -142,12 +148,15 @@ type idxEntry struct {
 	// verified: the file is known to be this node's rendering — Put wrote
 	// it in this process, or verifyOrphan accepted it.
 	verified bool
+	// answer is a memory-only store's entry; with a Dir it lives in the
+	// entry file.
+	answer Answer
 }
 
-// Store is the durable result store; build with Open, close with Close.
+// Store is the result store; build with Open, close with Close.
 type Store struct {
 	cfg Config
-	dir string
+	dir string // empty: memory-only
 	fs  durable.FS
 
 	mu      sync.Mutex
@@ -167,15 +176,10 @@ type Store struct {
 // Open creates or reopens the store at cfg.Dir. It scans the directory:
 // staged temp files a crash left behind are removed, and every valid
 // <key>.res file becomes an unverified entry, oldest write least recently
-// used. Then it enforces the size caps.
+// used. Then it enforces the size caps. An empty Dir opens an empty
+// memory-only store.
 func Open(cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Dir == "" {
-		return nil, errors.New("store: Dir is required")
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	s := &Store{
 		cfg:     cfg,
 		dir:     cfg.Dir,
@@ -183,13 +187,13 @@ func Open(cfg Config) (*Store, error) {
 		entries: make(map[string]*idxEntry),
 	}
 	reg := cfg.Registry
-	s.hits = reg.Counter("pac_store_hits_total", "Result-store reads served from disk.")
+	s.hits = reg.Counter("pac_store_hits_total", "Result-store reads served from the store.")
 	s.misses = reg.Counter("pac_store_misses_total", "Result-store reads that found no usable entry.")
-	s.writes = reg.Counter("pac_store_writes_total", "Result-store entries committed to disk.")
+	s.writes = reg.Counter("pac_store_writes_total", "Result-store entries committed.")
 	s.writeFails = reg.Counter("pac_store_write_failures_total", "Result-store writes that failed (the result is recomputed on a later miss).")
 	s.evictions = reg.Counter("pac_store_evictions_total", "Result-store entries evicted by the size caps.")
 	s.corrupt = reg.Counter("pac_store_corrupt_total", "Corrupt, truncated or unverifiable store entries discarded.")
-	reg.GaugeFunc("pac_store_bytes", "Summed size of the stored entry files.", func() float64 {
+	reg.GaugeFunc("pac_store_bytes", "Summed size of the stored entries.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(s.bytes)
@@ -199,7 +203,12 @@ func Open(cfg Config) (*Store, error) {
 		defer s.mu.Unlock()
 		return float64(len(s.entries))
 	})
-
+	if s.dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 	durable.SweepTemps(s.dir, "")
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -284,21 +293,32 @@ type envelope struct {
 // answer section from e.Result.
 func EncodeEntry(e Entry) ([]byte, error) { return encodeEntry(e, nil) }
 
-// entryEncoder sends the entry type descriptors once per process; the
-// job committers and the handlers' memo-hit write-throughs share it.
+// entryEncoder sends the entry type descriptors once per process; every
+// job committer shares it.
 var entryEncoder gobenc.Encoder[Entry]
 
-// encodeEntry builds an envelope. answer is the rendering of
-// e.Result the caller already holds; nil renders it here.
-func encodeEntry(e Entry, answer []byte) ([]byte, error) {
+// render checks e's key and returns its answer section: answer, the
+// rendering of e.Result the caller already holds, or when nil a fresh
+// rendering.
+func render(e Entry, answer []byte) ([]byte, error) {
 	if !ValidKey(e.Key) {
 		return nil, fmt.Errorf("store: invalid key %q", e.Key)
 	}
-	if answer == nil {
-		var err error
-		if answer, err = json.Marshal(e.Result); err != nil {
-			return nil, fmt.Errorf("store: rendering answer: %w", err)
-		}
+	if answer != nil {
+		return answer, nil
+	}
+	answer, err := json.Marshal(e.Result)
+	if err != nil {
+		return nil, fmt.Errorf("store: rendering answer: %w", err)
+	}
+	return answer, nil
+}
+
+// encodeEntry builds an envelope around answer (see render).
+func encodeEntry(e Entry, answer []byte) ([]byte, error) {
+	answer, err := render(e, answer)
+	if err != nil {
+		return nil, err
 	}
 	var payload bytes.Buffer
 	var u16 [2]byte
@@ -468,8 +488,10 @@ func (s *Store) Put(e Entry) error { return s.PutAnswer(e, nil) }
 // PutAnswer is Put with the answer section supplied: answer must be the
 // caller's rendering of e.Result (json.Marshal), which the serving path
 // already holds, so a result is rendered once; nil renders it here.
-// A failed write is counted in pac_store_write_failures_total and leaves
-// the key's earlier entry, if any, in place.
+// A memory-only store keeps the identity and answer, not e.Result, and
+// counts the answer bytes as the entry's size. A failed write is counted
+// in pac_store_write_failures_total and leaves the key's earlier entry,
+// if any, in place.
 func (s *Store) PutAnswer(e Entry, answer []byte) error {
 	s.mu.Lock()
 	closed := s.closed
@@ -478,29 +500,38 @@ func (s *Store) PutAnswer(e Entry, answer []byte) error {
 		s.writeFails.Inc()
 		return errors.New("store: closed")
 	}
-	blob, err := encodeEntry(e, answer)
-	if err != nil {
-		s.writeFails.Inc()
-		return err
-	}
-	key := e.Key
-	if err := durable.WriteFile(s.fs, s.entryPath(key), blob); err != nil {
-		s.writeFails.Inc()
-		return fmt.Errorf("store: writing entry: %w", err)
+	var held Answer // a memory-only store's entry
+	var size int64
+	if s.dir == "" {
+		js, err := render(e, answer)
+		if err != nil {
+			s.writeFails.Inc()
+			return err
+		}
+		held = Answer{OptionsHash: e.OptionsHash, Benchmark: e.Benchmark, Mode: e.Mode, JSON: js}
+		size = int64(len(js))
+	} else {
+		blob, err := encodeEntry(e, answer)
+		if err != nil {
+			s.writeFails.Inc()
+			return err
+		}
+		if err := durable.WriteFile(s.fs, s.entryPath(e.Key), blob); err != nil {
+			s.writeFails.Inc()
+			return fmt.Errorf("store: writing entry: %w", err)
+		}
+		size = int64(len(blob))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	size := int64(len(blob))
 	s.seq++
-	if ie, exists := s.entries[key]; exists {
-		s.bytes += size - ie.size
-		ie.size = size
-		ie.seq = s.seq
-		ie.verified = true
-	} else {
-		s.entries[key] = &idxEntry{key: key, size: size, seq: s.seq, verified: true}
-		s.bytes += size
+	ie, exists := s.entries[e.Key]
+	if !exists {
+		ie = &idxEntry{key: e.Key}
+		s.entries[e.Key] = ie
 	}
+	s.bytes += size - ie.size
+	ie.size, ie.seq, ie.verified, ie.answer = size, s.seq, true, held
 	s.writes.Inc()
 	s.evictLocked()
 	return nil
@@ -508,8 +539,12 @@ func (s *Store) PutAnswer(e Entry, answer []byte) error {
 
 // Get loads and fully decodes the entry for key. A corrupt file is
 // counted, removed, and reported as a miss — never an error. A hit
-// refreshes the key's LRU recency.
+// refreshes the key's LRU recency. A memory-only store keeps no Entry:
+// Get reports false and counts nothing.
 func (s *Store) Get(key string) (Entry, bool) {
+	if s.dir == "" {
+		return Entry{}, false
+	}
 	blob, _, ok := s.readEntry(key)
 	if !ok {
 		return Entry{}, false
@@ -527,8 +562,23 @@ func (s *Store) Get(key string) (Entry, bool) {
 // The first Answer of an entry found at Open also runs verifyOrphan. It
 // counts, discards corrupt files and refreshes recency exactly as Get
 // does. The JSON is copied out of the file buffer, so a caller that keeps
-// it (a finished job does) does not keep the whole envelope alive.
+// it (a finished job does) does not keep the whole envelope alive. A
+// memory-only store returns the stored answer itself.
 func (s *Store) Answer(key string) (Answer, bool) {
+	if s.dir == "" {
+		s.mu.Lock()
+		e, ok := s.entries[key]
+		var a Answer
+		if ok {
+			s.seq++
+			e.seq, a = s.seq, e.answer
+			s.hits.Inc()
+		} else {
+			s.misses.Inc()
+		}
+		s.mu.Unlock()
+		return a, ok
+	}
 	blob, verified, ok := s.readEntry(key)
 	if !ok {
 		return Answer{}, false
@@ -596,12 +646,14 @@ func (s *Store) discardCorrupt(key string) {
 	}
 }
 
-// removeLocked drops an entry from the index and deletes its file.
-// Called with s.mu held.
+// removeLocked drops an entry from the index and deletes its file, if
+// any. Called with s.mu held.
 func (s *Store) removeLocked(e *idxEntry) {
 	s.bytes -= e.size
 	delete(s.entries, e.key)
-	os.Remove(s.entryPath(e.key))
+	if s.dir != "" {
+		os.Remove(s.entryPath(e.key))
+	}
 }
 
 // Has reports whether key is resident; it counts nothing and leaves the
@@ -613,6 +665,9 @@ func (s *Store) Has(key string) bool {
 	return ok
 }
 
+// Dir returns the store directory; empty for a memory-only store.
+func (s *Store) Dir() string { return s.dir }
+
 // Len returns the resident entry count.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -620,7 +675,7 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Bytes returns the summed entry-file size.
+// Bytes returns the summed entry size.
 func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -762,3 +762,83 @@ func TestPutAfterCloseCounted(t *testing.T) {
 		t.Errorf("closed store wrote %d files", len(names))
 	}
 }
+
+// TestMemoryStore: a store opened without a Dir keeps each entry's
+// identity and answer in memory under the same API, LRU, caps and
+// counters, touches no file, and keeps no Entry for Get.
+func TestMemoryStore(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s := mustOpen(t, Config{MaxEntries: 2, MaxBytes: -1, Registry: reg})
+	if s.Dir() != "" {
+		t.Fatalf("Dir = %q, want empty", s.Dir())
+	}
+	in := testEntry(key(0), 5000)
+	rendered, err := json.Marshal(in.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutAnswer(in, rendered); err != nil {
+		t.Fatal(err)
+	}
+	a, ok := s.Answer(key(0))
+	if !ok || !bytes.Equal(a.JSON, rendered) ||
+		a.OptionsHash != in.OptionsHash || a.Benchmark != in.Benchmark || a.Mode != in.Mode {
+		t.Fatalf("Answer = %+v, %v; want the stored identity and rendering", a, ok)
+	}
+	if s.Bytes() != int64(len(rendered)) {
+		t.Errorf("Bytes = %d, want the %d answer bytes", s.Bytes(), len(rendered))
+	}
+	if _, ok := s.Get(key(0)); ok {
+		t.Error("Get found an Entry in a memory-only store")
+	}
+	// Put renders the answer itself; key 0 was just read, so key 1 is the
+	// least recently used when key 2 goes in.
+	for i := 1; i < 3; i++ {
+		if i == 2 {
+			s.Answer(key(0))
+		}
+		if err := s.Put(testEntry(key(i), int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Has(key(0)) || s.Has(key(1)) || !s.Has(key(2)) || s.Len() != 2 {
+		t.Errorf("after eviction: has 0/1/2 = %v/%v/%v, Len %d; want key 1 evicted",
+			s.Has(key(0)), s.Has(key(1)), s.Has(key(2)), s.Len())
+	}
+	if _, ok := s.Answer(key(1)); ok {
+		t.Error("Answer hit an evicted key")
+	}
+	if err := s.Put(testEntry("NOT-HEX", 1)); err == nil {
+		t.Error("Put took an invalid key")
+	}
+	for name, want := range map[string]float64{
+		"pac_store_hits_total":           2,
+		"pac_store_misses_total":         1,
+		"pac_store_writes_total":         3,
+		"pac_store_write_failures_total": 1,
+		"pac_store_evictions_total":      1,
+	} {
+		if got := metricValue(t, reg, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	s.Close()
+	if err := s.Put(testEntry(key(3), 3)); err == nil || s.Has(key(3)) {
+		t.Errorf("Put after Close = %v, stored %v; want refused", err, s.Has(key(3)))
+	}
+	after, err := os.ReadDir(wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Errorf("a memory-only store changed the working directory: %d entries, was %d", len(after), len(before))
+	}
+}

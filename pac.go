@@ -320,22 +320,23 @@ type (
 // NewServer builds a ready-to-serve pacd service.
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
 
-// Durable result store (cmd/pacd -store): a crash-safe, content-addressed
-// store of completed simulation results keyed by the canonical options
-// hash + sim key. Attach one to ServerConfig.Store so restarts answer
-// repeat requests from disk. See internal/store and DESIGN.md §11.
+// Result store (cmd/pacd -store): pacd's content-addressed cache of
+// completed simulation results keyed by the canonical options hash + sim
+// key, in memory or crash-safe on disk. Attach one with a Dir to
+// ServerConfig.Store so restarts answer repeat requests from disk. See
+// internal/store and DESIGN.md §11.
 type (
 	// StoreConfig parameterises OpenStore.
 	StoreConfig = store.Config
-	// Store is the durable result store; the caller owns its lifecycle
+	// Store is the result store; the caller owns its lifecycle
 	// (open before NewServer, Close after Drain).
 	Store = store.Store
 	// StoreEntry is one stored simulation result with its identity.
 	StoreEntry = store.Entry
 )
 
-// OpenStore creates or reopens a durable result store, indexing the
-// entry files in its directory.
+// OpenStore creates or reopens a result store, indexing the entry files
+// in its directory; an empty Dir opens a memory-only store.
 func OpenStore(cfg StoreConfig) (*Store, error) { return store.Open(cfg) }
 
 // Write-ahead job journal (cmd/pacd -wal): a crash-safe record of every

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end fleet smoke: build pacd and pacgw, start two quick backends
 # and a gateway in front of them, then exercise the cluster contract —
-# routing, session-cache affinity on a repeated simulate, a fan-out
+# routing, store affinity on a repeated simulate, a fan-out
 # sweep, a backend kill (ejection + survivor serving every key), and a
 # clean SIGTERM drain of the gateway.
 #
@@ -51,7 +51,7 @@ go build -o "$BINDIR/pacd" ./cmd/pacd
 go build -o "$BINDIR/pacgw" ./cmd/pacgw
 
 # Two quick backends; the gateway's -quick must mirror theirs so routing
-# keys match the backends' session keys.
+# keys match the backends' store keys.
 "$BINDIR/pacd" -addr "127.0.0.1:$B0_PORT" -quick -node b0 >"$B0_LOG" 2>&1 &
 B0_PID=$!
 "$BINDIR/pacd" -addr "127.0.0.1:$B1_PORT" -quick -node b1 >"$B1_LOG" 2>&1 &
@@ -96,10 +96,10 @@ rm -f "$hdr1"
 echo "smoke-cluster: routed simulate ok (served by $backend1)"
 
 # Affinity: the identical repeat must land on the same backend and hit
-# its session memo; the gateway must have recorded zero affinity misses.
+# its result store; the gateway must have recorded zero affinity misses.
 hdr2="$(mktemp)"
 second=$(curl -fsS -D "$hdr2" -X POST -H 'Content-Type: application/json' -d "$body" "$GW/v1/simulate?wait=60s")
-echo "$second" | grep -q '"cached": true' || fail "repeat simulate missed the session memo: $second"
+echo "$second" | grep -q '"cached": true' || fail "repeat simulate missed the backend's store: $second"
 backend2=$(awk 'tolower($1) == "x-pac-backend:" {print $2}' "$hdr2" | tr -d '\r')
 [ "$backend2" = "$backend1" ] || fail "affinity broken: first on $backend1, repeat on $backend2"
 rm -f "$hdr2"

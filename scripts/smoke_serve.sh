@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end pacd smoke: build the daemon, start it on a local port,
 # exercise the API (healthz, a tab1 experiment job, a repeated simulate
-# that must hit the session memo), check the /metrics deltas, and verify
+# that must hit the result store), check the /metrics deltas, and verify
 # a clean SIGTERM drain (exit 0).
 #
 # Usage: scripts/smoke_serve.sh [port]
@@ -57,28 +57,28 @@ echo "$tab1" | grep -q '"status": "done"' || fail "tab1 job did not finish: $tab
 echo "$tab1" | grep -q '"artefact"' || fail "tab1 result missing artefact: $tab1"
 echo "smoke-serve: tab1 experiment ok"
 
-# A repeated identical simulate must be a memo hit: the miss counter
-# moves once, the hit counter moves on the repeat, and no second
-# simulation starts.
+# A repeated identical simulate must be a store hit (the store is in
+# memory: no -store): the store miss counter moves once, the hit counter
+# moves on the repeat, and no second simulation starts.
 body='{"benchmark": "GS", "mode": "pac"}'
-misses0=$(metric pac_session_memo_misses_total)
-hits0=$(metric pac_session_memo_hits_total)
+misses0=$(metric pac_store_misses_total)
+hits0=$(metric pac_store_hits_total)
 
 first=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$BASE/v1/simulate?wait=60s")
 echo "$first" | grep -q '"status": "done"' || fail "first simulate did not finish: $first"
 echo "$first" | grep -q '"cached": false' || fail "first simulate claimed a cache hit: $first"
 started1=$(metric pac_sims_started_total)
-misses1=$(metric pac_session_memo_misses_total)
-[ "$misses1" = "$((misses0 + 1))" ] || fail "memo misses $misses0 -> $misses1, want +1"
+misses1=$(metric pac_store_misses_total)
+[ "$misses1" = "$((misses0 + 1))" ] || fail "store misses $misses0 -> $misses1, want +1"
 
 second=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$BASE/v1/simulate?wait=60s")
 echo "$second" | grep -q '"status": "done"' || fail "second simulate did not finish: $second"
-echo "$second" | grep -q '"cached": true' || fail "second simulate missed the memo: $second"
+echo "$second" | grep -q '"cached": true' || fail "second simulate missed the store: $second"
 started2=$(metric pac_sims_started_total)
-hits1=$(metric pac_session_memo_hits_total)
-[ "$hits1" = "$((hits0 + 1))" ] || fail "memo hits $hits0 -> $hits1, want +1"
+hits1=$(metric pac_store_hits_total)
+[ "$hits1" = "$((hits0 + 1))" ] || fail "store hits $hits0 -> $hits1, want +1"
 [ "$started2" = "$started1" ] || fail "repeat simulate started a new simulation ($started1 -> $started2)"
-echo "smoke-serve: memo miss-then-hit ok"
+echo "smoke-serve: store miss-then-hit ok"
 
 # Graceful drain: SIGTERM must exit 0 after the queue unwinds.
 kill -TERM "$PID"
